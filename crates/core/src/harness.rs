@@ -55,6 +55,18 @@ impl fmt::Display for AdversarySpec {
     }
 }
 
+impl std::str::FromStr for AdversarySpec {
+    type Err = String;
+
+    /// Parses the [`Display`](fmt::Display) form, e.g. `lying`.
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        AdversarySpec::ALL
+            .into_iter()
+            .find(|adversary| adversary.name() == name)
+            .ok_or_else(|| format!("unknown adversary {name:?}"))
+    }
+}
+
 /// Errors produced while building or running a scenario.
 #[derive(Debug)]
 #[non_exhaustive]

@@ -23,6 +23,8 @@
 //! * [`script`] — data-valued adversary scripts: serializable action lists a fuzzer
 //!   can generate, mutate, shrink and replay, interpreted by a
 //!   [`script::ScriptedAdversary`] that provably subsumes the built-in strategies,
+//! * [`text`] — the TOML-subset reader and canonical writer behind scripts and
+//!   scenario files: one grammar, one line-positioned [`text::TextError`],
 //! * [`attacks`] — the impossibility constructions of Lemmas 5, 7 and 13 as concrete
 //!   adversaries that violate bSM properties beyond the tight thresholds,
 //! * [`harness`] — the scenario runner used by the experiments: build a setting, pick a
@@ -63,10 +65,12 @@ pub mod script;
 pub mod solvability;
 pub mod ssm;
 pub mod strategies;
+pub mod text;
 pub mod wire;
 
 pub use harness::{AdversarySpec, HarnessError, Scenario, ScenarioOutcome};
 pub use problem::{AuthMode, MatchDecision, Setting};
 pub use properties::{check_bsm, PropertyViolation};
-pub use script::{Script, ScriptAction, ScriptError, ScriptedAdversary, Verdict};
+pub use script::{Script, ScriptAction, ScriptedAdversary, Verdict};
 pub use solvability::{characterize, ProtocolPlan, Solvability};
+pub use text::TextError;

@@ -34,6 +34,18 @@ impl fmt::Display for AuthMode {
     }
 }
 
+impl std::str::FromStr for AuthMode {
+    type Err = String;
+
+    /// Parses the [`Display`](fmt::Display) form, e.g. `authenticated`.
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        AuthMode::ALL
+            .into_iter()
+            .find(|auth| auth.name() == name)
+            .ok_or_else(|| format!("unknown auth mode {name:?}"))
+    }
+}
+
 /// The decision of one party: the partner it matches with, or nobody.
 ///
 /// The refined termination property (§2) explicitly allows honest parties to output

@@ -8,15 +8,16 @@
 //! [`bsm_net::Adversary`] hooks, and [`Script::run`] wires everything through
 //! [`Scenario::run_with_adversary`].
 //!
-//! The serialized form is a small TOML subset (sections, `key = value`, integers,
-//! booleans, quoted strings and flat arrays) with a *canonical* rendering:
-//! [`Script::parse`] followed by [`Script::canonical`] is the identity on canonical
-//! files, which is what lets frozen regressions be compared byte-for-byte.
+//! The serialized form is the workspace's TOML subset ([`crate::text`]) with a
+//! *canonical* rendering: [`Script::parse`] followed by [`Script::canonical`] is the
+//! identity on canonical files, which is what lets frozen regressions be compared
+//! byte-for-byte.
 
 use crate::harness::{HarnessError, Scenario, ScenarioOutcome};
 use crate::problem::{AuthMode, Setting};
 use crate::solvability::{characterize, ProtocolPlan, Solvability};
 use crate::strategies::{BsmPuppetAdversary, GarbageAdversary};
+use crate::text::{self, Document, Table, TextError, Value, Writer};
 use crate::wire::{party_from_dense, PrefVec, ProtoBody, WireMsg};
 use bsm_broadcast::DolevStrongMsg;
 use bsm_crypto::{Digest, DigestWriter, Digestible, SigChain, Signature, SigningKey};
@@ -26,7 +27,6 @@ use bsm_net::{Adversary, AdversaryContext, Envelope, Outgoing, PartyId, Topology
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::path::Path;
 
 /// One step of a scripted attack.
@@ -242,27 +242,6 @@ impl Verdict {
     }
 }
 
-/// A parse or I/O error for the script file format.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScriptError {
-    /// 1-based line the error was detected on (0 = whole-file error).
-    pub line: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for ScriptError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line == 0 {
-            write!(f, "script: {}", self.message)
-        } else {
-            write!(f, "line {}: {}", self.line, self.message)
-        }
-    }
-}
-
-impl std::error::Error for ScriptError {}
-
 /// A complete, serializable adversary script.
 ///
 /// Everything needed to reproduce a run is inside the value: setting, static
@@ -297,304 +276,145 @@ pub struct Script {
     pub verdict: Option<Verdict>,
 }
 
-fn plan_name(plan: ProtocolPlan) -> &'static str {
-    match plan {
-        ProtocolPlan::DolevStrongBsm => "dolev-strong",
-        ProtocolPlan::CommitteeBroadcastBsm { committee_side: Side::Left } => "committee-left",
-        ProtocolPlan::CommitteeBroadcastBsm { committee_side: Side::Right } => "committee-right",
-        ProtocolPlan::BipartiteAuthLocal { committee_side: Side::Left } => "bipartite-left",
-        ProtocolPlan::BipartiteAuthLocal { committee_side: Side::Right } => "bipartite-right",
+/// The script format's name in errors and its table headers.
+const FORMAT: &str = "script";
+const HEADERS: [&str; 3] = ["[script]", "[[action]]", "[verdict]"];
+
+/// The `plan` key's names: one two-way table.
+const PLAN_NAMES: [(ProtocolPlan, &str); 5] = [
+    (ProtocolPlan::DolevStrongBsm, "dolev-strong"),
+    (ProtocolPlan::CommitteeBroadcastBsm { committee_side: Side::Left }, "committee-left"),
+    (ProtocolPlan::CommitteeBroadcastBsm { committee_side: Side::Right }, "committee-right"),
+    (ProtocolPlan::BipartiteAuthLocal { committee_side: Side::Left }, "bipartite-left"),
+    (ProtocolPlan::BipartiteAuthLocal { committee_side: Side::Right }, "bipartite-right"),
+];
+
+/// The `side` key's names (a [`ScriptAction::Corrupt`] field).
+const SIDE_NAMES: [(Side, &str); 2] = [(Side::Left, "left"), (Side::Right, "right")];
+
+/// One action of every kind, all numbers zero: what a parsed `kind` is looked up in.
+const ACTION_KINDS: [ScriptAction; 12] = [
+    ScriptAction::Silence { from_slot: 0 },
+    ScriptAction::Lie { seed: 0 },
+    ScriptAction::Garbage { seed: 0, per_slot: 0 },
+    ScriptAction::Corrupt { slot: 0, side: Side::Left, index: 0 },
+    ScriptAction::DropRecv { slot: 0, nth: 0 },
+    ScriptAction::DelayRecv { slot: 0, nth: 0, by: 0 },
+    ScriptAction::Replay { slot: 0, nth: 0 },
+    ScriptAction::DropSend { slot: 0, nth: 0 },
+    ScriptAction::Equivocate { slot: 0, nth: 0 },
+    ScriptAction::TruncateChain { slot: 0, nth: 0 },
+    ScriptAction::ReorderChain { slot: 0, nth: 0 },
+    ScriptAction::SwapSigTag { slot: 0, nth: 0 },
+];
+
+/// The serialized key of each of [`ScriptAction::numbers`], in the same order.
+fn number_keys(action: &ScriptAction) -> &'static [&'static str] {
+    match action {
+        ScriptAction::Silence { .. } => &["from_slot"],
+        ScriptAction::Lie { .. } => &["seed"],
+        ScriptAction::Garbage { .. } => &["seed", "per_slot"],
+        ScriptAction::Corrupt { .. } => &["slot", "index"],
+        ScriptAction::DelayRecv { .. } => &["slot", "nth", "by"],
+        _ => &["slot", "nth"],
     }
 }
 
-fn plan_from_name(name: &str) -> Option<ProtocolPlan> {
-    match name {
-        "dolev-strong" => Some(ProtocolPlan::DolevStrongBsm),
-        "committee-left" => {
-            Some(ProtocolPlan::CommitteeBroadcastBsm { committee_side: Side::Left })
-        }
-        "committee-right" => {
-            Some(ProtocolPlan::CommitteeBroadcastBsm { committee_side: Side::Right })
-        }
-        "bipartite-left" => Some(ProtocolPlan::BipartiteAuthLocal { committee_side: Side::Left }),
-        "bipartite-right" => Some(ProtocolPlan::BipartiteAuthLocal { committee_side: Side::Right }),
-        _ => None,
-    }
+/// The name of `value` in a two-way name table.
+fn name_of<T: PartialEq>(names: &[(T, &'static str)], value: T) -> &'static str {
+    let entry = names.iter().find(|(v, _)| *v == value);
+    entry.expect("the name tables cover every value").1
 }
 
-fn topology_from_name(name: &str) -> Option<Topology> {
-    Topology::ALL.into_iter().find(|t| t.name() == name)
-}
-
-fn auth_from_name(name: &str) -> Option<AuthMode> {
-    AuthMode::ALL.into_iter().find(|a| a.name() == name)
-}
-
-fn side_name(side: Side) -> &'static str {
-    match side {
-        Side::Left => "left",
-        Side::Right => "right",
-    }
-}
-
-fn side_from_name(name: &str) -> Option<Side> {
-    match name {
-        "left" => Some(Side::Left),
-        "right" => Some(Side::Right),
-        _ => None,
-    }
-}
-
-fn quote(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            other => out.push(other),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn render_ints(values: &[u64]) -> String {
-    let body: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-    format!("[{}]", body.join(", "))
-}
-
-fn render_strs(values: &[String]) -> String {
-    let body: Vec<String> = values.iter().map(|v| quote(v)).collect();
-    format!("[{}]", body.join(", "))
+/// The value named `name` in a two-way name table.
+fn named<T: Copy>(names: &[(T, &str)], what: &str, value: Value) -> Result<T, String> {
+    let name = value.string()?;
+    names
+        .iter()
+        .find(|(_, n)| *n == name)
+        .map(|(v, _)| *v)
+        .ok_or_else(|| format!("unknown {what} {name:?}"))
 }
 
 impl Script {
     /// The canonical serialized form: `parse(canonical()) == self`, and canonical
     /// files survive a parse/render round trip byte-identically.
     pub fn canonical(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("[script]\n");
-        let _ = writeln!(out, "name = {}", quote(&self.name));
-        let _ = writeln!(out, "k = {}", self.k);
-        let _ = writeln!(out, "topology = {}", quote(self.topology.name()));
-        let _ = writeln!(out, "auth = {}", quote(self.auth.name()));
-        let _ = writeln!(out, "t_l = {}", self.t_l);
-        let _ = writeln!(out, "t_r = {}", self.t_r);
+        let mut w = Writer::default();
+        w.header("[script]");
+        w.pair("name", self.name.as_str());
+        w.pair("k", self.k as u64);
+        w.pair("topology", self.topology.name());
+        w.pair("auth", self.auth.name());
+        w.pair("t_l", self.t_l as u64);
+        w.pair("t_r", self.t_r as u64);
         if let Some(plan) = self.plan {
-            let _ = writeln!(out, "plan = {}", quote(plan_name(plan)));
+            w.pair("plan", name_of(&PLAN_NAMES, plan));
         }
-        let left: Vec<u64> = self.corrupt_left.iter().map(|&i| u64::from(i)).collect();
-        let right: Vec<u64> = self.corrupt_right.iter().map(|&i| u64::from(i)).collect();
-        let _ = writeln!(out, "corrupt_left = {}", render_ints(&left));
-        let _ = writeln!(out, "corrupt_right = {}", render_ints(&right));
-        let _ = writeln!(out, "seed = {}", self.seed);
+        w.pair("corrupt_left", self.corrupt_left.iter().map(|&i| u64::from(i)).collect::<Value>());
+        w.pair(
+            "corrupt_right",
+            self.corrupt_right.iter().map(|&i| u64::from(i)).collect::<Value>(),
+        );
+        w.pair("seed", self.seed);
         for action in &self.actions {
-            out.push_str("\n[[action]]\n");
-            let _ = writeln!(out, "kind = {}", quote(action.kind()));
-            match *action {
-                ScriptAction::Silence { from_slot } => {
-                    let _ = writeln!(out, "from_slot = {from_slot}");
+            w.header("[[action]]");
+            w.pair("kind", action.kind());
+            for (&key, number) in number_keys(action).iter().zip(action.numbers()) {
+                if let (ScriptAction::Corrupt { side, .. }, "index") = (action, key) {
+                    w.pair("side", name_of(&SIDE_NAMES, *side));
                 }
-                ScriptAction::Lie { seed } => {
-                    let _ = writeln!(out, "seed = {seed}");
-                }
-                ScriptAction::Garbage { seed, per_slot } => {
-                    let _ = writeln!(out, "seed = {seed}");
-                    let _ = writeln!(out, "per_slot = {per_slot}");
-                }
-                ScriptAction::Corrupt { slot, side, index } => {
-                    let _ = writeln!(out, "slot = {slot}");
-                    let _ = writeln!(out, "side = {}", quote(side_name(side)));
-                    let _ = writeln!(out, "index = {index}");
-                }
-                ScriptAction::DelayRecv { slot, nth, by } => {
-                    let _ = writeln!(out, "slot = {slot}");
-                    let _ = writeln!(out, "nth = {nth}");
-                    let _ = writeln!(out, "by = {by}");
-                }
-                ScriptAction::DropRecv { slot, nth }
-                | ScriptAction::Replay { slot, nth }
-                | ScriptAction::DropSend { slot, nth }
-                | ScriptAction::Equivocate { slot, nth }
-                | ScriptAction::TruncateChain { slot, nth }
-                | ScriptAction::ReorderChain { slot, nth }
-                | ScriptAction::SwapSigTag { slot, nth } => {
-                    let _ = writeln!(out, "slot = {slot}");
-                    let _ = writeln!(out, "nth = {nth}");
-                }
+                w.pair(key, number);
             }
         }
         if let Some(verdict) = &self.verdict {
-            out.push_str("\n[verdict]\n");
-            let _ = writeln!(out, "decided = {}", verdict.decided);
-            let _ = writeln!(out, "slots = {}", verdict.slots);
-            let _ = writeln!(out, "violations = {}", render_strs(&verdict.violations));
+            w.header("[verdict]");
+            w.pair("decided", verdict.decided);
+            w.pair("slots", verdict.slots);
+            w.pair("violations", verdict.violations.iter().map(String::as_str).collect::<Value>());
         }
-        out
+        w.finish()
     }
 
     /// Parses the serialized form (see [`canonical`](Self::canonical)).
     ///
     /// # Errors
     ///
-    /// Returns a line-numbered [`ScriptError`] on malformed syntax, unknown
+    /// Returns a line-numbered [`TextError`] on malformed syntax, unknown
     /// sections/keys/kinds, duplicate keys or missing required fields.
-    pub fn parse(text: &str) -> Result<Script, ScriptError> {
-        enum Section {
-            None,
-            Script,
-            Action,
-            Verdict,
-        }
-        let mut script_fields: Option<Fields> = None;
-        let mut action_fields: Vec<Fields> = Vec::new();
-        let mut verdict_fields: Option<Fields> = None;
-        let mut current = Section::None;
-
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if line == "[script]" {
-                if script_fields.is_some() {
-                    return Err(ScriptError {
-                        line: line_no,
-                        message: "duplicate [script] section".into(),
-                    });
-                }
-                script_fields = Some(Fields::new(line_no));
-                current = Section::Script;
-                continue;
-            }
-            if line == "[[action]]" {
-                action_fields.push(Fields::new(line_no));
-                current = Section::Action;
-                continue;
-            }
-            if line == "[verdict]" {
-                if verdict_fields.is_some() {
-                    return Err(ScriptError {
-                        line: line_no,
-                        message: "duplicate [verdict] section".into(),
-                    });
-                }
-                verdict_fields = Some(Fields::new(line_no));
-                current = Section::Verdict;
-                continue;
-            }
-            if line.starts_with('[') {
-                return Err(ScriptError {
-                    line: line_no,
-                    message: format!("unknown section {line:?}"),
-                });
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(ScriptError {
-                    line: line_no,
-                    message: format!("expected `key = value`, got {line:?}"),
-                });
-            };
-            let key = key.trim();
-            if key.is_empty() {
-                return Err(ScriptError { line: line_no, message: "empty key".into() });
-            }
-            let value = parse_value(value.trim(), line_no)?;
-            let fields: &mut Fields = match current {
-                Section::None => {
-                    return Err(ScriptError {
-                        line: line_no,
-                        message: format!("key {key:?} outside any section"),
-                    });
-                }
-                Section::Script => script_fields.as_mut().expect("section seen"),
-                Section::Action => action_fields.last_mut().expect("section seen"),
-                Section::Verdict => verdict_fields.as_mut().expect("section seen"),
-            };
-            if fields.pairs.iter().any(|(k, _, _)| k == key) {
-                return Err(ScriptError {
-                    line: line_no,
-                    message: format!("duplicate key {key:?}"),
-                });
-            }
-            fields.pairs.push((key.to_string(), line_no, value));
-        }
-
-        let mut sf = script_fields
-            .ok_or_else(|| ScriptError { line: 0, message: "missing [script] section".into() })?;
-        let name = sf.take_str("name")?;
-        let k = usize::try_from(sf.take_int("k")?)
-            .map_err(|_| ScriptError { line: sf.header, message: "k out of range".into() })?;
-        let topology_name = sf.take_str("topology")?;
-        let topology = topology_from_name(&topology_name).ok_or_else(|| ScriptError {
-            line: sf.header,
-            message: format!("unknown topology {topology_name:?}"),
-        })?;
-        let auth_name = sf.take_str("auth")?;
-        let auth = auth_from_name(&auth_name).ok_or_else(|| ScriptError {
-            line: sf.header,
-            message: format!("unknown auth mode {auth_name:?}"),
-        })?;
-        let t_l = sf.take_int("t_l")? as usize;
-        let t_r = sf.take_int("t_r")? as usize;
-        let plan = match sf.take_str_opt("plan")? {
-            None => None,
-            Some(plan_str) => Some(plan_from_name(&plan_str).ok_or_else(|| ScriptError {
-                line: sf.header,
-                message: format!("unknown plan {plan_str:?}"),
-            })?),
+    pub fn parse(text: &str) -> Result<Script, TextError> {
+        let mut doc = Document::parse(text, FORMAT, &HEADERS)?;
+        doc.root.finish()?;
+        let mut t = doc.table("[script]").ok_or_else(|| doc.error("missing [script] table"))?;
+        let script = Script {
+            name: t.require("name", Value::string)?,
+            k: t.require("k", Value::narrow)?,
+            topology: t.require("topology", Value::parse)?,
+            auth: t.require("auth", Value::parse)?,
+            t_l: t.require("t_l", Value::narrow)?,
+            t_r: t.require("t_r", Value::narrow)?,
+            plan: t.get("plan", |v| named(&PLAN_NAMES, "plan", v))?,
+            corrupt_left: t.get("corrupt_left", |v| v.list(Value::narrow))?.unwrap_or_default(),
+            corrupt_right: t.get("corrupt_right", |v| v.list(Value::narrow))?.unwrap_or_default(),
+            seed: t.require("seed", Value::int)?,
+            actions: doc
+                .tables("[[action]]")
+                .into_iter()
+                .map(action_from)
+                .collect::<Result<_, _>>()?,
+            verdict: doc.table("[verdict]").map(verdict_from).transpose()?,
         };
-        let corrupt_left = to_u32s(sf.take_ints_opt("corrupt_left")?, sf.header)?;
-        let corrupt_right = to_u32s(sf.take_ints_opt("corrupt_right")?, sf.header)?;
-        let seed = sf.take_int("seed")?;
-        sf.finish("script")?;
-
-        let mut actions = Vec::with_capacity(action_fields.len());
-        for fields in action_fields {
-            actions.push(action_from_fields(fields)?);
-        }
-
-        let verdict = match verdict_fields {
-            None => None,
-            Some(mut vf) => {
-                let decided = vf.take_bool("decided")?;
-                let slots = vf.take_int("slots")?;
-                let violations = vf.take_strs_opt("violations")?;
-                vf.finish("verdict")?;
-                Some(Verdict { decided, slots, violations })
-            }
-        };
-
-        Ok(Script {
-            name,
-            k,
-            topology,
-            auth,
-            t_l,
-            t_r,
-            plan,
-            corrupt_left,
-            corrupt_right,
-            seed,
-            actions,
-            verdict,
-        })
+        t.finish()?;
+        Ok(script)
     }
 
     /// Loads and parses a script file.
     ///
     /// # Errors
     ///
-    /// Returns a [`ScriptError`] on I/O failure (line 0) or parse failure.
-    pub fn load(path: &Path) -> Result<Script, ScriptError> {
-        let text = std::fs::read_to_string(path).map_err(|e| ScriptError {
-            line: 0,
-            message: format!("cannot read {}: {e}", path.display()),
-        })?;
-        Script::parse(&text)
+    /// Returns a [`TextError`] on I/O failure (line 0) or parse failure.
+    pub fn load(path: &Path) -> Result<Script, TextError> {
+        Script::parse(&text::read(path, FORMAT)?)
     }
 
     /// The setting this script runs in.
@@ -651,288 +471,34 @@ impl Script {
     }
 }
 
-/// A parsed value of the TOML subset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Value {
-    Int(u64),
-    Bool(bool),
-    Str(String),
-    Ints(Vec<u64>),
-    Strs(Vec<String>),
-}
-
-impl Value {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Value::Int(_) => "integer",
-            Value::Bool(_) => "boolean",
-            Value::Str(_) => "string",
-            Value::Ints(_) => "integer array",
-            Value::Strs(_) => "string array",
-        }
-    }
-}
-
-/// Reads a quoted string starting at `text[0] == '"'`; returns the unescaped body
-/// and the rest of the input after the closing quote.
-fn parse_string_body(text: &str, line: usize) -> Result<(String, &str), ScriptError> {
-    let mut chars = text.char_indices();
-    match chars.next() {
-        Some((_, '"')) => {}
-        _ => return Err(ScriptError { line, message: "expected opening quote".into() }),
-    }
-    let mut out = String::new();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Ok((out, &text[i + c.len_utf8()..])),
-            '\\' => match chars.next() {
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, '"')) => out.push('"'),
-                _ => {
-                    return Err(ScriptError { line, message: "invalid escape in string".into() });
-                }
-            },
-            other => out.push(other),
-        }
-    }
-    Err(ScriptError { line, message: "unterminated string".into() })
-}
-
-fn parse_array(text: &str, line: usize) -> Result<Value, ScriptError> {
-    let mut rest = text.strip_prefix('[').expect("caller checked").trim_start();
-    let mut ints: Vec<u64> = Vec::new();
-    let mut strs: Vec<String> = Vec::new();
-    loop {
-        if let Some(after) = rest.strip_prefix(']') {
-            if !after.trim().is_empty() {
-                return Err(ScriptError {
-                    line,
-                    message: format!("trailing characters after array: {:?}", after.trim()),
-                });
-            }
-            break;
-        }
-        if rest.starts_with('"') {
-            if !ints.is_empty() {
-                return Err(ScriptError { line, message: "mixed array element types".into() });
-            }
-            let (body, after) = parse_string_body(rest, line)?;
-            strs.push(body);
-            rest = after.trim_start();
-        } else {
-            if !strs.is_empty() {
-                return Err(ScriptError { line, message: "mixed array element types".into() });
-            }
-            let end = rest
-                .find([',', ']'])
-                .ok_or_else(|| ScriptError { line, message: "unterminated array".into() })?;
-            let token = rest[..end].trim();
-            let value: u64 = token.parse().map_err(|_| ScriptError {
-                line,
-                message: format!("invalid array integer {token:?}"),
-            })?;
-            ints.push(value);
-            rest = &rest[end..];
-        }
-        rest = rest.trim_start();
-        if let Some(after) = rest.strip_prefix(',') {
-            rest = after.trim_start();
-        } else if !rest.starts_with(']') {
-            return Err(ScriptError { line, message: "expected `,` or `]` in array".into() });
-        }
-    }
-    if strs.is_empty() {
-        Ok(Value::Ints(ints))
-    } else {
-        Ok(Value::Strs(strs))
-    }
-}
-
-fn parse_value(text: &str, line: usize) -> Result<Value, ScriptError> {
-    if text == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if text == "false" {
-        return Ok(Value::Bool(false));
-    }
-    if text.starts_with('"') {
-        let (body, rest) = parse_string_body(text, line)?;
-        if !rest.trim().is_empty() {
-            return Err(ScriptError {
-                line,
-                message: format!("trailing characters after string: {:?}", rest.trim()),
-            });
-        }
-        return Ok(Value::Str(body));
-    }
-    if text.starts_with('[') {
-        return parse_array(text, line);
-    }
-    text.parse::<u64>().map(Value::Int).map_err(|_| ScriptError {
-        line,
-        message: format!("invalid value {text:?} (expected integer, bool, string or array)"),
-    })
-}
-
-/// The key/value pairs of one section, with their line numbers.
-#[derive(Debug)]
-struct Fields {
-    header: usize,
-    pairs: Vec<(String, usize, Value)>,
-}
-
-impl Fields {
-    fn new(header: usize) -> Self {
-        Self { header, pairs: Vec::new() }
-    }
-
-    fn take(&mut self, key: &str) -> Option<(usize, Value)> {
-        let idx = self.pairs.iter().position(|(k, _, _)| k == key)?;
-        let (_, line, value) = self.pairs.remove(idx);
-        Some((line, value))
-    }
-
-    fn missing(&self, key: &str) -> ScriptError {
-        ScriptError { line: self.header, message: format!("missing key {key:?}") }
-    }
-
-    fn wrong_type(line: usize, key: &str, value: &Value, wanted: &str) -> ScriptError {
-        ScriptError {
-            line,
-            message: format!("key {key:?} must be a {wanted}, got {}", value.type_name()),
-        }
-    }
-
-    fn take_int(&mut self, key: &str) -> Result<u64, ScriptError> {
-        match self.take(key) {
-            Some((_, Value::Int(v))) => Ok(v),
-            Some((line, other)) => Err(Self::wrong_type(line, key, &other, "integer")),
-            None => Err(self.missing(key)),
-        }
-    }
-
-    fn take_bool(&mut self, key: &str) -> Result<bool, ScriptError> {
-        match self.take(key) {
-            Some((_, Value::Bool(v))) => Ok(v),
-            Some((line, other)) => Err(Self::wrong_type(line, key, &other, "boolean")),
-            None => Err(self.missing(key)),
-        }
-    }
-
-    fn take_str(&mut self, key: &str) -> Result<String, ScriptError> {
-        self.take_str_opt(key)?.ok_or_else(|| self.missing(key))
-    }
-
-    fn take_str_opt(&mut self, key: &str) -> Result<Option<String>, ScriptError> {
-        match self.take(key) {
-            Some((_, Value::Str(v))) => Ok(Some(v)),
-            Some((line, other)) => Err(Self::wrong_type(line, key, &other, "string")),
-            None => Ok(None),
-        }
-    }
-
-    fn take_ints_opt(&mut self, key: &str) -> Result<Vec<u64>, ScriptError> {
-        match self.take(key) {
-            Some((_, Value::Ints(v))) => Ok(v),
-            Some((line, other)) => Err(Self::wrong_type(line, key, &other, "integer array")),
-            None => Ok(Vec::new()),
-        }
-    }
-
-    fn take_strs_opt(&mut self, key: &str) -> Result<Vec<String>, ScriptError> {
-        match self.take(key) {
-            Some((_, Value::Strs(v))) => Ok(v),
-            // An empty array parses as `Ints(vec![])`; accept it where strings are
-            // expected so `violations = []` round-trips.
-            Some((_, Value::Ints(v))) if v.is_empty() => Ok(Vec::new()),
-            Some((line, other)) => Err(Self::wrong_type(line, key, &other, "string array")),
-            None => Ok(Vec::new()),
-        }
-    }
-
-    fn finish(self, section: &str) -> Result<(), ScriptError> {
-        if let Some((key, line, _)) = self.pairs.into_iter().next() {
-            return Err(ScriptError {
-                line,
-                message: format!("unknown key {key:?} in [{section}]"),
-            });
-        }
-        Ok(())
-    }
-}
-
-fn to_u32s(values: Vec<u64>, line: usize) -> Result<Vec<u32>, ScriptError> {
-    values
-        .into_iter()
-        .map(|v| {
-            u32::try_from(v)
-                .map_err(|_| ScriptError { line, message: format!("index {v} out of range") })
-        })
-        .collect()
-}
-
-fn action_from_fields(mut fields: Fields) -> Result<ScriptAction, ScriptError> {
-    let kind = fields.take_str("kind")?;
-    let action = match kind.as_str() {
-        "silence" => ScriptAction::Silence { from_slot: fields.take_int("from_slot")? },
-        "lie" => ScriptAction::Lie { seed: fields.take_int("seed")? },
-        "garbage" => ScriptAction::Garbage {
-            seed: fields.take_int("seed")?,
-            per_slot: fields.take_int("per_slot")?,
-        },
-        "corrupt" => {
-            let slot = fields.take_int("slot")?;
-            let side_str = fields.take_str("side")?;
-            let side = side_from_name(&side_str).ok_or_else(|| ScriptError {
-                line: fields.header,
-                message: format!("unknown side {side_str:?}"),
-            })?;
-            let index_raw = fields.take_int("index")?;
-            let index = u32::try_from(index_raw).map_err(|_| ScriptError {
-                line: fields.header,
-                message: format!("index {index_raw} out of range"),
-            })?;
-            ScriptAction::Corrupt { slot, side, index }
-        }
-        "delay-recv" => ScriptAction::DelayRecv {
-            slot: fields.take_int("slot")?,
-            nth: fields.take_int("nth")?,
-            by: fields.take_int("by")?,
-        },
-        "drop-recv" => {
-            ScriptAction::DropRecv { slot: fields.take_int("slot")?, nth: fields.take_int("nth")? }
-        }
-        "replay" => {
-            ScriptAction::Replay { slot: fields.take_int("slot")?, nth: fields.take_int("nth")? }
-        }
-        "drop-send" => {
-            ScriptAction::DropSend { slot: fields.take_int("slot")?, nth: fields.take_int("nth")? }
-        }
-        "equivocate" => ScriptAction::Equivocate {
-            slot: fields.take_int("slot")?,
-            nth: fields.take_int("nth")?,
-        },
-        "truncate-chain" => ScriptAction::TruncateChain {
-            slot: fields.take_int("slot")?,
-            nth: fields.take_int("nth")?,
-        },
-        "reorder-chain" => ScriptAction::ReorderChain {
-            slot: fields.take_int("slot")?,
-            nth: fields.take_int("nth")?,
-        },
-        "swap-sig-tag" => ScriptAction::SwapSigTag {
-            slot: fields.take_int("slot")?,
-            nth: fields.take_int("nth")?,
-        },
-        other => {
-            return Err(ScriptError {
-                line: fields.header,
-                message: format!("unknown action kind {other:?}"),
-            });
-        }
+fn action_from(mut t: Table) -> Result<ScriptAction, TextError> {
+    let kind = t.require("kind", Value::string)?;
+    let Some(template) = ACTION_KINDS.iter().find(|action| action.kind() == kind) else {
+        return Err(t.key_error("kind", format!("kind: unknown action kind {kind:?}")));
     };
-    fields.finish("action")?;
+    let mut numbers = Vec::new();
+    for &key in number_keys(template) {
+        numbers.push(match key {
+            "index" => u64::from(t.require::<u32>(key, Value::narrow)?),
+            _ => t.require(key, Value::int)?,
+        });
+    }
+    let mut action = template.with_numbers(&numbers);
+    if let ScriptAction::Corrupt { side, .. } = &mut action {
+        *side = t.require("side", |v| named(&SIDE_NAMES, "side", v))?;
+    }
+    t.finish()?;
     Ok(action)
+}
+
+fn verdict_from(mut t: Table) -> Result<Verdict, TextError> {
+    let verdict = Verdict {
+        decided: t.require("decided", Value::bool)?,
+        slots: t.require("slots", Value::int)?,
+        violations: t.get("violations", |v| v.list(Value::string))?.unwrap_or_default(),
+    };
+    t.finish()?;
+    Ok(verdict)
 }
 
 /// The interpreter: executes a [`Script`]'s action list against the live simulation.
@@ -1372,10 +938,10 @@ mod tests {
             ("", "missing [script]"),
             ("x = 1\n", "outside any section"),
             ("[script]\n[script]\n", "duplicate [script]"),
-            ("[bogus]\n", "unknown section"),
+            ("[bogus]\n", "unknown table"),
             ("[script]\nname = \"a\"\nname = \"b\"\n", "duplicate key"),
-            ("[script]\nnot a pair\n", "expected `key = value`"),
-            ("[script]\nname = \"a\"\nk = \"three\"\n", "must be a integer"),
+            ("[script]\nnot a pair\n", "expected key = value"),
+            ("[script]\nname = \"a\"\nk = \"three\"\n", "k: expected integer"),
             ("[script]\nname = \"unterminated\n", "unterminated string"),
             ("[script]\nseed = [1, \"x\"]\n", "mixed array"),
             ("[script]\nseed = nope\n", "invalid value"),
@@ -1558,18 +1124,18 @@ mod tests {
         assert_eq!(verdict.decided, outcome.all_honest_decided);
         assert_eq!(verdict.slots, outcome.slots);
         assert!(verdict.violations.is_empty());
-        for plan in [
-            ProtocolPlan::DolevStrongBsm,
-            ProtocolPlan::CommitteeBroadcastBsm { committee_side: Side::Left },
-            ProtocolPlan::CommitteeBroadcastBsm { committee_side: Side::Right },
-            ProtocolPlan::BipartiteAuthLocal { committee_side: Side::Left },
-            ProtocolPlan::BipartiteAuthLocal { committee_side: Side::Right },
-        ] {
-            assert_eq!(plan_from_name(plan_name(plan)), Some(plan));
+        // The two-way name tables are complete and invert each other.
+        for plan in ProtocolPlan::ALL {
+            assert_eq!(named(&PLAN_NAMES, "plan", name_of(&PLAN_NAMES, plan).into()), Ok(plan));
         }
-        assert_eq!(plan_from_name("nonsense"), None);
-        assert_eq!(side_from_name("left"), Some(Side::Left));
-        assert_eq!(side_from_name("up"), None);
+        assert!(named(&PLAN_NAMES, "plan", "nonsense".into()).is_err());
+        for side in Side::both() {
+            assert_eq!(named(&SIDE_NAMES, "side", name_of(&SIDE_NAMES, side).into()), Ok(side));
+        }
+        assert!(named(&SIDE_NAMES, "side", "up".into()).is_err());
+        for action in ACTION_KINDS {
+            assert_eq!(number_keys(&action).len(), action.numbers().len(), "{action:?}");
+        }
     }
 
     #[test]

@@ -35,17 +35,51 @@ pub enum ProtocolPlan {
     },
 }
 
-impl fmt::Display for ProtocolPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl ProtocolPlan {
+    /// Every plan the characterization can prescribe.
+    pub const ALL: [ProtocolPlan; 5] = [
+        ProtocolPlan::CommitteeBroadcastBsm { committee_side: Side::Left },
+        ProtocolPlan::CommitteeBroadcastBsm { committee_side: Side::Right },
+        ProtocolPlan::DolevStrongBsm,
+        ProtocolPlan::BipartiteAuthLocal { committee_side: Side::Left },
+        ProtocolPlan::BipartiteAuthLocal { committee_side: Side::Right },
+    ];
+
+    /// The name used in reports and exports.
+    pub fn name(&self) -> &'static str {
         match self {
-            ProtocolPlan::CommitteeBroadcastBsm { committee_side } => {
-                write!(f, "committee-broadcast bSM (committee {committee_side})")
+            ProtocolPlan::CommitteeBroadcastBsm { committee_side: Side::Left } => {
+                "committee-broadcast bSM (committee L)"
             }
-            ProtocolPlan::DolevStrongBsm => write!(f, "Dolev-Strong bSM"),
-            ProtocolPlan::BipartiteAuthLocal { committee_side } => {
-                write!(f, "ΠbSM local matching (committee {committee_side})")
+            ProtocolPlan::CommitteeBroadcastBsm { committee_side: Side::Right } => {
+                "committee-broadcast bSM (committee R)"
+            }
+            ProtocolPlan::DolevStrongBsm => "Dolev-Strong bSM",
+            ProtocolPlan::BipartiteAuthLocal { committee_side: Side::Left } => {
+                "ΠbSM local matching (committee L)"
+            }
+            ProtocolPlan::BipartiteAuthLocal { committee_side: Side::Right } => {
+                "ΠbSM local matching (committee R)"
             }
         }
+    }
+}
+
+impl fmt::Display for ProtocolPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for ProtocolPlan {
+    type Err = String;
+
+    /// Parses the [`Display`](fmt::Display) form, e.g. `Dolev-Strong bSM`.
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        ProtocolPlan::ALL
+            .into_iter()
+            .find(|plan| plan.name() == name)
+            .ok_or_else(|| format!("unknown protocol plan {name:?}"))
     }
 }
 

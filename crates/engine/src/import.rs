@@ -38,13 +38,9 @@
 
 use crate::grid::ScenarioSpec;
 use crate::report::{CampaignReport, CellOutcome, CellRecord, CellStats, Totals};
-use bsm_core::harness::AdversarySpec;
-use bsm_core::problem::AuthMode;
-use bsm_core::solvability::ProtocolPlan;
-use bsm_matching::Side;
-use bsm_net::{FaultSpec, Topology};
 use std::fmt;
 use std::io::BufRead;
+use std::str::FromStr;
 
 /// Errors produced while importing an exported campaign document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,15 +108,21 @@ impl Value {
     }
 }
 
+/// Objects and arrays nested deeper than this are rejected: the parser recurses per
+/// level, and exports nest three levels at most.
+const MAX_DEPTH: usize = 64;
+
 /// A recursive-descent parser over the document bytes.
 pub(crate) struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     pub(crate) fn new(text: &'a str) -> Self {
-        Self { bytes: text.as_bytes(), pos: 0 }
+        Self { text, bytes: text.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn error(&self, message: impl Into<String>) -> ImportError {
@@ -162,8 +164,15 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Value, ImportError> {
         self.skip_whitespace();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let value = if open == b'{' { self.parse_object() } else { self.parse_array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b't') | Some(b'f') => self.parse_bool(),
             Some(b'0'..=b'9') => self.parse_number(),
@@ -287,13 +296,15 @@ impl<'a> Parser<'a> {
                     return Err(self.error("unescaped control character in string"));
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (the document is a &str, so slicing on
-                    // char boundaries is safe).
-                    let text = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().expect("non-empty remainder");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next quote, escape
+                    // or control byte. Those are ASCII, so the run ends on a char
+                    // boundary of the document.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
+                    }
+                    let run = self.text.get(start..self.pos);
+                    out.push_str(run.ok_or_else(|| self.error("invalid UTF-8 in string"))?);
                 }
             }
         }
@@ -371,16 +382,19 @@ pub(crate) fn field<'v>(
         .ok_or_else(|| schema(format!("missing field {name:?}")))
 }
 
-pub(crate) fn as_object(value: &Value, what: &str) -> Result<Vec<(String, Value)>, ImportError> {
+pub(crate) fn as_object<'v>(
+    value: &'v Value,
+    what: &str,
+) -> Result<&'v [(String, Value)], ImportError> {
     match value {
-        Value::Object(fields) => Ok(fields.clone()),
+        Value::Object(fields) => Ok(fields),
         other => Err(schema(format!("{what}: expected object, found {}", other.type_name()))),
     }
 }
 
-pub(crate) fn as_array(value: &Value, what: &str) -> Result<Vec<Value>, ImportError> {
+pub(crate) fn as_array<'v>(value: &'v Value, what: &str) -> Result<&'v [Value], ImportError> {
     match value {
-        Value::Array(items) => Ok(items.clone()),
+        Value::Array(items) => Ok(items),
         other => Err(schema(format!("{what}: expected array, found {}", other.type_name()))),
     }
 }
@@ -414,42 +428,12 @@ pub(crate) fn boolean(fields: &[(String, Value)], name: &str) -> Result<bool, Im
     }
 }
 
-fn parse_topology(name: &str) -> Result<Topology, ImportError> {
-    Topology::ALL
-        .into_iter()
-        .find(|t| t.name() == name)
-        .ok_or_else(|| schema(format!("unknown topology {name:?}")))
-}
-
-fn parse_auth(name: &str) -> Result<AuthMode, ImportError> {
-    AuthMode::ALL
-        .into_iter()
-        .find(|a| a.name() == name)
-        .ok_or_else(|| schema(format!("unknown auth mode {name:?}")))
-}
-
-fn parse_adversary(name: &str) -> Result<AdversarySpec, ImportError> {
-    AdversarySpec::ALL
-        .into_iter()
-        .find(|a| a.name() == name)
-        .ok_or_else(|| schema(format!("unknown adversary {name:?}")))
-}
-
-/// Every plan the characterization can prescribe; matched against the rendered name
-/// so the import stays in lockstep with [`ProtocolPlan`]'s `Display`.
-const ALL_PLANS: [ProtocolPlan; 5] = [
-    ProtocolPlan::CommitteeBroadcastBsm { committee_side: Side::Left },
-    ProtocolPlan::CommitteeBroadcastBsm { committee_side: Side::Right },
-    ProtocolPlan::DolevStrongBsm,
-    ProtocolPlan::BipartiteAuthLocal { committee_side: Side::Left },
-    ProtocolPlan::BipartiteAuthLocal { committee_side: Side::Right },
-];
-
-fn parse_plan(name: &str) -> Result<ProtocolPlan, ImportError> {
-    ALL_PLANS
-        .into_iter()
-        .find(|p| p.to_string() == name)
-        .ok_or_else(|| schema(format!("unknown protocol plan {name:?}")))
+/// A string field read through its type's `FromStr` (the axis names, fault specs).
+fn named<T: FromStr>(fields: &[(String, Value)], name: &str) -> Result<T, ImportError>
+where
+    T::Err: fmt::Display,
+{
+    string(fields, name)?.parse().map_err(|err: T::Err| schema(err.to_string()))
 }
 
 /// Parses the grid-coordinate fields shared by report cells, telemetry sidecar lines
@@ -457,35 +441,33 @@ fn parse_plan(name: &str) -> Result<ProtocolPlan, ImportError> {
 pub(crate) fn parse_spec(fields: &[(String, Value)]) -> Result<ScenarioSpec, ImportError> {
     Ok(ScenarioSpec {
         k: usize_field(fields, "k")?,
-        topology: parse_topology(string(fields, "topology")?)?,
-        auth: parse_auth(string(fields, "auth")?)?,
+        topology: named(fields, "topology")?,
+        auth: named(fields, "auth")?,
         t_l: usize_field(fields, "t_l")?,
         t_r: usize_field(fields, "t_r")?,
-        adversary: parse_adversary(string(fields, "adversary")?)?,
-        faults: string(fields, "faults")?
-            .parse::<FaultSpec>()
-            .map_err(|err| schema(err.to_string()))?,
+        adversary: named(fields, "adversary")?,
+        faults: named(fields, "faults")?,
         seed: number(fields, "seed")?,
     })
 }
 
 fn parse_cell(value: &Value) -> Result<CellRecord, ImportError> {
     let fields = as_object(value, "cell")?;
-    let spec = parse_spec(&fields)?;
-    let outcome = match string(&fields, "status")? {
+    let spec = parse_spec(fields)?;
+    let outcome = match string(fields, "status")? {
         "completed" => CellOutcome::Completed(CellStats {
-            plan: parse_plan(string(&fields, "plan")?)?,
-            all_honest_decided: boolean(&fields, "all_honest_decided")?,
-            violations: usize_field(&fields, "violations")?,
-            slots: number(&fields, "slots")?,
-            messages: number(&fields, "messages")?,
-            signatures: number(&fields, "signatures")?,
+            plan: named(fields, "plan")?,
+            all_honest_decided: boolean(fields, "all_honest_decided")?,
+            violations: usize_field(fields, "violations")?,
+            slots: number(fields, "slots")?,
+            messages: number(fields, "messages")?,
+            signatures: number(fields, "signatures")?,
         }),
         "unsolvable" => CellOutcome::Unsolvable {
-            theorem: string(&fields, "theorem")?.to_string(),
-            reason: string(&fields, "reason")?.to_string(),
+            theorem: string(fields, "theorem")?.to_string(),
+            reason: string(fields, "reason")?.to_string(),
         },
-        "failed" => CellOutcome::Failed { message: string(&fields, "message")?.to_string() },
+        "failed" => CellOutcome::Failed { message: string(fields, "message")?.to_string() },
         other => return Err(schema(format!("unknown cell status {other:?}"))),
     };
     Ok(CellRecord { spec, outcome })
@@ -531,11 +513,8 @@ fn verify_totals(fields: &[(String, Value)], recomputed: Totals) -> Result<(), I
 pub fn from_json(json: &str) -> Result<CampaignReport, ImportError> {
     let document = Parser::new(json).parse_document()?;
     let root = as_object(&document, "document root")?;
-    let cells_value = match field(&root, "cells")? {
-        Value::Array(items) => items.clone(),
-        other => return Err(schema(format!("cells: expected array, found {}", other.type_name()))),
-    };
-    let cells = cells_value.iter().map(parse_cell).collect::<Result<Vec<_>, _>>()?;
+    let cells = as_array(field(root, "cells")?, "cells")?;
+    let cells = cells.iter().map(parse_cell).collect::<Result<Vec<_>, _>>()?;
     let mut report = CampaignReport::new(cells);
     // Reports exported from a declarative scenario file carry the canonical
     // scenario text as an optional root key; scenario-less documents omit it.
@@ -550,8 +529,7 @@ pub fn from_json(json: &str) -> Result<CampaignReport, ImportError> {
             }
         }
     }
-    let totals_fields = as_object(field(&root, "totals")?, "totals")?;
-    verify_totals(&totals_fields, report.totals())?;
+    verify_totals(as_object(field(root, "totals")?, "totals")?, report.totals())?;
     Ok(report)
 }
 
@@ -572,11 +550,10 @@ enum StreamLine {
 /// exports produced from a declarative scenario file).
 fn parse_stream_line(text: &str) -> Result<StreamLine, ImportError> {
     let value = Parser::new(text).parse_document()?;
-    let fields = as_object(&value, "stream line")?;
-    match fields.as_slice() {
+    match as_object(&value, "stream line")? {
         [(key, totals_value)] if key == "totals" => {
             let totals_fields = as_object(totals_value, "totals")?;
-            Ok(StreamLine::Footer(parse_totals(&totals_fields)?, None))
+            Ok(StreamLine::Footer(parse_totals(totals_fields)?, None))
         }
         [(key, totals_value), (tag, tag_value)] if key == "totals" && tag == "scenario" => {
             let totals_fields = as_object(totals_value, "totals")?;
@@ -589,7 +566,7 @@ fn parse_stream_line(text: &str) -> Result<StreamLine, ImportError> {
                     )))
                 }
             };
-            Ok(StreamLine::Footer(parse_totals(&totals_fields)?, Some(scenario)))
+            Ok(StreamLine::Footer(parse_totals(totals_fields)?, Some(scenario)))
         }
         _ => Ok(StreamLine::Cell(parse_cell(&value)?)),
     }
@@ -910,6 +887,10 @@ mod tests {
     use crate::campaign::CampaignBuilder;
     use crate::executor::Executor;
     use crate::export::{to_json, StreamingExporter};
+    use bsm_core::harness::AdversarySpec;
+    use bsm_core::problem::AuthMode;
+    use bsm_core::solvability::ProtocolPlan;
+    use bsm_net::{FaultSpec, Topology};
 
     #[test]
     fn import_inverts_export_on_a_real_campaign() {
@@ -928,6 +909,9 @@ mod tests {
         for bad in ["", "[1,]", "{\"a\" 1}", "{\"a\": 1e3}", "\"unclosed", "nope", "{} trailing"] {
             assert!(from_json(bad).is_err(), "{bad:?} should not import");
         }
+        // Deep nesting is an error at the first level too deep, not a stack overflow.
+        let err = from_json(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.to_string().contains("at byte 64: nesting deeper than 64"), "{err}");
     }
 
     #[test]
@@ -1273,7 +1257,7 @@ mod tests {
             };
             let outcome = match next(3) {
                 0 => CellOutcome::Completed(CellStats {
-                    plan: ALL_PLANS[next(5) as usize],
+                    plan: ProtocolPlan::ALL[next(5) as usize],
                     all_honest_decided: next(2) == 0,
                     violations: next(10) as usize,
                     slots: next(1000),

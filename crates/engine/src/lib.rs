@@ -179,7 +179,7 @@ pub use report::{
     CampaignReport, CellMerge, CellMergeError, CellOutcome, CellRecord, CellStats, ExecutionStats,
     MergeError, Totals,
 };
-pub use scenario_file::{ScenarioError, ScenarioFile};
+pub use scenario_file::ScenarioFile;
 pub use supervise::{
     parse_supervise, run_supervisor, AttemptOutcome, AttemptRecord, ChaosSpec, CrashMode,
     CrashPoint, QuarantinedShard, SuperviseConfig, SuperviseSummary,

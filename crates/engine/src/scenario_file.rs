@@ -1,5 +1,4 @@
-//! Declarative scenario files: a hand-rolled TOML-subset reader for campaign
-//! descriptions (no external dependencies, like every parser in this workspace).
+//! Declarative scenario files: campaign descriptions in the workspace's TOML subset.
 //!
 //! A scenario file names a whole campaign declaratively — party counts, topologies,
 //! auth models, adversaries, seed count, and a schedule of network faults — so an
@@ -8,19 +7,11 @@
 //! `docs/SCENARIOS.md` (whose worked examples are the literal files under
 //! `examples/scenarios/`, parsed verbatim by `crates/engine/tests/scenario_file.rs`).
 //!
-//! # The TOML subset
-//!
-//! The reader accepts exactly what the format needs and nothing more:
-//!
-//! * blank lines and `#` comments (full-line or trailing),
-//! * `key = value` pairs, where a value is a double-quoted string (with `\"` and
-//!   `\\` escapes), a non-negative integer, or a (possibly nested) `[...]` array,
-//! * a `[grid]` table for the campaign axes,
-//! * `[[faults]]` array-of-tables entries, one per fault plan on the fault axis.
-//!
-//! Everything else — floats, dotted keys, inline tables, multi-line strings — is
-//! rejected with a line-positioned [`ScenarioError`], as are unknown keys, duplicate
-//! keys and semantically invalid fault plans (e.g. overlapping partition windows).
+//! The grammar, the line-positioned [`TextError`] and the canonical writer are
+//! [`bsm_core::text`]'s; this module is the schema: the root `name` key, one `[grid]`
+//! table for the campaign axes, and `[[faults]]` tables, one per fault plan on the
+//! fault axis. Unknown keys, duplicate keys and semantically invalid fault plans
+//! (e.g. overlapping partition windows) are rejected at the offending line.
 //!
 //! # Canonical form
 //!
@@ -35,35 +26,13 @@
 use crate::campaign::{Campaign, CampaignBuilder};
 use bsm_core::harness::AdversarySpec;
 use bsm_core::problem::AuthMode;
-use bsm_net::{CrashWindow, FaultSpec, PartitionWindow, PartyId, Topology};
-use std::fmt;
-use std::fmt::Write as _;
+use bsm_core::text::{self, Document, Table, TextError, Value, Writer};
+use bsm_net::{CrashWindow, FaultSpec, PartitionWindow, Topology};
 use std::path::Path;
 
-/// A line-positioned scenario-file error: what went wrong and where.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScenarioError {
-    /// 1-based line number of the offending line (0: the error is not tied to one
-    /// line, e.g. a missing required key or an unreadable file).
-    pub line: usize,
-    /// What went wrong, in terms of the format reference (`docs/SCENARIOS.md`).
-    pub message: String,
-}
-
-impl fmt::Display for ScenarioError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.line {
-            0 => write!(f, "scenario file error: {}", self.message),
-            line => write!(f, "scenario file error at line {line}: {}", self.message),
-        }
-    }
-}
-
-impl std::error::Error for ScenarioError {}
-
-fn err_at(line: usize, message: impl Into<String>) -> ScenarioError {
-    ScenarioError { line, message: message.into() }
-}
+/// The scenario format's name in errors and its table headers.
+const FORMAT: &str = "scenario file";
+const HEADERS: [&str; 2] = ["[grid]", "[[faults]]"];
 
 /// A parsed scenario file: one declarative campaign description.
 ///
@@ -98,7 +67,7 @@ impl ScenarioFile {
     ///
     /// # Errors
     ///
-    /// A line-positioned [`ScenarioError`] for anything outside the format: syntax
+    /// A line-positioned [`TextError`] for anything outside the format: syntax
     /// outside the TOML subset, unknown or duplicate keys, values of the wrong type,
     /// unknown axis names, and invalid fault plans (zero-duration or overlapping
     /// partitions, a crash recovery not after its start, a loss rate above 1000‰).
@@ -130,20 +99,62 @@ impl ScenarioFile {
     /// let canonical = scenario.canonical();
     /// assert_eq!(ScenarioFile::parse(&canonical).unwrap().canonical(), canonical);
     /// ```
-    pub fn parse(text: &str) -> Result<Self, ScenarioError> {
-        Parser::new(text).parse()
+    pub fn parse(text: &str) -> Result<Self, TextError> {
+        let mut doc = Document::parse(text, FORMAT, &HEADERS)?;
+        let name = doc.root.get("name", Value::string)?;
+        doc.root.finish()?;
+        let name = name.ok_or_else(|| doc.root.missing("name"))?;
+        // An absent [grid] is an empty one: every axis takes its default.
+        let mut grid = doc.table("[grid]").unwrap_or_default();
+        let fault_tables = doc.tables("[[faults]]");
+        if fault_tables.first().is_some_and(|first| grid.line() > first.line()) {
+            // One [grid] table, before the fault plans: keeps the canonical
+            // rendering's section order the only accepted order.
+            return Err(grid.error("[grid] must come before any [[faults]] table"));
+        }
+        let scenario = ScenarioFile {
+            name,
+            sizes: axis(grid.get("sizes", |v| nonempty(v.list(Value::narrow)))?, vec![3]),
+            topologies: axis(
+                grid.get("topologies", |v| nonempty(v.list(Value::parse)))?,
+                Topology::ALL.to_vec(),
+            ),
+            auth: axis(
+                grid.get("auth", |v| nonempty(v.list(Value::parse)))?,
+                AuthMode::ALL.to_vec(),
+            ),
+            corruptions: axis(
+                grid.get("corruptions", |v| nonempty(v.list(|v| int_pair(v, "tL, tR"))))?,
+                vec![(0, 0)],
+            ),
+            adversaries: axis(
+                grid.get("adversaries", |v| nonempty(v.list(Value::parse)))?,
+                AdversarySpec::ALL.to_vec(),
+            ),
+            seeds: grid
+                .get("seeds", |v| match v.int()? {
+                    0 => Err("must be at least 1".to_string()),
+                    seeds => Ok(seeds),
+                })?
+                .unwrap_or(1),
+            faults: {
+                let faults =
+                    fault_tables.into_iter().map(fault_plan).collect::<Result<Vec<_>, _>>()?;
+                axis(Some(faults).filter(|faults| !faults.is_empty()), vec![FaultSpec::NONE])
+            },
+        };
+        grid.finish()?;
+        Ok(scenario)
     }
 
     /// Reads and parses a scenario file from disk.
     ///
     /// # Errors
     ///
-    /// A [`ScenarioError`] at line 0 when the file cannot be read; otherwise exactly
+    /// A [`TextError`] at line 0 when the file cannot be read; otherwise exactly
     /// the errors of [`parse`](Self::parse).
-    pub fn load(path: &Path) -> Result<Self, ScenarioError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|err| err_at(0, format!("cannot read {}: {err}", path.display())))?;
-        Self::parse(&text)
+    pub fn load(path: &Path) -> Result<Self, TextError> {
+        Self::parse(&text::read(path, FORMAT)?)
     }
 
     /// Renders the fully-explicit canonical form: every grid axis with its resolved,
@@ -153,53 +164,41 @@ impl ScenarioFile {
     /// [`crate::report::CampaignReport::with_scenario`]): byte-equal tags ⇔ same
     /// campaign.
     pub fn canonical(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "name = \"{}\"", escape(&self.name));
-        let _ = writeln!(out);
-        let _ = writeln!(out, "[grid]");
-        let _ = writeln!(out, "sizes = {}", render_ints(self.sizes.iter().map(|&k| k as u64)));
-        let _ = writeln!(
-            out,
-            "topologies = {}",
-            render_names(self.topologies.iter().map(|t| t.name()))
-        );
-        let _ = writeln!(out, "auth = {}", render_names(self.auth.iter().map(|a| a.name())));
-        let pairs: Vec<String> =
-            self.corruptions.iter().map(|&(l, r)| format!("[{l}, {r}]")).collect();
-        let _ = writeln!(out, "corruptions = [{}]", pairs.join(", "));
-        let _ = writeln!(
-            out,
-            "adversaries = {}",
-            render_names(self.adversaries.iter().map(|a| a.name()))
-        );
-        let _ = writeln!(out, "seeds = {}", self.seeds);
+        let mut w = Writer::default();
+        w.pair("name", self.name.as_str());
+        w.header("[grid]");
+        w.pair("sizes", self.sizes.iter().map(|&k| k as u64).collect::<Value>());
+        w.pair("topologies", self.topologies.iter().map(Topology::name).collect::<Value>());
+        w.pair("auth", self.auth.iter().map(AuthMode::name).collect::<Value>());
+        let pairs = self.corruptions.iter().map(|&(l, r)| int_pair_value(l as u64, r as u64));
+        w.pair("corruptions", pairs.collect::<Value>());
+        w.pair("adversaries", self.adversaries.iter().map(AdversarySpec::name).collect::<Value>());
+        w.pair("seeds", self.seeds);
         if self.faults != [FaultSpec::NONE] {
             for plan in &self.faults {
-                let _ = writeln!(out);
-                let _ = writeln!(out, "[[faults]]");
+                w.header("[[faults]]");
                 if plan.partition_windows().next().is_some() {
-                    let windows: Vec<String> = plan
-                        .partition_windows()
-                        .map(|w| format!("[{}, {}]", w.start, w.duration))
-                        .collect();
-                    let _ = writeln!(out, "partitions = [{}]", windows.join(", "));
+                    let windows = plan.partition_windows().map(|window| {
+                        int_pair_value(u64::from(window.start), u64::from(window.duration))
+                    });
+                    w.pair("partitions", windows.collect::<Value>());
                 }
                 if let Some(crash) = plan.crash {
-                    let _ = writeln!(out, "crash_party = \"{}\"", crash.party);
-                    let _ = writeln!(out, "crash_start = {}", crash.start);
+                    w.pair("crash_party", crash.party.to_string().as_str());
+                    w.pair("crash_start", u64::from(crash.start));
                     if let Some(recovery) = crash.recovery {
-                        let _ = writeln!(out, "crash_recovery = {recovery}");
+                        w.pair("crash_recovery", u64::from(recovery));
                     }
                 }
                 if plan.loss_permille > 0 {
-                    let _ = writeln!(out, "loss = {}", plan.loss_permille);
+                    w.pair("loss", u64::from(plan.loss_permille));
                 }
                 if plan.jitter > 0 {
-                    let _ = writeln!(out, "jitter = {}", plan.jitter);
+                    w.pair("jitter", u64::from(plan.jitter));
                 }
             }
         }
-        out
+        w.finish()
     }
 
     /// Expands the scenario into its [`Campaign`] — the same canonical-order work
@@ -217,609 +216,76 @@ impl ScenarioFile {
     }
 }
 
-fn escape(text: &str) -> String {
-    text.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            other => vec![other],
-        })
-        .collect()
+/// An axis as a set: the given values (or the default), sorted and deduplicated.
+fn axis<T: Ord>(values: Option<Vec<T>>, default: Vec<T>) -> Vec<T> {
+    let mut values = values.unwrap_or(default);
+    values.sort_unstable();
+    values.dedup();
+    values
 }
 
-fn render_ints(values: impl Iterator<Item = u64>) -> String {
-    let items: Vec<String> = values.map(|v| v.to_string()).collect();
-    format!("[{}]", items.join(", "))
+fn nonempty<T>(values: Result<Vec<T>, String>) -> Result<Vec<T>, String> {
+    values.and_then(|v| if v.is_empty() { Err("must not be empty".into()) } else { Ok(v) })
 }
 
-fn render_names<'a>(names: impl Iterator<Item = &'a str>) -> String {
-    let items: Vec<String> = names.map(|n| format!("\"{n}\"")).collect();
-    format!("[{}]", items.join(", "))
+fn int_pair_value(a: u64, b: u64) -> Value {
+    Value::Array(vec![Value::Int(a), Value::Int(b)])
 }
 
-// ---------------------------------------------------------------------------
-// Values
-// ---------------------------------------------------------------------------
-
-/// A parsed value of the TOML subset: string, non-negative integer, or array.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum TomlValue {
-    String(String),
-    Integer(u64),
-    Array(Vec<TomlValue>),
-}
-
-impl TomlValue {
-    fn type_name(&self) -> &'static str {
-        match self {
-            TomlValue::String(_) => "string",
-            TomlValue::Integer(_) => "integer",
-            TomlValue::Array(_) => "array",
-        }
+/// A `[a, b]` integer pair whose members fit `T`, or why the value is not one.
+fn int_pair<T: TryFrom<u64>>(value: Value, names: &str) -> Result<(T, T), String> {
+    let narrow = |n: u64| T::try_from(n).map_err(|_| format!("{n} is out of range"));
+    match value.array().as_deref() {
+        Ok([Value::Int(a), Value::Int(b)]) => Ok((narrow(*a)?, narrow(*b)?)),
+        _ => Err(format!("each entry must be a [{names}] integer pair")),
     }
 }
 
-/// A character cursor over one line's value text.
-struct ValueCursor<'a> {
-    rest: &'a str,
-    line: usize,
-}
-
-impl<'a> ValueCursor<'a> {
-    fn skip_spaces(&mut self) {
-        self.rest = self.rest.trim_start_matches([' ', '\t']);
-    }
-
-    fn parse_value(&mut self) -> Result<TomlValue, ScenarioError> {
-        self.skip_spaces();
-        match self.rest.chars().next() {
-            Some('"') => self.parse_string(),
-            Some('[') => self.parse_array(),
-            Some(c) if c.is_ascii_digit() => self.parse_integer(),
-            _ => Err(err_at(
-                self.line,
-                format!("expected a string, integer or array, found {:?}", self.rest),
-            )),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<TomlValue, ScenarioError> {
-        let mut chars = self.rest.char_indices();
-        chars.next(); // the opening quote
-        let mut out = String::new();
-        while let Some((index, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.rest = &self.rest[index + 1..];
-                    return Ok(TomlValue::String(out));
-                }
-                '\\' => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    other => {
-                        return Err(err_at(
-                            self.line,
-                            format!(
-                                "unsupported string escape \\{}",
-                                other.map(|(_, c)| c.to_string()).unwrap_or_default()
-                            ),
-                        ));
-                    }
-                },
-                other => out.push(other),
-            }
-        }
-        Err(err_at(self.line, "unterminated string"))
-    }
-
-    fn parse_integer(&mut self) -> Result<TomlValue, ScenarioError> {
-        let digits: String = self.rest.chars().take_while(char::is_ascii_digit).collect();
-        if digits.len() > 1 && digits.starts_with('0') {
-            return Err(err_at(self.line, format!("integer {digits} has leading zeros")));
-        }
-        let value = digits
-            .parse::<u64>()
-            .map_err(|_| err_at(self.line, format!("integer {digits} is out of range")))?;
-        self.rest = &self.rest[digits.len()..];
-        Ok(TomlValue::Integer(value))
-    }
-
-    fn parse_array(&mut self) -> Result<TomlValue, ScenarioError> {
-        self.rest = &self.rest[1..]; // the opening bracket
-        let mut items = Vec::new();
-        loop {
-            self.skip_spaces();
-            if let Some(rest) = self.rest.strip_prefix(']') {
-                self.rest = rest;
-                return Ok(TomlValue::Array(items));
-            }
-            if !items.is_empty() {
-                let Some(rest) = self.rest.strip_prefix(',') else {
-                    return Err(err_at(
-                        self.line,
-                        format!("expected ',' or ']' in array, found {:?}", self.rest),
-                    ));
-                };
-                self.rest = rest;
-                self.skip_spaces();
-                // A single trailing comma before the closing bracket is accepted.
-                if let Some(rest) = self.rest.strip_prefix(']') {
-                    self.rest = rest;
-                    return Ok(TomlValue::Array(items));
-                }
-            }
-            items.push(self.parse_value()?);
-        }
-    }
-}
-
-/// Parses the text after `key =` as one value followed only by spaces or a comment.
-fn parse_line_value(text: &str, line: usize) -> Result<TomlValue, ScenarioError> {
-    let mut cursor = ValueCursor { rest: text, line };
-    let value = cursor.parse_value()?;
-    cursor.skip_spaces();
-    if !(cursor.rest.is_empty() || cursor.rest.starts_with('#')) {
-        return Err(err_at(line, format!("unexpected trailing content {:?}", cursor.rest)));
-    }
-    Ok(value)
-}
-
-// ---------------------------------------------------------------------------
-// The file parser
-// ---------------------------------------------------------------------------
-
-/// Which table the parser is currently inside.
-enum Section {
-    Top,
-    Grid,
-    Faults(FaultTable),
-}
-
-/// The raw fields of one `[[faults]]` table, finalized into a [`FaultSpec`] when the
-/// table ends.
-struct FaultTable {
-    /// Line of the `[[faults]]` header (where whole-plan errors are positioned).
-    header_line: usize,
-    partitions: Option<(Vec<PartitionWindow>, usize)>,
-    crash_party: Option<(PartyId, usize)>,
-    crash_start: Option<(u32, usize)>,
-    crash_recovery: Option<(u32, usize)>,
-    loss: Option<(u16, usize)>,
-    jitter: Option<(u8, usize)>,
-}
-
-impl FaultTable {
-    fn new(header_line: usize) -> Self {
-        Self {
-            header_line,
-            partitions: None,
-            crash_party: None,
-            crash_start: None,
-            crash_recovery: None,
-            loss: None,
-            jitter: None,
-        }
-    }
-
-    /// Builds and validates the [`FaultSpec`], positioning each error at the key
-    /// that caused it (falling back to the table header for cross-key problems).
-    fn finalize(self) -> Result<FaultSpec, ScenarioError> {
-        let mut spec = FaultSpec::NONE;
-        if let Some((windows, line)) = &self.partitions {
-            let mut windows = windows.clone();
-            windows.sort_unstable();
-            for (slot, window) in windows.iter().enumerate() {
-                spec.partitions[slot] = Some(*window);
-            }
-            spec.validate().map_err(|message| err_at(*line, message))?;
-        }
-        spec.crash = match (self.crash_party, self.crash_start) {
-            (Some((party, _)), Some((start, _))) => {
-                Some(CrashWindow { party, start, recovery: self.crash_recovery.map(|(r, _)| r) })
-            }
-            (None, None) => {
-                if let Some((_, line)) = self.crash_recovery {
-                    return Err(err_at(line, "crash_recovery without crash_party/crash_start"));
-                }
-                None
-            }
-            (Some(_), None) | (None, Some(_)) => {
-                return Err(err_at(
-                    self.header_line,
-                    "crash_party and crash_start must be given together",
-                ));
-            }
-        };
-        spec.loss_permille = self.loss.map(|(v, _)| v).unwrap_or(0);
-        spec.jitter = self.jitter.map(|(v, _)| v).unwrap_or(0);
-        let fallback = self.crash_recovery.map(|(_, line)| line).unwrap_or(self.header_line);
-        spec.validate().map_err(|message| err_at(fallback, message))?;
-        Ok(spec)
-    }
-}
-
-/// The grid axes as parsed (before defaults are applied).
-#[derive(Default)]
-struct GridTable {
-    sizes: Option<Vec<usize>>,
-    topologies: Option<Vec<Topology>>,
-    auth: Option<Vec<AuthMode>>,
-    corruptions: Option<Vec<(usize, usize)>>,
-    adversaries: Option<Vec<AdversarySpec>>,
-    seeds: Option<u64>,
-}
-
-struct Parser<'a> {
-    text: &'a str,
-    section: Section,
-    name: Option<String>,
-    grid: GridTable,
-    faults: Vec<FaultSpec>,
-    saw_faults_table: bool,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            text,
-            section: Section::Top,
-            name: None,
-            grid: GridTable::default(),
-            faults: Vec::new(),
-            saw_faults_table: false,
-        }
-    }
-
-    fn parse(mut self) -> Result<ScenarioFile, ScenarioError> {
-        for (index, raw) in self.text.lines().enumerate() {
-            let line = index + 1;
-            let trimmed = raw.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            if trimmed == "[[faults]]" {
-                self.close_section()?;
-                self.section = Section::Faults(FaultTable::new(line));
-                self.saw_faults_table = true;
-                continue;
-            }
-            if trimmed == "[grid]" {
-                self.close_section()?;
-                if self.saw_faults_table {
-                    // One [grid] table, before the fault plans: keeps the canonical
-                    // rendering's section order the only accepted order.
-                    return Err(err_at(line, "[grid] must come before any [[faults]] table"));
-                }
-                self.section = Section::Grid;
-                continue;
-            }
-            if trimmed.starts_with('[') {
-                return Err(err_at(line, format!("unknown table {trimmed:?}")));
-            }
-            let Some((key, value_text)) = trimmed.split_once('=') else {
-                return Err(err_at(line, format!("expected key = value, found {trimmed:?}")));
-            };
-            let key = key.trim();
-            let value = parse_line_value(value_text.trim(), line)?;
-            match &mut self.section {
-                Section::Top => self.top_key(key, value, line)?,
-                Section::Grid => self.grid_key(key, value, line)?,
-                Section::Faults(_) => self.fault_key(key, value, line)?,
-            }
-        }
-        self.close_section()?;
-        self.finish()
-    }
-
-    /// Finalizes a `[[faults]]` table when a new section starts or the file ends.
-    fn close_section(&mut self) -> Result<(), ScenarioError> {
-        if let Section::Faults(_) = &self.section {
-            let Section::Faults(table) = std::mem::replace(&mut self.section, Section::Top) else {
-                unreachable!("matched Faults above");
-            };
-            self.faults.push(table.finalize()?);
-        }
-        Ok(())
-    }
-
-    fn top_key(&mut self, key: &str, value: TomlValue, line: usize) -> Result<(), ScenarioError> {
-        match key {
-            "name" => {
-                if self.name.is_some() {
-                    return Err(err_at(line, "duplicate key name"));
-                }
-                self.name = Some(expect_string(value, "name", line)?);
-                Ok(())
-            }
-            other => Err(err_at(line, format!("unknown key {other:?} (expected name)"))),
-        }
-    }
-
-    fn grid_key(&mut self, key: &str, value: TomlValue, line: usize) -> Result<(), ScenarioError> {
-        fn set<T>(
-            slot: &mut Option<T>,
-            key: &str,
-            line: usize,
-            value: T,
-        ) -> Result<(), ScenarioError> {
-            if slot.is_some() {
-                return Err(err_at(line, format!("duplicate key {key}")));
-            }
-            *slot = Some(value);
-            Ok(())
-        }
-        match key {
-            "sizes" => {
-                let sizes = expect_int_array(value, "sizes", line)?
-                    .into_iter()
-                    .map(|v| v as usize)
-                    .collect();
-                set(&mut self.grid.sizes, key, line, nonempty(sizes, "sizes", line)?)
-            }
-            "topologies" => {
-                let names = expect_string_array(value, "topologies", line)?;
-                let topologies = names
-                    .iter()
-                    .map(|n| axis_by_name(&Topology::ALL, Topology::name, n, "topology", line))
-                    .collect::<Result<Vec<_>, _>>()?;
-                set(&mut self.grid.topologies, key, line, nonempty(topologies, key, line)?)
-            }
-            "auth" => {
-                let names = expect_string_array(value, "auth", line)?;
-                let modes = names
-                    .iter()
-                    .map(|n| axis_by_name(&AuthMode::ALL, AuthMode::name, n, "auth mode", line))
-                    .collect::<Result<Vec<_>, _>>()?;
-                set(&mut self.grid.auth, key, line, nonempty(modes, key, line)?)
-            }
-            "corruptions" => {
-                let TomlValue::Array(items) = value else {
-                    return Err(err_at(
-                        line,
-                        format!("corruptions: expected array, found {}", value.type_name()),
-                    ));
-                };
-                let mut pairs = Vec::new();
-                for item in items {
-                    match item {
-                        TomlValue::Array(pair) => match pair.as_slice() {
-                            [TomlValue::Integer(l), TomlValue::Integer(r)] => {
-                                pairs.push((*l as usize, *r as usize));
-                            }
-                            _ => {
-                                return Err(err_at(
-                                    line,
-                                    "corruptions: each entry must be a [tL, tR] integer pair",
-                                ));
-                            }
-                        },
-                        _ => {
-                            return Err(err_at(
-                                line,
-                                "corruptions: each entry must be a [tL, tR] integer pair",
-                            ));
-                        }
-                    }
-                }
-                set(&mut self.grid.corruptions, key, line, nonempty(pairs, key, line)?)
-            }
-            "adversaries" => {
-                let names = expect_string_array(value, "adversaries", line)?;
-                let adversaries = names
-                    .iter()
-                    .map(|n| {
-                        axis_by_name(&AdversarySpec::ALL, AdversarySpec::name, n, "adversary", line)
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                set(&mut self.grid.adversaries, key, line, nonempty(adversaries, key, line)?)
-            }
-            "seeds" => {
-                let seeds = expect_integer(value, "seeds", line)?;
-                if seeds == 0 {
-                    return Err(err_at(line, "seeds must be at least 1"));
-                }
-                set(&mut self.grid.seeds, key, line, seeds)
-            }
-            other => Err(err_at(
-                line,
-                format!(
-                    "unknown [grid] key {other:?} (expected sizes, topologies, auth, \
-                     corruptions, adversaries or seeds)"
-                ),
-            )),
-        }
-    }
-
-    fn fault_key(&mut self, key: &str, value: TomlValue, line: usize) -> Result<(), ScenarioError> {
-        let Section::Faults(table) = &mut self.section else {
-            unreachable!("fault_key is only dispatched inside [[faults]]");
-        };
-        fn set<T>(
-            slot: &mut Option<(T, usize)>,
-            key: &str,
-            line: usize,
-            value: T,
-        ) -> Result<(), ScenarioError> {
-            if slot.is_some() {
-                return Err(err_at(line, format!("duplicate key {key}")));
-            }
-            *slot = Some((value, line));
-            Ok(())
-        }
-        match key {
-            "partitions" => {
-                let TomlValue::Array(items) = value else {
-                    return Err(err_at(
-                        line,
-                        format!("partitions: expected array, found {}", value.type_name()),
-                    ));
-                };
-                if items.len() > 2 {
-                    return Err(err_at(line, "at most 2 scheduled partitions per plan"));
-                }
-                let mut windows = Vec::new();
-                for item in items {
-                    let TomlValue::Array(pair) = item else {
-                        return Err(err_at(
-                            line,
-                            "partitions: each entry must be a [start, duration] integer pair",
-                        ));
-                    };
-                    match pair.as_slice() {
-                        [TomlValue::Integer(start), TomlValue::Integer(duration)] => {
-                            windows.push(PartitionWindow {
-                                start: int_u32(*start, "partition start", line)?,
-                                duration: int_u32(*duration, "partition duration", line)?,
-                            });
-                        }
-                        _ => {
-                            return Err(err_at(
-                                line,
-                                "partitions: each entry must be a [start, duration] integer pair",
-                            ));
-                        }
-                    }
-                }
-                set(&mut table.partitions, key, line, windows)
-            }
-            "crash_party" => {
-                let name = expect_string(value, "crash_party", line)?;
-                let party = name.parse::<PartyId>().map_err(|message| err_at(line, message))?;
-                set(&mut table.crash_party, key, line, party)
-            }
-            "crash_start" => {
-                let start = expect_integer(value, "crash_start", line)?;
-                set(&mut table.crash_start, key, line, int_u32(start, "crash_start", line)?)
-            }
-            "crash_recovery" => {
-                let recovery = expect_integer(value, "crash_recovery", line)?;
-                set(
-                    &mut table.crash_recovery,
-                    key,
-                    line,
-                    int_u32(recovery, "crash_recovery", line)?,
-                )
-            }
-            "loss" => {
-                let loss = expect_integer(value, "loss", line)?;
-                if loss > 1000 {
-                    return Err(err_at(line, format!("loss rate {loss}\u{2030} exceeds 1000")));
-                }
-                set(&mut table.loss, key, line, loss as u16)
-            }
-            "jitter" => {
-                let jitter = expect_integer(value, "jitter", line)?;
-                let jitter = u8::try_from(jitter)
-                    .map_err(|_| err_at(line, format!("jitter {jitter} exceeds 255 slots")))?;
-                set(&mut table.jitter, key, line, jitter)
-            }
-            other => Err(err_at(
-                line,
-                format!(
-                    "unknown [[faults]] key {other:?} (expected partitions, crash_party, \
-                     crash_start, crash_recovery, loss or jitter)"
-                ),
-            )),
-        }
-    }
-
-    fn finish(self) -> Result<ScenarioFile, ScenarioError> {
-        let name = self.name.ok_or_else(|| err_at(0, "missing required key name"))?;
-        fn axis<T: Ord>(values: Option<Vec<T>>, default: Vec<T>) -> Vec<T> {
-            let mut values = values.unwrap_or(default);
-            values.sort_unstable();
-            values.dedup();
-            values
-        }
-        let mut faults = self.faults;
-        if faults.is_empty() {
-            faults.push(FaultSpec::NONE);
-        }
-        faults.sort_unstable();
-        faults.dedup();
-        Ok(ScenarioFile {
-            name,
-            sizes: axis(self.grid.sizes, vec![3]),
-            topologies: axis(self.grid.topologies, Topology::ALL.to_vec()),
-            auth: axis(self.grid.auth, AuthMode::ALL.to_vec()),
-            corruptions: axis(self.grid.corruptions, vec![(0, 0)]),
-            adversaries: axis(self.grid.adversaries, AdversarySpec::ALL.to_vec()),
-            seeds: self.grid.seeds.unwrap_or(1),
-            faults,
-        })
-    }
-}
-
-fn expect_string(value: TomlValue, key: &str, line: usize) -> Result<String, ScenarioError> {
-    match value {
-        TomlValue::String(text) => Ok(text),
-        other => Err(err_at(line, format!("{key}: expected string, found {}", other.type_name()))),
-    }
-}
-
-fn expect_integer(value: TomlValue, key: &str, line: usize) -> Result<u64, ScenarioError> {
-    match value {
-        TomlValue::Integer(v) => Ok(v),
-        other => Err(err_at(line, format!("{key}: expected integer, found {}", other.type_name()))),
-    }
-}
-
-fn expect_int_array(value: TomlValue, key: &str, line: usize) -> Result<Vec<u64>, ScenarioError> {
-    let TomlValue::Array(items) = value else {
-        return Err(err_at(line, format!("{key}: expected array, found {}", value.type_name())));
+/// Builds and validates one `[[faults]]` table's [`FaultSpec`], positioning each
+/// error at the key that caused it (the table header for cross-key problems).
+fn fault_plan(mut t: Table) -> Result<FaultSpec, TextError> {
+    let window = |v| {
+        let (start, duration) = int_pair(v, "start, duration")?;
+        Ok(PartitionWindow { start, duration })
     };
-    items
-        .into_iter()
-        .map(|item| match item {
-            TomlValue::Integer(v) => Ok(v),
-            other => {
-                Err(err_at(line, format!("{key}: expected integers, found {}", other.type_name())))
-            }
-        })
-        .collect()
-}
-
-fn expect_string_array(
-    value: TomlValue,
-    key: &str,
-    line: usize,
-) -> Result<Vec<String>, ScenarioError> {
-    let TomlValue::Array(items) = value else {
-        return Err(err_at(line, format!("{key}: expected array, found {}", value.type_name())));
-    };
-    items
-        .into_iter()
-        .map(|item| match item {
-            TomlValue::String(text) => Ok(text),
-            other => {
-                Err(err_at(line, format!("{key}: expected strings, found {}", other.type_name())))
-            }
-        })
-        .collect()
-}
-
-fn nonempty<T>(values: Vec<T>, key: &str, line: usize) -> Result<Vec<T>, ScenarioError> {
-    if values.is_empty() {
-        return Err(err_at(line, format!("{key} must not be empty")));
+    let windows = t.get("partitions", |v| match v.list(window)? {
+        windows if windows.len() > 2 => Err("at most 2 scheduled partitions per plan".into()),
+        windows => Ok(windows),
+    })?;
+    let party = t.get("crash_party", Value::parse)?;
+    let start = t.get("crash_start", Value::narrow)?;
+    let recovery = t.get("crash_recovery", Value::narrow)?;
+    let loss = t.get("loss", |v| match v.int()? {
+        loss if loss > 1000 => Err(format!("loss rate {loss}\u{2030} exceeds 1000")),
+        loss => Ok(loss as u16),
+    })?;
+    let jitter = t.get("jitter", |v| {
+        let jitter = v.int()?;
+        u8::try_from(jitter).map_err(|_| format!("jitter {jitter} exceeds 255 slots"))
+    })?;
+    t.finish()?;
+    let mut spec = FaultSpec::NONE;
+    if let Some(mut windows) = windows {
+        windows.sort_unstable();
+        for (slot, window) in windows.into_iter().enumerate() {
+            spec.partitions[slot] = Some(window);
+        }
+        spec.validate().map_err(|message| t.key_error("partitions", message))?;
     }
-    Ok(values)
-}
-
-fn axis_by_name<T: Copy>(
-    all: &[T],
-    name_of: impl Fn(&T) -> &'static str,
-    name: &str,
-    kind: &str,
-    line: usize,
-) -> Result<T, ScenarioError> {
-    all.iter()
-        .find(|value| name_of(value) == name)
-        .copied()
-        .ok_or_else(|| err_at(line, format!("unknown {kind} {name:?}")))
-}
-
-fn int_u32(value: u64, what: &str, line: usize) -> Result<u32, ScenarioError> {
-    u32::try_from(value).map_err(|_| err_at(line, format!("{what} {value} exceeds u32")))
+    spec.crash = match (party, start) {
+        (Some(party), Some(start)) => Some(CrashWindow { party, start, recovery }),
+        (None, None) if recovery.is_some() => {
+            return Err(
+                t.key_error("crash_recovery", "crash_recovery without crash_party/crash_start")
+            );
+        }
+        (None, None) => None,
+        _ => return Err(t.error("crash_party and crash_start must be given together")),
+    };
+    spec.loss_permille = loss.unwrap_or(0);
+    spec.jitter = jitter.unwrap_or(0);
+    spec.validate().map_err(|message| t.key_error("crash_recovery", message))?;
+    Ok(spec)
 }
 
 #[cfg(test)]
@@ -907,7 +373,7 @@ jitter = 2
     fn positioned_errors_name_line_and_problem() {
         for (text, line, needle) in [
             ("name = \"x\"\nbogus = 1\n", 2, "unknown key"),
-            ("name = \"x\"\n[grid]\nplanets = [9]\n", 3, "unknown [grid] key"),
+            ("name = \"x\"\n[grid]\nplanets = [9]\n", 3, "unknown key \"planets\" in [grid]"),
             ("name = \"x\"\n[grid]\nsizes = \"three\"\n", 3, "expected array"),
             ("name = \"x\"\n[grid]\nsizes = []\n", 3, "must not be empty"),
             ("name = \"x\"\n[grid]\ntopologies = [\"ring\"]\n", 3, "unknown topology"),

@@ -545,45 +545,45 @@ pub fn parse_supervise(text: &str) -> Result<SuperviseSummary, ImportError> {
     let value = Parser::new(text.trim_end()).parse_document()?;
     let fields = as_object(&value, "supervise document")?;
     let mut attempts = Vec::new();
-    for item in as_array(crate::import::field(&fields, "attempts")?, "attempts")? {
-        let record = as_object(&item, "attempt record")?;
-        let mode = string(&record, "mode")?;
+    for item in as_array(crate::import::field(fields, "attempts")?, "attempts")? {
+        let record = as_object(item, "attempt record")?;
+        let mode = string(record, "mode")?;
         let resumed = match mode {
             "resume" => true,
             "run" => false,
             other => return Err(schema(format!("unknown attempt mode {other:?}"))),
         };
         attempts.push(AttemptRecord {
-            shard: usize_field(&record, "shard")?,
-            attempt: u32::try_from(number(&record, "attempt")?)
+            shard: usize_field(record, "shard")?,
+            attempt: u32::try_from(number(record, "attempt")?)
                 .map_err(|_| schema("attempt: value exceeds u32"))?,
             resumed,
-            outcome: AttemptOutcome::parse(string(&record, "outcome")?)?,
-            exit: number(&record, "exit")?,
-            done: usize_field(&record, "done")?,
-            backoff_ms: number(&record, "backoff_ms")?,
+            outcome: AttemptOutcome::parse(string(record, "outcome")?)?,
+            exit: number(record, "exit")?,
+            done: usize_field(record, "done")?,
+            backoff_ms: number(record, "backoff_ms")?,
         });
     }
     let mut quarantined = Vec::new();
-    for item in as_array(crate::import::field(&fields, "quarantined")?, "quarantined")? {
-        let record = as_object(&item, "quarantine record")?;
+    for item in as_array(crate::import::field(fields, "quarantined")?, "quarantined")? {
+        let record = as_object(item, "quarantine record")?;
         quarantined.push(QuarantinedShard {
-            shard: usize_field(&record, "shard")?,
-            start: usize_field(&record, "start")?,
-            cells: usize_field(&record, "cells")?,
-            attempts: u32::try_from(number(&record, "attempts")?)
+            shard: usize_field(record, "shard")?,
+            start: usize_field(record, "start")?,
+            cells: usize_field(record, "cells")?,
+            attempts: u32::try_from(number(record, "attempts")?)
                 .map_err(|_| schema("attempts: value exceeds u32"))?,
         });
     }
     let summary = SuperviseSummary {
-        shards: usize_field(&fields, "shards")?,
-        total_cells: usize_field(&fields, "total_cells")?,
-        max_attempts: u32::try_from(number(&fields, "max_attempts")?)
+        shards: usize_field(fields, "shards")?,
+        total_cells: usize_field(fields, "total_cells")?,
+        max_attempts: u32::try_from(number(fields, "max_attempts")?)
             .map_err(|_| schema("max_attempts: value exceeds u32"))?,
         attempts,
         quarantined,
     };
-    let declared = string(&fields, "outcome")?;
+    let declared = string(fields, "outcome")?;
     let expected = if summary.degraded() { "degraded" } else { "complete" };
     if declared != expected {
         return Err(schema(format!(

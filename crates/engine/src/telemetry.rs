@@ -160,41 +160,41 @@ impl CellTelemetry {
 pub fn parse_telemetry_line(text: &str) -> Result<CellTelemetry, ImportError> {
     let value = Parser::new(text).parse_document()?;
     let fields = as_object(&value, "telemetry line")?;
-    let spec = parse_spec(&fields)?;
-    let status = match string(&fields, "status")? {
+    let spec = parse_spec(fields)?;
+    let status = match string(fields, "status")? {
         "completed" => "completed",
         "unsolvable" => "unsolvable",
         "failed" => "failed",
         other => return Err(schema(format!("unknown telemetry status {other:?}"))),
     };
-    let timing = as_object(field(&fields, "timing")?, "timing")?;
+    let timing = as_object(field(fields, "timing")?, "timing")?;
     Ok(CellTelemetry {
         spec,
         status,
         crypto: CounterSnapshot {
-            digests_computed: number(&fields, "digests")?,
-            signatures_verified: number(&fields, "verified")?,
-            verify_cache_hits: number(&fields, "cache_hits")?,
+            digests_computed: number(fields, "digests")?,
+            signatures_verified: number(fields, "verified")?,
+            verify_cache_hits: number(fields, "cache_hits")?,
         },
-        messages: number(&fields, "messages")?,
-        delivered: number(&fields, "delivered")?,
-        dropped: number(&fields, "dropped")?,
-        delayed: number(&fields, "delayed")?,
-        rejected: number(&fields, "rejected")?,
-        slots: number(&fields, "slots")?,
+        messages: number(fields, "messages")?,
+        delivered: number(fields, "delivered")?,
+        dropped: number(fields, "dropped")?,
+        delayed: number(fields, "delayed")?,
+        rejected: number(fields, "rejected")?,
+        slots: number(fields, "slots")?,
         fanout: FanoutSummary {
             honest: RoleFanout {
-                senders: number(&fields, "honest_senders")?,
-                total: number(&fields, "honest_sent")?,
-                max: number(&fields, "honest_max")?,
+                senders: number(fields, "honest_senders")?,
+                total: number(fields, "honest_sent")?,
+                max: number(fields, "honest_max")?,
             },
             byzantine: RoleFanout {
-                senders: number(&fields, "byz_senders")?,
-                total: number(&fields, "byz_sent")?,
-                max: number(&fields, "byz_max")?,
+                senders: number(fields, "byz_senders")?,
+                total: number(fields, "byz_sent")?,
+                max: number(fields, "byz_max")?,
             },
         },
-        wall_nanos: number(&timing, "wall_nanos")?,
+        wall_nanos: number(timing, "wall_nanos")?,
     })
 }
 
@@ -749,12 +749,12 @@ pub fn parse_progress(text: &str) -> Result<ProgressSnapshot, ImportError> {
     let value = Parser::new(text.trim_end()).parse_document()?;
     let fields = as_object(&value, "progress document")?;
     let timing_float = |name: &str| -> Result<f64, ImportError> {
-        string(&fields, name)?
+        string(fields, name)?
             .parse::<f64>()
             .map_err(|_| schema(format!("{name}: expected a decimal string")))
     };
     let last = match fields.iter().find(|(key, _)| key == "last") {
-        Some((_, value)) => Some(parse_spec(&as_object(value, "last")?)?),
+        Some((_, value)) => Some(parse_spec(as_object(value, "last")?)?),
         None => None,
     };
     // Supervision fields arrived after the format's first release; a heartbeat
@@ -762,17 +762,17 @@ pub fn parse_progress(text: &str) -> Result<ProgressSnapshot, ImportError> {
     // failing, so a mixed-version fleet stays observable.
     let optional = |name: &str, default: u64| -> Result<u64, ImportError> {
         match fields.iter().any(|(key, _)| key == name) {
-            true => number(&fields, name),
+            true => number(fields, name),
             false => Ok(default),
         }
     };
     let narrow = |name: &str, value: u64| -> Result<u32, ImportError> {
         u32::try_from(value).map_err(|_| schema(format!("{name}: value exceeds u32")))
     };
-    let crypto = as_object(field(&fields, "crypto")?, "crypto")?;
+    let crypto = as_object(field(fields, "crypto")?, "crypto")?;
     Ok(ProgressSnapshot {
-        done: usize_field(&fields, "done")?,
-        total: usize_field(&fields, "total")?,
+        done: usize_field(fields, "done")?,
+        total: usize_field(fields, "total")?,
         seq: optional("seq", 0)?,
         pid: narrow("pid", optional("pid", 0)?)?,
         attempt: narrow("attempt", optional("attempt", 1)?)?,
@@ -780,9 +780,9 @@ pub fn parse_progress(text: &str) -> Result<ProgressSnapshot, ImportError> {
         wall_seconds: timing_float("wall_seconds")?,
         last,
         crypto: CounterSnapshot {
-            digests_computed: number(&crypto, "digests")?,
-            signatures_verified: number(&crypto, "verified")?,
-            verify_cache_hits: number(&crypto, "cache_hits")?,
+            digests_computed: number(crypto, "digests")?,
+            signatures_verified: number(crypto, "verified")?,
+            verify_cache_hits: number(crypto, "cache_hits")?,
         },
     })
 }

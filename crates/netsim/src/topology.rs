@@ -78,6 +78,18 @@ impl std::fmt::Display for Topology {
     }
 }
 
+impl std::str::FromStr for Topology {
+    type Err = String;
+
+    /// Parses the [`Display`](std::fmt::Display) form, e.g. `one-sided`.
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        Topology::ALL
+            .into_iter()
+            .find(|topology| topology.name() == name)
+            .ok_or_else(|| format!("unknown topology {name:?}"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
