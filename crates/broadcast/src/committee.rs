@@ -185,33 +185,34 @@ impl<V: Value> CommitteeBroadcast<V> {
     fn decision_round(&self) -> u64 {
         self.report_round() + 1
     }
-}
 
-impl<V: Value> RoundProtocol for CommitteeBroadcast<V> {
-    type Msg = CommitteeMsg<V>;
-    type Output = V;
-
-    fn round(
-        &mut self,
-        round: u64,
-        inbox: &[(PartyId, CommitteeMsg<V>)],
-    ) -> Vec<Outgoing<CommitteeMsg<V>>> {
+    /// Executes logical round `round` over borrowed messages.
+    ///
+    /// This is [`RoundProtocol::round`] for callers that hold the messages inside some
+    /// larger structure (a multiplexed inbox, say) and would otherwise have to clone
+    /// each one into a `(PartyId, CommitteeMsg)` slice first. The iterator is walked
+    /// twice, hence `Clone`.
+    pub fn round_borrowed<'m, I>(&mut self, round: u64, inbox: I) -> Vec<Outgoing<CommitteeMsg<V>>>
+    where
+        I: Iterator<Item = (PartyId, &'m CommitteeMsg<V>)> + Clone,
+        V: 'm,
+    {
         let me = self.config.me;
         let is_committee_member = self.config.committee.contains(me);
         let mut out = Vec::new();
 
         // Collect whatever this round's inbox holds for later stages.
-        for (from, msg) in inbox {
+        for (from, msg) in inbox.clone() {
             match msg {
                 CommitteeMsg::Input(v) => {
                     // Only the first input from the designated sender counts.
-                    if *from == self.config.sender && self.received_input.is_none() {
+                    if from == self.config.sender && self.received_input.is_none() {
                         self.received_input = Some(v.clone());
                     }
                 }
                 CommitteeMsg::Report(v) => {
-                    if self.config.committee.contains(*from) {
-                        self.reports.entry(*from).or_insert_with(|| v.clone());
+                    if self.config.committee.contains(from) {
+                        self.reports.entry(from).or_insert_with(|| v.clone());
                     }
                 }
                 CommitteeMsg::King(_) => {}
@@ -239,9 +240,8 @@ impl<V: Value> RoundProtocol for CommitteeBroadcast<V> {
                     self.king = Some(PhaseKing::new(self.config.committee.clone(), me, input));
                 }
                 let king_inbox: Vec<(PartyId, KingMsg<V>)> = inbox
-                    .iter()
                     .filter_map(|(from, msg)| match msg {
-                        CommitteeMsg::King(km) => Some((*from, km.clone())),
+                        CommitteeMsg::King(km) => Some((from, km.clone())),
                         _ => None,
                     })
                     .collect();
@@ -277,6 +277,19 @@ impl<V: Value> RoundProtocol for CommitteeBroadcast<V> {
             self.output = Some(decision);
         }
         out
+    }
+}
+
+impl<V: Value> RoundProtocol for CommitteeBroadcast<V> {
+    type Msg = CommitteeMsg<V>;
+    type Output = V;
+
+    fn round(
+        &mut self,
+        round: u64,
+        inbox: &[(PartyId, CommitteeMsg<V>)],
+    ) -> Vec<Outgoing<CommitteeMsg<V>>> {
+        self.round_borrowed(round, inbox.iter().map(|(from, msg)| (*from, msg)))
     }
 
     fn output(&self) -> Option<V> {

@@ -199,33 +199,39 @@ impl<V: Value + Digestible> DolevStrong<V> {
         true
     }
 
-    fn relay(&mut self, msg: &DolevStrongMsg<V>) -> Vec<Outgoing<DolevStrongMsg<V>>> {
+    /// Signs `msg` onto its chain and sends the extended message to every other
+    /// participant, appending to `out`.
+    fn relay(&mut self, msg: &DolevStrongMsg<V>, out: &mut Vec<Outgoing<DolevStrongMsg<V>>>) {
         let my_key = self.signing_key.id();
         if msg.chain.contains_signer(my_key) {
-            return Vec::new();
+            return;
         }
         let digest = self.digest_of(&msg.value);
         let chain = msg.chain.extended(self.signing_key.sign(digest));
         let extended = DolevStrongMsg { value: msg.value.clone(), chain };
-        self.config
-            .participants
-            .iter()
-            .copied()
-            .filter(|&p| p != self.config.me)
-            .map(|p| Outgoing::new(p, extended.clone()))
-            .collect()
+        let me = self.config.me;
+        out.extend(
+            self.config
+                .participants
+                .iter()
+                .filter(|&&p| p != me)
+                .map(|&p| Outgoing::new(p, extended.clone())),
+        );
     }
-}
 
-impl<V: Value + Digestible> RoundProtocol for DolevStrong<V> {
-    type Msg = DolevStrongMsg<V>;
-    type Output = V;
-
-    fn round(
+    /// Executes logical round `round` over borrowed messages.
+    ///
+    /// This is [`RoundProtocol::round`] for callers that hold the messages inside some
+    /// larger structure (a multiplexed inbox, say) and would otherwise have to clone
+    /// each one into a `(PartyId, DolevStrongMsg)` slice first.
+    pub fn round_borrowed<'m>(
         &mut self,
         round: u64,
-        inbox: &[(PartyId, DolevStrongMsg<V>)],
-    ) -> Vec<Outgoing<DolevStrongMsg<V>>> {
+        inbox: impl IntoIterator<Item = (PartyId, &'m DolevStrongMsg<V>)>,
+    ) -> Vec<Outgoing<DolevStrongMsg<V>>>
+    where
+        V: 'm,
+    {
         if self.output.is_some() {
             return Vec::new();
         }
@@ -261,7 +267,7 @@ impl<V: Value + Digestible> RoundProtocol for DolevStrong<V> {
                 }
                 self.extracted.insert(msg.value.clone());
                 if round <= t {
-                    out.extend(self.relay(msg));
+                    self.relay(msg, &mut out);
                 }
             }
         }
@@ -275,6 +281,19 @@ impl<V: Value + Digestible> RoundProtocol for DolevStrong<V> {
             self.output = Some(decision);
         }
         out
+    }
+}
+
+impl<V: Value + Digestible> RoundProtocol for DolevStrong<V> {
+    type Msg = DolevStrongMsg<V>;
+    type Output = V;
+
+    fn round(
+        &mut self,
+        round: u64,
+        inbox: &[(PartyId, DolevStrongMsg<V>)],
+    ) -> Vec<Outgoing<DolevStrongMsg<V>>> {
+        self.round_borrowed(round, inbox.iter().map(|(from, msg)| (*from, msg)))
     }
 
     fn output(&self) -> Option<V> {

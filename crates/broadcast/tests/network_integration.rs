@@ -58,7 +58,7 @@ impl Adversary<CommitteeMsg<u32>> for EquivocatingSender {
     fn act(
         &mut self,
         _ctx: &AdversaryContext,
-        _inboxes: &BTreeMap<PartyId, Vec<Envelope<CommitteeMsg<u32>>>>,
+        _inboxes: &mut BTreeMap<PartyId, Vec<Envelope<CommitteeMsg<u32>>>>,
     ) -> Vec<(PartyId, Outgoing<CommitteeMsg<u32>>)> {
         if self.sent {
             return Vec::new();
@@ -108,7 +108,7 @@ impl Adversary<CommitteeMsg<u32>> for NoisyCommitteeMember {
     fn act(
         &mut self,
         ctx: &AdversaryContext,
-        _inboxes: &BTreeMap<PartyId, Vec<Envelope<CommitteeMsg<u32>>>>,
+        _inboxes: &mut BTreeMap<PartyId, Vec<Envelope<CommitteeMsg<u32>>>>,
     ) -> Vec<(PartyId, Outgoing<CommitteeMsg<u32>>)> {
         let phase = ctx.now.slot() / 3;
         let mut out = Vec::new();
@@ -205,7 +205,7 @@ impl Adversary<DolevStrongMsg<u64>> for DsEquivocatingSender {
     fn act(
         &mut self,
         ctx: &AdversaryContext,
-        _inboxes: &BTreeMap<PartyId, Vec<Envelope<DolevStrongMsg<u64>>>>,
+        _inboxes: &mut BTreeMap<PartyId, Vec<Envelope<DolevStrongMsg<u64>>>>,
     ) -> Vec<(PartyId, Outgoing<DolevStrongMsg<u64>>)> {
         if self.sent {
             return Vec::new();

@@ -154,7 +154,7 @@ impl Adversary<WireMsg> for SplitBrainAdversary {
     fn act(
         &mut self,
         ctx: &AdversaryContext<'_>,
-        _inboxes: &BTreeMap<PartyId, Vec<Envelope<WireMsg>>>,
+        _inboxes: &mut BTreeMap<PartyId, Vec<Envelope<WireMsg>>>,
     ) -> Vec<(PartyId, Outgoing<WireMsg>)> {
         let slot = ctx.now.slot();
         let mut out = Vec::new();
@@ -257,7 +257,7 @@ impl Adversary<WireMsg> for RelayDenialAdversary {
     fn act(
         &mut self,
         _ctx: &AdversaryContext<'_>,
-        _inboxes: &BTreeMap<PartyId, Vec<Envelope<WireMsg>>>,
+        _inboxes: &mut BTreeMap<PartyId, Vec<Envelope<WireMsg>>>,
     ) -> Vec<(PartyId, Outgoing<WireMsg>)> {
         // Not forwarding any relay request is implicit: the adversary simply never
         // produces RelayDeliver messages.
@@ -449,7 +449,7 @@ impl Adversary<WireMsg> for FullSidePartitionAdversary {
     fn act(
         &mut self,
         ctx: &AdversaryContext<'_>,
-        _inboxes: &BTreeMap<PartyId, Vec<Envelope<WireMsg>>>,
+        _inboxes: &mut BTreeMap<PartyId, Vec<Envelope<WireMsg>>>,
     ) -> Vec<(PartyId, Outgoing<WireMsg>)> {
         let slot = ctx.now.slot();
         let mut out = Vec::new();
@@ -476,7 +476,7 @@ impl Adversary<WireMsg> for FullSidePartitionAdversary {
                         id: forged.id,
                         sent_at: slot,
                         inner: forged.inner.clone(),
-                        signature: Some(signature),
+                        signature: Some(signature.into()),
                     },
                 ),
             ));

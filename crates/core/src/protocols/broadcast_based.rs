@@ -201,45 +201,35 @@ impl RoundProtocol for BroadcastBsm {
         if self.decision.is_some() {
             return Vec::new();
         }
-        // Demultiplex the inbox by instance.
-        let mut per_instance: BTreeMap<u32, Vec<(PartyId, &ProtoBody)>> = BTreeMap::new();
-        for (from, msg) in inbox {
-            per_instance.entry(msg.instance).or_default().push((*from, &msg.body));
-        }
+        // Demultiplex by borrowing: each instance reads its own messages, in inbox
+        // order, straight out of the inbox instead of from per-instance clones.
         let mut out = Vec::new();
         for (&instance, state) in self.instances.iter_mut() {
-            let empty = Vec::new();
-            let incoming = per_instance.get(&instance).unwrap_or(&empty);
+            let incoming = inbox.iter().filter(move |(_, msg)| msg.instance == instance);
             match state {
                 InstanceState::Ds(protocol) => {
-                    let typed: Vec<(PartyId, bsm_broadcast::DolevStrongMsg<PrefVec>)> = incoming
-                        .iter()
-                        .filter_map(|(from, body)| match body {
-                            ProtoBody::Ds(m) => Some((*from, m.clone())),
-                            _ => None,
-                        })
-                        .collect();
-                    for outgoing in protocol.round(round, &typed) {
-                        out.push(Outgoing::new(
-                            outgoing.to,
-                            ProtoMsg { instance, body: ProtoBody::Ds(outgoing.payload) },
-                        ));
-                    }
+                    let typed = incoming.filter_map(|(from, msg)| match &msg.body {
+                        ProtoBody::Ds(m) => Some((*from, m)),
+                        _ => None,
+                    });
+                    out.extend(protocol.round_borrowed(round, typed).into_iter().map(|sent| {
+                        Outgoing::new(
+                            sent.to,
+                            ProtoMsg { instance, body: ProtoBody::Ds(sent.payload) },
+                        )
+                    }));
                 }
                 InstanceState::Cb(protocol) => {
-                    let typed: Vec<(PartyId, bsm_broadcast::CommitteeMsg<PrefVec>)> = incoming
-                        .iter()
-                        .filter_map(|(from, body)| match body {
-                            ProtoBody::Cb(m) => Some((*from, m.clone())),
-                            _ => None,
-                        })
-                        .collect();
-                    for outgoing in protocol.round(round, &typed) {
-                        out.push(Outgoing::new(
-                            outgoing.to,
-                            ProtoMsg { instance, body: ProtoBody::Cb(outgoing.payload) },
-                        ));
-                    }
+                    let typed = incoming.filter_map(|(from, msg)| match &msg.body {
+                        ProtoBody::Cb(m) => Some((*from, m)),
+                        _ => None,
+                    });
+                    out.extend(protocol.round_borrowed(round, typed).into_iter().map(|sent| {
+                        Outgoing::new(
+                            sent.to,
+                            ProtoMsg { instance, body: ProtoBody::Cb(sent.payload) },
+                        )
+                    }));
                 }
             }
         }

@@ -16,9 +16,9 @@
 
 use crate::wire::{ProtoMsg, WireMsg};
 use bsm_crypto::{Digest, DigestWriter, Digestible, KeyId, Pki, SigningKey, Verifier};
-use bsm_matching::Side;
 use bsm_net::{Outgoing, PartyId, PartySet, Time, Topology};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// How relayed payloads are authenticated by their final recipient.
 #[derive(Debug, Clone)]
@@ -67,6 +67,9 @@ type DigestTally = BTreeMap<Digest, (ProtoMsg, BTreeSet<PartyId>)>;
 
 /// Per-party relay engine: wraps outgoing sends, performs relay duty, and authenticates
 /// incoming relayed payloads.
+///
+/// Both directions append to buffers the caller owns and reuses, so relaying a message
+/// allocates nothing beyond what its payload shares.
 pub struct RelayEngine {
     me: PartyId,
     parties: PartySet,
@@ -132,20 +135,19 @@ impl RelayEngine {
         }
     }
 
-    /// The parties that relay for `origin`: everyone on the opposite side.
-    fn relayers_of(&self, origin: PartyId) -> Vec<PartyId> {
-        let opposite = match origin.side {
-            Side::Left => Side::Right,
-            Side::Right => Side::Left,
-        };
-        self.parties.side(opposite).collect()
-    }
-
-    /// Wraps an outgoing protocol message into wire messages: a single direct send when
-    /// the channel exists, or one relay request per opposite-side relayer otherwise.
-    pub fn send(&mut self, to: PartyId, msg: ProtoMsg, now: Time) -> Vec<Outgoing<WireMsg>> {
+    /// Wraps an outgoing protocol message into wire messages, appended to `out`: a
+    /// single direct send when the channel exists, or one relay request per relayer
+    /// (every party on the opposite side) otherwise.
+    pub fn send(
+        &mut self,
+        to: PartyId,
+        msg: ProtoMsg,
+        now: Time,
+        out: &mut Vec<Outgoing<WireMsg>>,
+    ) {
         if self.topology.connects(self.me, to) {
-            return vec![Outgoing::new(to, WireMsg::Direct(msg))];
+            out.push(Outgoing::new(to, WireMsg::Direct(msg)));
+            return;
         }
         let id = self.next_id;
         self.next_id += 1;
@@ -154,64 +156,62 @@ impl RelayEngine {
             RelayMode::Signed { .. } => {
                 let key = self.signing_key.as_ref().expect("signed mode holds a key");
                 let digest = relay_digest(self.me, to, id, sent_at, &msg, self.parties.k());
-                Some(key.sign(digest))
+                Some(Arc::new(key.sign(digest)))
             }
             _ => None,
         };
-        self.relayers_of(self.me)
-            .into_iter()
-            .map(|relayer| {
-                Outgoing::new(
-                    relayer,
-                    WireMsg::RelayRequest {
-                        target: to,
-                        id,
-                        sent_at,
-                        inner: msg.clone(),
-                        signature,
-                    },
-                )
-            })
-            .collect()
+        out.extend(self.parties.side(self.me.side.opposite()).map(|relayer| {
+            Outgoing::new(
+                relayer,
+                WireMsg::RelayRequest {
+                    target: to,
+                    id,
+                    sent_at,
+                    inner: msg.clone(),
+                    signature: signature.clone(),
+                },
+            )
+        }));
     }
 
     /// Handles one incoming wire message.
     ///
-    /// Returns the protocol payloads accepted for delivery (attributed to their origin)
-    /// and the wire messages this party must send as part of its relay duty.
+    /// Appends the protocol payloads accepted for delivery (attributed to their origin)
+    /// to `accepted`, and the wire messages this party must send as part of its relay
+    /// duty to `duties`.
     pub fn handle(
         &mut self,
         from: PartyId,
         msg: WireMsg,
         now: Time,
-    ) -> (Vec<(PartyId, ProtoMsg)>, Vec<Outgoing<WireMsg>>) {
+        accepted: &mut Vec<(PartyId, ProtoMsg)>,
+        duties: &mut Vec<Outgoing<WireMsg>>,
+    ) {
         match msg {
-            WireMsg::Direct(inner) => (vec![(from, inner)], Vec::new()),
+            WireMsg::Direct(inner) => accepted.push((from, inner)),
             WireMsg::RelayRequest { target, id, sent_at, inner, signature } => {
                 // Relay duty (step 1 of the paper's ΠbSM code for side R): forward the
                 // signed tuple to its target, provided this party actually has a channel
-                // to it and the request plausibly needs relaying.
-                if target == self.me {
-                    // A confused or malicious origin asked us to relay to ourselves;
-                    // treat it as a direct delivery attempt and ignore it.
-                    return (Vec::new(), Vec::new());
+                // to it and the request plausibly needs relaying. A request to relay to
+                // ourselves comes from a confused or malicious origin and is ignored.
+                if target != self.me && self.topology.connects(self.me, target) {
+                    let deliver = WireMsg::RelayDeliver {
+                        origin: from,
+                        target,
+                        id,
+                        sent_at,
+                        inner,
+                        signature,
+                    };
+                    duties.push(Outgoing::new(target, deliver));
                 }
-                if !self.topology.connects(self.me, target) {
-                    return (Vec::new(), Vec::new());
-                }
-                let deliver =
-                    WireMsg::RelayDeliver { origin: from, target, id, sent_at, inner, signature };
-                (Vec::new(), vec![Outgoing::new(target, deliver)])
             }
             WireMsg::RelayDeliver { origin, target, id, sent_at, inner, signature } => {
-                if target != self.me {
-                    return (Vec::new(), Vec::new());
-                }
-                if self.delivered.contains(&(origin, id)) {
-                    return (Vec::new(), Vec::new());
+                if target != self.me || self.delivered.contains(&(origin, id)) {
+                    return;
                 }
                 match &self.mode {
-                    RelayMode::Direct => (Vec::new(), Vec::new()),
+                    RelayMode::Direct => {}
                     RelayMode::Majority => {
                         let threshold = self.parties.k() / 2 + 1;
                         let digest =
@@ -227,33 +227,29 @@ impl RelayEngine {
                             let payload = entry.0.clone();
                             self.delivered.insert((origin, id));
                             self.tallies.remove(&(origin, id));
-                            (vec![(origin, payload)], Vec::new())
-                        } else {
-                            (Vec::new(), Vec::new())
+                            accepted.push((origin, payload));
                         }
                     }
                     RelayMode::Signed { pki: _, key_of, max_age } => {
                         let Some(signature) = signature else {
-                            return (Vec::new(), Vec::new());
+                            return;
                         };
                         let Some(&origin_key) = key_of.get(&origin) else {
-                            return (Vec::new(), Vec::new());
+                            return;
                         };
-                        if signature.signer() != origin_key {
-                            return (Vec::new(), Vec::new());
-                        }
-                        if now.slot().saturating_sub(sent_at) > *max_age {
-                            return (Vec::new(), Vec::new());
+                        if signature.signer() != origin_key
+                            || now.slot().saturating_sub(sent_at) > *max_age
+                        {
+                            return;
                         }
                         let digest =
                             relay_digest(origin, target, id, sent_at, &inner, self.parties.k());
                         let verifier =
                             self.verifier.as_mut().expect("signed mode holds a verifier");
-                        if !verifier.verify(&signature, digest) {
-                            return (Vec::new(), Vec::new());
+                        if verifier.verify(&signature, digest) {
+                            self.delivered.insert((origin, id));
+                            accepted.push((origin, inner));
                         }
-                        self.delivered.insert((origin, id));
-                        (vec![(origin, inner)], Vec::new())
                     }
                 }
             }
@@ -274,6 +270,25 @@ mod tests {
         PartySet::new(3)
     }
 
+    fn send(
+        engine: &mut RelayEngine,
+        to: PartyId,
+        msg: ProtoMsg,
+        now: Time,
+    ) -> Vec<Outgoing<WireMsg>> {
+        let mut out = Vec::new();
+        engine.send(to, msg, now, &mut out);
+        out
+    }
+
+    type Handled = (Vec<(PartyId, ProtoMsg)>, Vec<Outgoing<WireMsg>>);
+
+    fn handle(engine: &mut RelayEngine, from: PartyId, msg: WireMsg, now: Time) -> Handled {
+        let (mut accepted, mut duties) = (Vec::new(), Vec::new());
+        engine.handle(from, msg, now, &mut accepted, &mut duties);
+        (accepted, duties)
+    }
+
     #[test]
     fn direct_channel_sends_directly() {
         let mut engine = RelayEngine::new(
@@ -283,7 +298,7 @@ mod tests {
             RelayMode::Direct,
             None,
         );
-        let out = engine.send(PartyId::left(1), msg(1), Time(0));
+        let out = send(&mut engine, PartyId::left(1), msg(1), Time(0));
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].payload, WireMsg::Direct(_)));
         assert_eq!(out[0].to, PartyId::left(1));
@@ -299,12 +314,12 @@ mod tests {
             RelayMode::Majority,
             None,
         );
-        let out = engine.send(PartyId::left(2), msg(1), Time(0));
+        let out = send(&mut engine, PartyId::left(2), msg(1), Time(0));
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|o| o.to.is_right()));
         assert!(out.iter().all(|o| matches!(o.payload, WireMsg::RelayRequest { .. })));
         // Cross-side sends stay direct even in the bipartite topology.
-        let direct = engine.send(PartyId::right(1), msg(2), Time(0));
+        let direct = send(&mut engine, PartyId::right(1), msg(2), Time(0));
         assert_eq!(direct.len(), 1);
     }
 
@@ -324,7 +339,7 @@ mod tests {
             inner: msg(5),
             signature: None,
         };
-        let (accepted, duties) = relayer.handle(PartyId::left(0), request, Time(1));
+        let (accepted, duties) = handle(&mut relayer, PartyId::left(0), request, Time(1));
         assert!(accepted.is_empty());
         assert_eq!(duties.len(), 1);
         assert_eq!(duties[0].to, PartyId::left(2));
@@ -340,7 +355,7 @@ mod tests {
             inner: msg(5),
             signature: None,
         };
-        let (a, d) = relayer.handle(PartyId::left(0), bogus, Time(1));
+        let (a, d) = handle(&mut relayer, PartyId::left(0), bogus, Time(1));
         assert!(a.is_empty() && d.is_empty());
     }
 
@@ -360,18 +375,23 @@ mod tests {
         };
         // One relayer delivering a forged payload and one honest delivery: no acceptance
         // yet (threshold is 2 of 3).
-        let (a, _) = engine.handle(PartyId::right(0), deliver(PartyId::right(0), msg(9)), Time(2));
+        let (a, _) =
+            handle(&mut engine, PartyId::right(0), deliver(PartyId::right(0), msg(9)), Time(2));
         assert!(a.is_empty());
-        let (a, _) = engine.handle(PartyId::right(1), deliver(PartyId::right(1), msg(1)), Time(2));
+        let (a, _) =
+            handle(&mut engine, PartyId::right(1), deliver(PartyId::right(1), msg(1)), Time(2));
         assert!(a.is_empty());
         // A duplicate from the same relayer does not help.
-        let (a, _) = engine.handle(PartyId::right(1), deliver(PartyId::right(1), msg(1)), Time(2));
+        let (a, _) =
+            handle(&mut engine, PartyId::right(1), deliver(PartyId::right(1), msg(1)), Time(2));
         assert!(a.is_empty());
         // A second distinct relayer with the same payload crosses the threshold.
-        let (a, _) = engine.handle(PartyId::right(2), deliver(PartyId::right(2), msg(1)), Time(2));
+        let (a, _) =
+            handle(&mut engine, PartyId::right(2), deliver(PartyId::right(2), msg(1)), Time(2));
         assert_eq!(a, vec![(origin, msg(1))]);
         // Replays after delivery are ignored.
-        let (a, _) = engine.handle(PartyId::right(0), deliver(PartyId::right(0), msg(1)), Time(3));
+        let (a, _) =
+            handle(&mut engine, PartyId::right(0), deliver(PartyId::right(0), msg(1)), Time(3));
         assert!(a.is_empty());
     }
 
@@ -397,7 +417,7 @@ mod tests {
         let mut receiver_engine =
             RelayEngine::new(target, PartySet::new(k), Topology::Bipartite, mode, Some(target_key));
 
-        let requests = sender_engine.send(target, msg(3), Time(0));
+        let requests = send(&mut sender_engine, target, msg(3), Time(0));
         assert_eq!(requests.len(), 3);
         let WireMsg::RelayRequest { id, sent_at, inner, signature, .. } =
             requests[0].payload.clone()
@@ -405,12 +425,19 @@ mod tests {
             panic!("expected a relay request");
         };
         // A single honest relayer forwards it; the receiver accepts.
-        let deliver =
-            WireMsg::RelayDeliver { origin, target, id, sent_at, inner: inner.clone(), signature };
-        let (accepted, _) = receiver_engine.handle(PartyId::right(0), deliver.clone(), Time(2));
+        let deliver = WireMsg::RelayDeliver {
+            origin,
+            target,
+            id,
+            sent_at,
+            inner: inner.clone(),
+            signature: signature.clone(),
+        };
+        let (accepted, _) =
+            handle(&mut receiver_engine, PartyId::right(0), deliver.clone(), Time(2));
         assert_eq!(accepted, vec![(origin, msg(3))]);
         // Duplicates are suppressed.
-        let (again, _) = receiver_engine.handle(PartyId::right(1), deliver, Time(2));
+        let (again, _) = handle(&mut receiver_engine, PartyId::right(1), deliver, Time(2));
         assert!(again.is_empty());
 
         // Tampered content is rejected (signature no longer verifies).
@@ -422,17 +449,17 @@ mod tests {
             inner: msg(99),
             signature,
         };
-        let (rejected, _) = receiver_engine.handle(PartyId::right(0), tampered, Time(2));
+        let (rejected, _) = handle(&mut receiver_engine, PartyId::right(0), tampered, Time(2));
         assert!(rejected.is_empty());
 
         // Stale deliveries (older than max_age slots) are rejected.
-        let more = sender_engine.send(target, msg(4), Time(1));
+        let more = send(&mut sender_engine, target, msg(4), Time(1));
         let WireMsg::RelayRequest { id, sent_at, inner, signature, .. } = more[0].payload.clone()
         else {
             panic!("expected a relay request");
         };
         let late = WireMsg::RelayDeliver { origin, target, id, sent_at, inner, signature };
-        let (rejected, _) = receiver_engine.handle(PartyId::right(0), late, Time(10));
+        let (rejected, _) = handle(&mut receiver_engine, PartyId::right(0), late, Time(10));
         assert!(rejected.is_empty());
 
         // Unsigned deliveries are rejected in signed mode.
@@ -444,7 +471,7 @@ mod tests {
             inner: msg(5),
             signature: None,
         };
-        let (rejected, _) = receiver_engine.handle(PartyId::right(0), unsigned, Time(10));
+        let (rejected, _) = handle(&mut receiver_engine, PartyId::right(0), unsigned, Time(10));
         assert!(rejected.is_empty());
     }
 
@@ -461,7 +488,7 @@ mod tests {
             inner: msg(1),
             signature: None,
         };
-        let (accepted, duties) = engine.handle(PartyId::right(0), deliver, Time(1));
+        let (accepted, duties) = handle(&mut engine, PartyId::right(0), deliver, Time(1));
         assert!(accepted.is_empty());
         assert!(duties.is_empty());
     }

@@ -68,19 +68,27 @@ impl Process<WireMsg, MatchDecision> for PartyRuntime {
 
     fn step(&mut self, now: Time, inbox: &mut Vec<Envelope<WireMsg>>) -> Vec<Outgoing<WireMsg>> {
         let mut out = Vec::new();
+        self.step_into(now, inbox, &mut out);
+        out
+    }
+
+    fn step_into(
+        &mut self,
+        now: Time,
+        inbox: &mut Vec<Envelope<WireMsg>>,
+        out: &mut Vec<Outgoing<WireMsg>>,
+    ) {
         for envelope in inbox.drain(..) {
-            let (accepted, duties) = self.relay.handle(envelope.from, envelope.payload, now);
-            self.buffer.extend(accepted);
-            out.extend(duties);
+            self.relay.handle(envelope.from, envelope.payload, now, &mut self.buffer, out);
         }
         if now.slot().is_multiple_of(self.slots_per_round) {
             let round = now.slot() / self.slots_per_round;
-            let delivered = std::mem::take(&mut self.buffer);
-            for outgoing in self.protocol.round(round, &delivered) {
-                out.extend(self.relay.send(outgoing.to, outgoing.payload, now));
+            for outgoing in self.protocol.round(round, &self.buffer) {
+                self.relay.send(outgoing.to, outgoing.payload, now, out);
             }
+            // Cleared, not taken: the buffer keeps its capacity for the next round.
+            self.buffer.clear();
         }
-        out
     }
 
     fn output(&self) -> Option<MatchDecision> {

@@ -691,7 +691,7 @@ impl Adversary<WireMsg> for ScriptedAdversary {
     fn act(
         &mut self,
         ctx: &AdversaryContext<'_>,
-        inboxes: &BTreeMap<PartyId, Vec<Envelope<WireMsg>>>,
+        inboxes: &mut BTreeMap<PartyId, Vec<Envelope<WireMsg>>>,
     ) -> Vec<(PartyId, Outgoing<WireMsg>)> {
         let slot = ctx.now.slot();
 
@@ -711,15 +711,10 @@ impl Adversary<WireMsg> for ScriptedAdversary {
             return Vec::new();
         }
 
-        // The coalition's view of this slot: every corrupted party's inbox (present
-        // or empty), plus any released delayed messages.
-        let mut boxes: BTreeMap<PartyId, Vec<Envelope<WireMsg>>> = ctx
-            .corrupted
-            .iter()
-            .map(|&party| (party, inboxes.get(&party).cloned().unwrap_or_default()))
-            .collect();
+        // The coalition's view of this slot: the lent inboxes, plus any released
+        // delayed messages.
         for (_, party, envelope) in due {
-            boxes.entry(party).or_default().push(envelope);
+            inboxes.entry(party).or_default().push(envelope);
         }
 
         // Inbound pass: drop / delay / replay received messages before the puppets
@@ -729,15 +724,15 @@ impl Adversary<WireMsg> for ScriptedAdversary {
         for action in &actions {
             match *action {
                 ScriptAction::DropRecv { slot: s, nth } if s == slot => {
-                    remove_nth(&mut boxes, nth);
+                    remove_nth(inboxes, nth);
                 }
                 ScriptAction::DelayRecv { slot: s, nth, by } if s == slot => {
-                    if let Some((party, envelope)) = remove_nth(&mut boxes, nth) {
+                    if let Some((party, envelope)) = remove_nth(inboxes, nth) {
                         self.delayed.push((slot + by.max(1), party, envelope));
                     }
                 }
                 ScriptAction::Replay { slot: s, nth } if s == slot => {
-                    if let Some((party, envelope)) = peek_nth(&boxes, nth) {
+                    if let Some((party, envelope)) = peek_nth(inboxes, nth) {
                         let payload = envelope.payload.clone();
                         for target in ctx.honest() {
                             if target != party && ctx.topology.connects(party, target) {
@@ -750,9 +745,9 @@ impl Adversary<WireMsg> for ScriptedAdversary {
             }
         }
 
-        let mut out = self.puppets.act(ctx, &boxes);
+        let mut out = self.puppets.act(ctx, inboxes);
         if let Some(garbage) = &mut self.garbage {
-            out.extend(garbage.act(ctx, &boxes));
+            out.extend(garbage.act(ctx, inboxes));
         }
         out.extend(replays);
 
@@ -769,11 +764,13 @@ impl Adversary<WireMsg> for ScriptedAdversary {
                     if let Some((sender, outgoing)) = out.get_mut(nth as usize) {
                         let _ = sender;
                         if let Some((instance, ds)) = ds_body(&mut outgoing.payload) {
-                            if ds.value.len() > 1 {
-                                ds.value.rotate_left(1);
-                            } else if let Some(first) = ds.value.first_mut() {
+                            let mut value = ds.value.to_vec();
+                            if value.len() > 1 {
+                                value.rotate_left(1);
+                            } else if let Some(first) = value.first_mut() {
                                 *first = first.wrapping_add(1);
                             }
+                            ds.value = value.into();
                             // If the coalition controls the designated sender of this
                             // instance, re-root the chain so the forged value carries a
                             // *valid* origin signature — true equivocation. Otherwise
@@ -1069,7 +1066,7 @@ mod tests {
             pki,
             key_of,
         };
-        let value: PrefVec = vec![2, 0, 1];
+        let value: PrefVec = [2, 0, 1].into();
         assert_eq!(
             ds_instance_digest(sender.dense(k) as u32, &value),
             DolevStrong::<PrefVec>::instance_digest(&config, &value),

@@ -22,13 +22,15 @@ use std::collections::BTreeMap;
 /// code model arbitrary deviations.
 pub struct PuppetAdversary<M, O> {
     puppets: BTreeMap<PartyId, Box<dyn Process<M, O> + Send>>,
+    /// One puppet's sends, reused across puppets and slots.
+    sends: Vec<Outgoing<M>>,
 }
 
 impl<M, O> PuppetAdversary<M, O> {
     /// Creates an adversary with no puppets (equivalent to crashing all corrupted
     /// parties).
     pub fn new() -> Self {
-        Self { puppets: BTreeMap::new() }
+        Self { puppets: BTreeMap::new(), sends: Vec::new() }
     }
 
     /// Adds a puppet for `party`.
@@ -58,21 +60,23 @@ impl<M, O> Default for PuppetAdversary<M, O> {
     }
 }
 
-impl<M: Clone, O> Adversary<M> for PuppetAdversary<M, O> {
+impl<M, O> Adversary<M> for PuppetAdversary<M, O> {
     fn act(
         &mut self,
         ctx: &AdversaryContext<'_>,
-        inboxes: &BTreeMap<PartyId, Vec<Envelope<M>>>,
+        inboxes: &mut BTreeMap<PartyId, Vec<Envelope<M>>>,
     ) -> Vec<(PartyId, Outgoing<M>)> {
         let mut out = Vec::new();
+        let mut none = Vec::new();
         for (&party, puppet) in self.puppets.iter_mut() {
             if !ctx.corrupted.contains(&party) {
                 continue;
             }
-            let mut inbox = inboxes.get(&party).cloned().unwrap_or_default();
-            for outgoing in puppet.step(ctx.now, &mut inbox) {
-                out.push((party, outgoing));
-            }
+            // The puppet steps on the lent inbox itself: its messages are moved, not
+            // cloned.
+            let inbox = inboxes.get_mut(&party).unwrap_or(&mut none);
+            puppet.step_into(ctx.now, inbox, &mut self.sends);
+            out.extend(self.sends.drain(..).map(|outgoing| (party, outgoing)));
         }
         out
     }
@@ -100,7 +104,7 @@ impl GarbageAdversary {
         let body = match self.rng.random_range(0..4u8) {
             0 => ProtoBody::Suggest(Some(self.rng.random_range(0..(3 * k as u64 + 1)))),
             1 => ProtoBody::Suggest(None),
-            2 => ProtoBody::PrefAnnounce(vec![0; k]),
+            2 => ProtoBody::PrefAnnounce(vec![0; k].into()),
             _ => ProtoBody::PrefAnnounce((0..(k as u64 + 2)).rev().collect()),
         };
         ProtoMsg { instance, body }
@@ -111,7 +115,7 @@ impl Adversary<WireMsg> for GarbageAdversary {
     fn act(
         &mut self,
         ctx: &AdversaryContext<'_>,
-        _inboxes: &BTreeMap<PartyId, Vec<Envelope<WireMsg>>>,
+        _inboxes: &mut BTreeMap<PartyId, Vec<Envelope<WireMsg>>>,
     ) -> Vec<(PartyId, Outgoing<WireMsg>)> {
         let k = ctx.parties.k();
         let mut out = Vec::new();
@@ -215,7 +219,7 @@ mod tests {
             corrupted: &corrupted,
             budget: CorruptionBudget::new(1, 0),
         };
-        let sends = adversary.act(&ctx, &BTreeMap::new());
+        let sends = adversary.act(&ctx, &mut BTreeMap::new());
         // Only the actually-corrupted puppet acts.
         assert_eq!(sends.len(), 1);
         assert_eq!(sends[0].0, PartyId::left(0));
@@ -240,13 +244,13 @@ mod tests {
             corrupted: &corrupted,
             budget: CorruptionBudget::new(1, 0),
         };
-        let sends = adversary.act(&ctx, &BTreeMap::new());
+        let sends = adversary.act(&ctx, &mut BTreeMap::new());
         // Bipartite: the corrupted left party can only reach the two right parties.
         assert_eq!(sends.len(), 2 * 2);
         assert!(sends.iter().all(|(_, o)| o.to.is_right()));
         // Determinism under the same seed.
         let mut again = GarbageAdversary::new(1, 2);
-        let sends_again = again.act(&ctx, &BTreeMap::new());
+        let sends_again = again.act(&ctx, &mut BTreeMap::new());
         assert_eq!(sends.len(), sends_again.len());
     }
 

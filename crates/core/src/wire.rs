@@ -5,15 +5,24 @@
 //! an instance tag, and [`WireMsg`] adds the channel-simulation layer: either a direct
 //! payload or the relay-request / relay-delivery pair used to simulate missing channels
 //! (Lemmas 6, 8 and 10).
+//!
+//! Every message moves by value along the simulated network, so the wire types keep
+//! their inline size small and their clones cheap: preference lists ([`PrefVec`]) and
+//! signature chains ([`bsm_crypto::SigChain`]) are shared behind an `Arc`, and so is
+//! the origin signature that only relayed messages carry.
 
 use bsm_broadcast::{BaMsg, BbMsg, CommitteeMsg, DolevStrongMsg};
 use bsm_crypto::{DigestWriter, Digestible, Signature};
 use bsm_matching::{PreferenceList, Side};
 use bsm_net::PartyId;
+use std::sync::Arc;
 
 /// A preference list in wire form: the ranked opposite-side indices, most preferred
 /// first.
-pub type PrefVec = Vec<u64>;
+///
+/// The list is shared, so fanning one out to `n − 1` recipients costs reference-count
+/// bumps, not copies. It digests exactly like the `Vec<u64>` it replaced.
+pub type PrefVec = Arc<[u64]>;
 
 /// Converts a validated preference list into its wire form.
 pub fn pref_to_vec(list: &PreferenceList) -> PrefVec {
@@ -25,7 +34,7 @@ pub fn pref_to_vec(list: &PreferenceList) -> PrefVec {
 /// Returns `None` if the payload is not a permutation of `0..k` — the caller then
 /// substitutes the default list, exactly as Lemma 1 prescribes for byzantine parties
 /// that distribute garbage.
-pub fn vec_to_pref(k: usize, value: &PrefVec) -> Option<PreferenceList> {
+pub fn vec_to_pref(k: usize, value: &[u64]) -> Option<PreferenceList> {
     if value.len() != k {
         return None;
     }
@@ -119,6 +128,10 @@ impl Digestible for ProtoMsg {
 
 /// A message on the simulated network: either a direct sub-protocol payload between
 /// connected parties, or one hop of the channel-simulation relay.
+///
+/// The origin signature of the relay variants is shared behind an `Arc`: one signed
+/// send fans out to every relayer, and an inline `Option<Signature>` (72 bytes) would
+/// make every message, direct ones included, 64 bytes larger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMsg {
     /// A direct payload (the sender is the envelope sender).
@@ -136,7 +149,7 @@ pub enum WireMsg {
         /// The relayed payload.
         inner: ProtoMsg,
         /// Origin signature over the relay digest (authenticated settings only).
-        signature: Option<Signature>,
+        signature: Option<Arc<Signature>>,
     },
     /// A relayed payload delivered to its target. The envelope sender is the relayer.
     RelayDeliver {
@@ -151,7 +164,7 @@ pub enum WireMsg {
         /// The relayed payload.
         inner: ProtoMsg,
         /// Origin signature over the relay digest (authenticated settings only).
-        signature: Option<Signature>,
+        signature: Option<Arc<Signature>>,
     },
 }
 
@@ -180,22 +193,35 @@ mod tests {
     fn pref_roundtrip() {
         let list = PreferenceList::new(vec![2, 0, 1]).unwrap();
         let wire = pref_to_vec(&list);
-        assert_eq!(wire, vec![2, 0, 1]);
+        assert_eq!(*wire, [2, 0, 1]);
         assert_eq!(vec_to_pref(3, &wire), Some(list));
     }
 
     #[test]
     fn invalid_wire_lists_are_rejected() {
-        assert_eq!(vec_to_pref(3, &vec![0, 0, 1]), None);
-        assert_eq!(vec_to_pref(3, &vec![0, 1]), None);
-        assert_eq!(vec_to_pref(3, &vec![0, 1, 5]), None);
+        assert_eq!(vec_to_pref(3, &[0, 0, 1]), None);
+        assert_eq!(vec_to_pref(3, &[0, 1]), None);
+        assert_eq!(vec_to_pref(3, &[0, 1, 5]), None);
         assert_eq!(vec_to_pref(2, &default_pref_vec(2)), Some(default_pref(2)));
+    }
+
+    /// Every message is moved by value from the sender's buffer into the network, into
+    /// an inbox and on through the relay, so these sizes are paid on every hop of
+    /// every message. The budget holds because payloads are shared (`PrefVec`,
+    /// `SigChain`) and the relay-only signature sits behind a pointer; a new inline
+    /// field in one variant would silently grow all messages, direct ones included.
+    #[test]
+    fn wire_messages_stay_within_their_size_budget() {
+        use std::mem::size_of;
+        assert!(size_of::<WireMsg>() <= 88, "WireMsg is {} bytes", size_of::<WireMsg>());
+        let envelope = size_of::<bsm_net::Envelope<WireMsg>>();
+        assert!(envelope <= 120, "Envelope<WireMsg> is {envelope} bytes");
     }
 
     #[test]
     fn digests_distinguish_bodies_and_instances() {
-        let a = ProtoMsg { instance: 0, body: ProtoBody::PrefAnnounce(vec![0, 1]) };
-        let b = ProtoMsg { instance: 1, body: ProtoBody::PrefAnnounce(vec![0, 1]) };
+        let a = ProtoMsg { instance: 0, body: ProtoBody::PrefAnnounce([0, 1].into()) };
+        let b = ProtoMsg { instance: 1, body: ProtoBody::PrefAnnounce([0, 1].into()) };
         let c = ProtoMsg { instance: 0, body: ProtoBody::Suggest(Some(1)) };
         let d = ProtoMsg { instance: 0, body: ProtoBody::Suggest(None) };
         let digests = [Digest::of(&a), Digest::of(&b), Digest::of(&c), Digest::of(&d)];

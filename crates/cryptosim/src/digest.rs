@@ -239,6 +239,14 @@ impl<T: Digestible> Digestible for Vec<T> {
     }
 }
 
+/// A shared value digests exactly like the value it points to, so a message type can
+/// move a field behind an `Arc` without changing any content digest.
+impl<T: Digestible + ?Sized> Digestible for std::sync::Arc<T> {
+    fn feed(&self, writer: &mut DigestWriter) {
+        (**self).feed(writer);
+    }
+}
+
 impl<T: Digestible> Digestible for Option<T> {
     fn feed(&self, writer: &mut DigestWriter) {
         match self {
@@ -310,6 +318,14 @@ mod tests {
             w.finish()
         };
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn shared_values_digest_like_their_contents() {
+        let list = vec![3u64, 1, 2];
+        let shared: std::sync::Arc<[u64]> = list.clone().into();
+        assert_eq!(Digest::of(&shared), Digest::of(&list));
+        assert_eq!(Digest::of(&std::sync::Arc::new(7u64)), Digest::of(&7u64));
     }
 
     #[test]

@@ -83,7 +83,7 @@ impl AdversaryContext<'_> {
 /// An adaptive byzantine adversary.
 ///
 /// Each slot the simulator first asks for additional corruptions (adaptive adversaries
-/// may corrupt mid-protocol; requests beyond the budget are ignored), then hands over
+/// may corrupt mid-protocol; requests beyond the budget are ignored), then lends out
 /// the inboxes of all corrupted parties and collects the messages the corrupted parties
 /// send this slot. Messages from non-corrupted senders or over non-existent channels are
 /// discarded by the simulator.
@@ -94,10 +94,16 @@ pub trait Adversary<M> {
     }
 
     /// Messages sent by corrupted parties this slot, as `(sender, outgoing)` pairs.
+    ///
+    /// `inboxes` maps every corrupted party to the messages delivered to it this slot
+    /// (possibly none), in the order an honest process would receive them. The map is
+    /// lent for the call: the adversary may read, reorder or drain it — puppets take
+    /// their messages with `drain(..)` instead of cloning them — and the simulator
+    /// discards whatever is left afterwards.
     fn act(
         &mut self,
         _ctx: &AdversaryContext<'_>,
-        _inboxes: &BTreeMap<PartyId, Vec<Envelope<M>>>,
+        _inboxes: &mut BTreeMap<PartyId, Vec<Envelope<M>>>,
     ) -> Vec<(PartyId, Outgoing<M>)> {
         Vec::new()
     }
@@ -181,6 +187,6 @@ mod tests {
         };
         let mut adversary = PassiveAdversary;
         assert!(Adversary::<u32>::plan_corruptions(&mut adversary, &ctx).is_empty());
-        assert!(Adversary::<u32>::act(&mut adversary, &ctx, &BTreeMap::new()).is_empty());
+        assert!(Adversary::<u32>::act(&mut adversary, &ctx, &mut BTreeMap::new()).is_empty());
     }
 }

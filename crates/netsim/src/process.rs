@@ -4,7 +4,8 @@ use crate::{Envelope, Outgoing, PartyId, Time};
 ///
 /// `M` is the wire message type and `O` the output (decision) type. A process receives
 /// in `step` exactly the messages whose delivery slot has arrived, in a deterministic
-/// order (sorted by sender), and returns the messages it wants to send this slot. Every
+/// order (by sender, then send slot, then the order the sender emitted them), and
+/// returns the messages it wants to send this slot. Every
 /// sent message is delivered at the next slot (within `Δ`), unless dropped by a fault
 /// injector or blocked by the topology.
 ///
@@ -22,6 +23,19 @@ pub trait Process<M, O> {
     /// take the messages with `inbox.drain(..)` (or just read them — the caller clears
     /// whatever is left after the call).
     fn step(&mut self, now: Time, inbox: &mut Vec<Envelope<M>>) -> Vec<Outgoing<M>>;
+
+    /// Executes one slot like [`Process::step`], but appends the messages to send to
+    /// `out` instead of returning a fresh `Vec`.
+    ///
+    /// [`SyncNetwork`](crate::SyncNetwork) steps every process through this method
+    /// with one send buffer that it keeps across processes and slots, so a process
+    /// that overrides it sends without allocating. Implementations only append: what
+    /// `out` already holds is not theirs to read or remove. The default forwards to
+    /// `step`, so implementing `step` alone stays correct; a process that overrides
+    /// this method usually implements `step` on top of it.
+    fn step_into(&mut self, now: Time, inbox: &mut Vec<Envelope<M>>, out: &mut Vec<Outgoing<M>>) {
+        out.extend(self.step(now, inbox));
+    }
 
     /// The decision of this party, once reached.
     fn output(&self) -> Option<O>;

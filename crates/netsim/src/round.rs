@@ -68,13 +68,24 @@ impl<P: RoundProtocol> Process<P::Msg, P::Output> for RoundDriver<P> {
     }
 
     fn step(&mut self, now: Time, inbox: &mut Vec<Envelope<P::Msg>>) -> Vec<Outgoing<P::Msg>> {
+        let mut out = Vec::new();
+        self.step_into(now, inbox, &mut out);
+        out
+    }
+
+    fn step_into(
+        &mut self,
+        now: Time,
+        inbox: &mut Vec<Envelope<P::Msg>>,
+        out: &mut Vec<Outgoing<P::Msg>>,
+    ) {
         self.buffer.extend(inbox.drain(..).map(|env| (env.from, env.payload)));
-        if !now.slot().is_multiple_of(self.slots_per_round) {
-            return Vec::new();
+        if now.slot().is_multiple_of(self.slots_per_round) {
+            let round = now.slot() / self.slots_per_round;
+            out.extend(self.protocol.round(round, &self.buffer));
+            // Cleared, not taken: the buffer keeps its capacity for the next round.
+            self.buffer.clear();
         }
-        let round = now.slot() / self.slots_per_round;
-        let delivered = std::mem::take(&mut self.buffer);
-        self.protocol.round(round, &delivered)
     }
 
     fn output(&self) -> Option<P::Output> {

@@ -95,22 +95,24 @@ pub struct SyncNetwork<M, O> {
     corrupted: BTreeSet<PartyId>,
     adversary: Box<dyn Adversary<M>>,
     injector: Box<dyn FaultInjector<M>>,
-    in_flight: Vec<Envelope<M>>,
+    /// Messages in flight, one queue per sender (by [`PartyId::dense`] index). A queue
+    /// only ever gains messages at its end, at send time, and delivery keeps the order
+    /// of what stays behind, so every queue is in emission order and hence in
+    /// non-decreasing `sent_at` order. Delivering the queues in sender order therefore
+    /// fills each inbox in `(from, sent_at, emission)` order without sorting.
+    in_flight: Vec<Vec<Envelope<M>>>,
     outputs: BTreeMap<PartyId, O>,
     now: Time,
     metrics: Metrics,
-    // Reusable per-slot buffers: cleared (not dropped) at the end of every slot, so
-    // steady-state stepping performs no per-slot Vec allocations.
-    /// Per-party inbox buffers, reused across slots.
-    inboxes: BTreeMap<PartyId, Vec<Envelope<M>>>,
-    /// Messages due for delivery this slot.
-    due: Vec<Envelope<M>>,
-    /// Messages staying in flight past this slot (swapped with `in_flight`).
-    later: Vec<Envelope<M>>,
-    /// Honest sends collected this slot.
-    to_send: Vec<(PartyId, Outgoing<M>)>,
-    /// Honest parties of the current slot.
-    honest: Vec<PartyId>,
+    // Reusable per-slot buffers: cleared (not dropped) every slot, so steady-state
+    // stepping performs no per-slot Vec allocations.
+    /// Per-party inbox buffers (by dense index), reused across slots.
+    inboxes: Vec<Vec<Envelope<M>>>,
+    /// The corrupted parties' inboxes while they are lent to the adversary (swapped in
+    /// and out of `inboxes`, so the buffers survive the loan).
+    lent: BTreeMap<PartyId, Vec<Envelope<M>>>,
+    /// One process's sends, reused across processes and slots.
+    sends: Vec<Outgoing<M>>,
 }
 
 impl<M, O> fmt::Debug for SyncNetwork<M, O> {
@@ -121,7 +123,7 @@ impl<M, O> fmt::Debug for SyncNetwork<M, O> {
             .field("budget", &self.budget)
             .field("now", &self.now)
             .field("corrupted", &self.corrupted)
-            .field("in_flight", &self.in_flight.len())
+            .field("in_flight", &self.in_flight.iter().map(Vec::len).sum::<usize>())
             .finish_non_exhaustive()
     }
 }
@@ -141,15 +143,13 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
             corrupted: BTreeSet::new(),
             adversary: Box::new(PassiveAdversary),
             injector: Box::new(NoFaults),
-            in_flight: Vec::new(),
+            in_flight: vec![Vec::new(); 2 * k],
             outputs: BTreeMap::new(),
             now: Time::ZERO,
             metrics: Metrics::default(),
-            inboxes: BTreeMap::new(),
-            due: Vec::new(),
-            later: Vec::new(),
-            to_send: Vec::new(),
-            honest: Vec::new(),
+            inboxes: vec![Vec::new(); 2 * k],
+            lent: BTreeMap::new(),
+            sends: Vec::new(),
         }
     }
 
@@ -225,8 +225,8 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
         Ok(())
     }
 
-    /// Validates an outgoing message and, if accepted, enqueues it for delivery at the
-    /// next slot.
+    /// Validates an outgoing message and, if accepted, appends it to its sender's
+    /// in-flight queue for delivery at the next slot (or later, if delayed).
     fn enqueue(&mut self, from: PartyId, outgoing: Outgoing<M>, byzantine: bool) {
         if !self.parties.contains(outgoing.to) || !self.topology.connects(from, outgoing.to) {
             self.metrics.rejected_by_topology += 1;
@@ -240,23 +240,25 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
             payload: outgoing.payload,
         };
         self.metrics.record_sent(from, byzantine);
+        let queue = &mut self.in_flight[from.dense(self.parties.k())];
         match self.injector.action(&envelope, self.now) {
-            crate::FaultAction::Deliver => self.in_flight.push(envelope),
+            crate::FaultAction::Deliver => queue.push(envelope),
             crate::FaultAction::Drop => self.metrics.dropped_by_faults += 1,
             crate::FaultAction::Delay(extra) => {
                 envelope.deliver_at = self.now + 1 + extra;
                 self.metrics.delayed_by_faults += 1;
-                self.in_flight.push(envelope);
+                queue.push(envelope);
             }
         }
     }
 
     /// Executes a single slot.
     ///
-    /// Steady-state stepping is allocation-light: the per-slot inbox, delivery and
-    /// send buffers live on the network and are cleared — not dropped — between
-    /// slots, and the adversary context borrows the corrupted set instead of cloning
-    /// it at every consultation.
+    /// Steady-state stepping is allocation-free in the simulator itself: the inbox,
+    /// in-flight and send buffers live on the network and are cleared — not dropped —
+    /// between slots, every delivered message moves once (from its sender's queue into
+    /// its recipient's inbox), and the adversary context borrows the corrupted set
+    /// instead of cloning it at every consultation.
     pub fn step(&mut self) {
         // 1. Adaptive corruptions.
         let requested = self.adversary.plan_corruptions(&AdversaryContext {
@@ -272,37 +274,31 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
             let _ = self.corrupt(party);
         }
 
-        // 2. Deliver messages due at this slot (stable split, preserving the enqueue
-        // order so same-sender-same-slot messages keep their deterministic order).
+        // 2. Deliver messages due at this slot. Walking the sender queues in party
+        // order fills every inbox by sender, then send slot, then emission order (see
+        // `in_flight`); messages not yet due stay in their queue, in order.
         let now = self.now;
-        for envelope in self.in_flight.drain(..) {
-            if envelope.deliver_at <= now {
-                self.due.push(envelope);
-            } else {
-                self.later.push(envelope);
+        let k = self.parties.k();
+        for queue in &mut self.in_flight {
+            for envelope in queue.extract_if(.., |envelope| envelope.deliver_at <= now) {
+                self.metrics.delivered_messages += 1;
+                self.inboxes[envelope.to.dense(k)].push(envelope);
             }
         }
-        std::mem::swap(&mut self.in_flight, &mut self.later);
-        for envelope in self.due.drain(..) {
-            self.metrics.delivered_messages += 1;
-            self.inboxes.entry(envelope.to).or_default().push(envelope);
-        }
-        // Deterministic delivery order within a slot: sort by sender (stable).
-        for inbox in self.inboxes.values_mut() {
-            inbox.sort_by_key(|env| (env.from, env.sent_at));
-        }
 
-        // 3. Step honest processes.
-        self.honest.clear();
-        let corrupted = &self.corrupted;
-        self.honest.extend(self.processes.keys().copied().filter(|p| !corrupted.contains(p)));
-        let mut to_send = std::mem::take(&mut self.to_send);
-        for i in 0..self.honest.len() {
-            let party = self.honest[i];
-            let process = self.processes.get_mut(&party).expect("honest process exists");
-            let inbox = self.inboxes.entry(party).or_default();
-            for outgoing in process.step(now, inbox) {
-                to_send.push((party, outgoing));
+        // 3. Step honest processes in party order. Each one appends its sends to the
+        // shared `sends` buffer, which is enqueued (and emptied) before the next one
+        // steps. The process map is taken for the loop so that `enqueue` can borrow
+        // the network.
+        let mut processes = std::mem::take(&mut self.processes);
+        let mut sends = std::mem::take(&mut self.sends);
+        for (&party, process) in &mut processes {
+            if self.corrupted.contains(&party) {
+                continue;
+            }
+            process.step_into(now, &mut self.inboxes[party.dense(k)], &mut sends);
+            for outgoing in sends.drain(..) {
+                self.enqueue(party, outgoing, false);
             }
             if let std::collections::btree_map::Entry::Vacant(entry) = self.outputs.entry(party) {
                 if let Some(output) = process.output() {
@@ -310,20 +306,14 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
                 }
             }
         }
-        for (from, outgoing) in to_send.drain(..) {
-            self.enqueue(from, outgoing, false);
-        }
-        self.to_send = to_send;
+        self.processes = processes;
+        self.sends = sends;
 
-        // 4. The adversary acts with the corrupted parties' inboxes. Their buffers are
-        // lent out by value for the call and reclaimed (cleared) afterwards.
-        let mut corrupted_inboxes: BTreeMap<PartyId, Vec<Envelope<M>>> = BTreeMap::new();
+        // 4. The adversary acts with the corrupted parties' inboxes, lent to it by
+        // swapping each buffer into `lent`; it may drain them.
         for &party in &self.corrupted {
-            if let Some(inbox) = self.inboxes.get_mut(&party) {
-                if !inbox.is_empty() {
-                    corrupted_inboxes.insert(party, std::mem::take(inbox));
-                }
-            }
+            let lent = self.lent.entry(party).or_default();
+            std::mem::swap(lent, &mut self.inboxes[party.dense(k)]);
         }
         let byzantine_sends = self.adversary.act(
             &AdversaryContext {
@@ -333,7 +323,7 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
                 corrupted: &self.corrupted,
                 budget: self.budget,
             },
-            &corrupted_inboxes,
+            &mut self.lent,
         );
         for (from, outgoing) in byzantine_sends {
             if !self.corrupted.contains(&from) {
@@ -343,15 +333,10 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
             }
             self.enqueue(from, outgoing, true);
         }
-        for (party, inbox) in corrupted_inboxes {
-            self.inboxes.insert(party, inbox);
-        }
-        // Single end-of-slot sweep: every inbox buffer — honest (drained or not by its
-        // process), corrupted (returned from the adversary), or undeliverable (a party
-        // with no registered process when `step` is driven directly) — is emptied
-        // here, exactly as the former per-slot map dropped its contents. The buffers
-        // themselves are retained for the next slot.
-        for inbox in self.inboxes.values_mut() {
+        // End-of-slot sweep: whatever a process or the adversary left unread, and
+        // whatever was delivered to a party with no registered process (when `step`
+        // is driven directly), is discarded. The buffers are kept for the next slot.
+        for inbox in self.inboxes.iter_mut().chain(self.lent.values_mut()) {
             inbox.clear();
         }
 
@@ -615,7 +600,7 @@ mod tests {
         fn act(
             &mut self,
             ctx: &AdversaryContext<'_>,
-            _inboxes: &BTreeMap<PartyId, Vec<Envelope<u32>>>,
+            _inboxes: &mut BTreeMap<PartyId, Vec<Envelope<u32>>>,
         ) -> Vec<(PartyId, Outgoing<u32>)> {
             let mut out = Vec::new();
             for &byzantine in ctx.corrupted {
@@ -667,6 +652,113 @@ mod tests {
             (outcome.outputs, outcome.metrics)
         };
         assert_eq!(run(), run());
+    }
+
+    /// Every inbox the network hands out during one run, honest and lent.
+    type InboxLog = std::rc::Rc<std::cell::RefCell<Vec<Vec<Envelope<u32>>>>>;
+
+    /// Sends two messages to every other party each slot, numbering its messages in
+    /// emission order, and logs every inbox it receives.
+    struct RecordingProcess {
+        id: PartyId,
+        parties: PartySet,
+        emitted: u32,
+        log: InboxLog,
+    }
+
+    impl Process<u32, ()> for RecordingProcess {
+        fn id(&self) -> PartyId {
+            self.id
+        }
+
+        fn step(&mut self, now: Time, inbox: &mut Vec<Envelope<u32>>) -> Vec<Outgoing<u32>> {
+            self.log.borrow_mut().push(inbox.clone());
+            let mut out = Vec::new();
+            if now.slot() < 6 {
+                for to in self.parties.iter().filter(|&p| p != self.id) {
+                    for _ in 0..2 {
+                        out.push(Outgoing::new(to, self.emitted));
+                        self.emitted += 1;
+                    }
+                }
+            }
+            out
+        }
+
+        fn output(&self) -> Option<()> {
+            None
+        }
+    }
+
+    /// Speaks for every corrupted party in *descending* party order, after the honest
+    /// parties of the slot have sent, so the network never sees sends in sender
+    /// order. Logs (and drains) the inboxes it is lent.
+    struct DescendingAdversary {
+        emitted: BTreeMap<PartyId, u32>,
+        log: InboxLog,
+    }
+
+    impl Adversary<u32> for DescendingAdversary {
+        fn act(
+            &mut self,
+            ctx: &AdversaryContext<'_>,
+            inboxes: &mut BTreeMap<PartyId, Vec<Envelope<u32>>>,
+        ) -> Vec<(PartyId, Outgoing<u32>)> {
+            self.log.borrow_mut().extend(inboxes.values_mut().map(std::mem::take));
+            let mut out = Vec::new();
+            if ctx.now.slot() < 6 {
+                for &byzantine in ctx.corrupted.iter().rev() {
+                    for to in ctx.parties.iter().filter(|&p| p != byzantine) {
+                        let counter = self.emitted.entry(byzantine).or_default();
+                        out.push((byzantine, Outgoing::new(to, *counter)));
+                        *counter += 1;
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn inboxes_are_ordered_by_sender_then_send_slot_then_emission() {
+        let k = 3;
+        let log = InboxLog::default();
+        let mut net: SyncNetwork<u32, ()> =
+            SyncNetwork::new(k, Topology::FullyConnected, CorruptionBudget::new(1, 1));
+        let parties = net.parties();
+        for id in parties.iter() {
+            let process = RecordingProcess { id, parties, emitted: 0, log: log.clone() };
+            net.register(Box::new(process)).unwrap();
+        }
+        net.corrupt(PartyId::left(0)).unwrap();
+        net.corrupt(PartyId::right(2)).unwrap();
+        net.set_adversary(Box::new(DescendingAdversary {
+            emitted: BTreeMap::new(),
+            log: log.clone(),
+        }));
+        let spec: crate::FaultSpec = "jitter=2".parse().unwrap();
+        net.set_fault_injector(Box::new(crate::FaultSchedule::new(spec, 3)));
+        let outcome = net.run(12).unwrap();
+        assert!(outcome.metrics.delayed_by_faults > 0, "jitter must delay some messages");
+        assert_eq!(outcome.metrics.dropped_by_faults, 0);
+
+        let log = log.borrow();
+        let delivered: usize = log.iter().map(Vec::len).sum();
+        assert_eq!(delivered as u64, outcome.metrics.delivered_messages);
+        let mut mixed_slots = false;
+        for inbox in log.iter() {
+            // Sorted by (from, sent_at), exactly the order a stable sort would give.
+            assert!(
+                inbox.windows(2).all(|w| (w[0].from, w[0].sent_at) <= (w[1].from, w[1].sent_at)),
+                "inbox not in (from, sent_at) order: {inbox:?}"
+            );
+            // Within one sender, messages keep the order the sender emitted them.
+            for pair in inbox.windows(2).filter(|w| w[0].from == w[1].from) {
+                assert!(pair[0].payload < pair[1].payload, "emission order lost: {inbox:?}");
+                mixed_slots |= pair[0].sent_at != pair[1].sent_at;
+            }
+        }
+        assert!(mixed_slots, "jitter should mix send slots of one sender in an inbox");
     }
 
     #[test]
