@@ -6,8 +6,9 @@
 //! The target accepts the message once it can attribute it to the origin:
 //!
 //! * **Majority mode** (unauthenticated, Lemma 6): accept once strictly more than `k/2`
-//!   distinct relayers delivered the identical payload — sound as long as the relaying
-//!   side has an honest majority.
+//!   distinct relayers delivered the identical message, i.e. equal `(sent_at, payload)`
+//!   for the same `(origin, id)` — sound as long as the relaying side has an honest
+//!   majority. Copies are compared by value, so this mode computes no digest.
 //! * **Signed mode** (authenticated, Lemmas 8 and 10): accept a payload carrying a valid
 //!   origin signature over `(origin → target, τ, id, m)`, provided at most `max_age`
 //!   slots have passed since `τ`. One honest relayer suffices; if every relayer is
@@ -26,7 +27,8 @@ pub enum RelayMode {
     /// No relaying: every required channel exists (fully-connected topology). Relayed
     /// messages are ignored.
     Direct,
-    /// Lemma 6: accept payloads confirmed by a strict majority of the relaying side.
+    /// Lemma 6: accept payloads confirmed by a strict majority of the relaying side,
+    /// each relayer delivering an equal `(sent_at, payload)`.
     Majority,
     /// Lemmas 8 / 10: accept payloads with a valid origin signature, no older than
     /// `max_age` slots.
@@ -61,9 +63,9 @@ pub fn relay_digest(
     writer.finish()
 }
 
-/// Majority-relay vote state for one (origin, id): each candidate payload digest maps
-/// to the first payload observed with that digest and the distinct relayers backing it.
-type DigestTally = BTreeMap<Digest, (ProtoMsg, BTreeSet<PartyId>)>;
+/// Majority-relay vote state for one (origin, id): each candidate `(sent_at, payload)`,
+/// as first observed, with the distinct relayers backing it.
+type Tally = Vec<(u64, ProtoMsg, BTreeSet<PartyId>)>;
 
 /// Per-party relay engine: wraps outgoing sends, performs relay duty, and authenticates
 /// incoming relayed payloads.
@@ -82,9 +84,9 @@ pub struct RelayEngine {
     /// accept/reject decision.
     verifier: Option<Verifier>,
     next_id: u64,
-    /// Majority mode: (origin, id) → payload digest → distinct relayers seen (plus the
-    /// first payload observed for that digest).
-    tallies: BTreeMap<(PartyId, u64), DigestTally>,
+    /// Majority mode: (origin, id) → each distinct `(sent_at, payload)` seen, with the
+    /// distinct relayers that delivered it.
+    tallies: BTreeMap<(PartyId, u64), Tally>,
     /// Messages already delivered to the protocol, by (origin, id).
     delivered: BTreeSet<(PartyId, u64)>,
 }
@@ -214,17 +216,18 @@ impl RelayEngine {
                     RelayMode::Direct => {}
                     RelayMode::Majority => {
                         let threshold = self.parties.k() / 2 + 1;
-                        let digest =
-                            relay_digest(origin, target, id, sent_at, &inner, self.parties.k());
-                        let entry = self
-                            .tallies
-                            .entry((origin, id))
-                            .or_default()
-                            .entry(digest)
-                            .or_insert_with(|| (inner, BTreeSet::new()));
-                        entry.1.insert(from);
-                        if entry.1.len() >= threshold {
-                            let payload = entry.0.clone();
+                        let tally = self.tallies.entry((origin, id)).or_default();
+                        let found = tally
+                            .iter()
+                            .position(|(at, payload, _)| *at == sent_at && *payload == inner);
+                        let index = found.unwrap_or_else(|| {
+                            tally.push((sent_at, inner, BTreeSet::new()));
+                            tally.len() - 1
+                        });
+                        let (_, payload, relayers) = &mut tally[index];
+                        relayers.insert(from);
+                        if relayers.len() >= threshold {
+                            let payload = payload.clone();
                             self.delivered.insert((origin, id));
                             self.tallies.remove(&(origin, id));
                             accepted.push((origin, payload));
@@ -260,7 +263,7 @@ impl RelayEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::ProtoBody;
+    use crate::wire::{PrefVec, ProtoBody};
 
     fn msg(tag: u64) -> ProtoMsg {
         ProtoMsg { instance: 0, body: ProtoBody::Suggest(Some(tag)) }
@@ -365,34 +368,54 @@ mod tests {
         let mut engine =
             RelayEngine::new(me, parties(), Topology::Bipartite, RelayMode::Majority, None);
         let origin = PartyId::left(0);
-        let deliver = |_from: PartyId, payload: ProtoMsg| WireMsg::RelayDeliver {
+        let deliver = |id: u64, sent_at: u64, inner: ProtoMsg| WireMsg::RelayDeliver {
             origin,
             target: me,
-            id: 7,
-            sent_at: 0,
-            inner: payload,
+            id,
+            sent_at,
+            inner,
             signature: None,
         };
-        // One relayer delivering a forged payload and one honest delivery: no acceptance
-        // yet (threshold is 2 of 3).
-        let (a, _) =
-            handle(&mut engine, PartyId::right(0), deliver(PartyId::right(0), msg(9)), Time(2));
-        assert!(a.is_empty());
-        let (a, _) =
-            handle(&mut engine, PartyId::right(1), deliver(PartyId::right(1), msg(1)), Time(2));
-        assert!(a.is_empty());
+        // Two copies of the honest payload, equal but separately allocated, so the
+        // delivered one can be told apart by identity.
+        let honest = |list: &PrefVec| ProtoMsg {
+            instance: 0,
+            body: ProtoBody::PrefAnnounce(Arc::clone(list)),
+        };
+        let (first, second): (PrefVec, PrefVec) = ([2, 0, 1].into(), [2, 0, 1].into());
+        let (r0, r1, r2) = (PartyId::right(0), PartyId::right(1), PartyId::right(2));
+        let before = bsm_crypto::counters::thread_snapshot();
+        let mut accepted =
+            |from: PartyId, msg: WireMsg, now: u64| handle(&mut engine, from, msg, Time(now)).0;
+
+        // One relayer backing a forged payload and the honest one: a vote toward each,
+        // and no acceptance yet (threshold is 2 of 3).
+        assert!(accepted(r0, deliver(7, 0, msg(9)), 2).is_empty());
+        assert!(accepted(r0, deliver(7, 0, honest(&first)), 2).is_empty());
         // A duplicate from the same relayer does not help.
-        let (a, _) =
-            handle(&mut engine, PartyId::right(1), deliver(PartyId::right(1), msg(1)), Time(2));
-        assert!(a.is_empty());
-        // A second distinct relayer with the same payload crosses the threshold.
-        let (a, _) =
-            handle(&mut engine, PartyId::right(2), deliver(PartyId::right(2), msg(1)), Time(2));
-        assert_eq!(a, vec![(origin, msg(1))]);
+        assert!(accepted(r0, deliver(7, 0, honest(&second)), 2).is_empty());
+        // The honest payload with another `sent_at` is a separate candidate, so it does
+        // not help the first one either.
+        assert!(accepted(r1, deliver(7, 1, honest(&second)), 2).is_empty());
+        // A second distinct relayer with the same `(sent_at, payload)` crosses the
+        // threshold, and the copy observed first is the one delivered.
+        let delivered = accepted(r2, deliver(7, 0, honest(&second)), 2);
+        assert_eq!(delivered, vec![(origin, honest(&first))]);
+        let ProtoBody::PrefAnnounce(list) = &delivered[0].1.body else {
+            panic!("expected the honest announcement");
+        };
+        assert!(Arc::ptr_eq(list, &first), "delivered a later copy");
         // Replays after delivery are ignored.
-        let (a, _) =
-            handle(&mut engine, PartyId::right(0), deliver(PartyId::right(0), msg(1)), Time(3));
-        assert!(a.is_empty());
+        assert!(accepted(r1, deliver(7, 0, honest(&first)), 3).is_empty());
+        // Backing the honest payload of message 8 leaves the relayer's vote for the
+        // forged one standing: one more relayer carries the forgery over the threshold.
+        assert!(accepted(r0, deliver(8, 0, honest(&first)), 3).is_empty());
+        assert!(accepted(r0, deliver(8, 0, msg(9)), 3).is_empty());
+        assert_eq!(accepted(r1, deliver(8, 0, msg(9)), 3), vec![(origin, msg(9))]);
+
+        // Copies are compared by value: the whole exchange computed no digest.
+        let hashed = bsm_crypto::counters::thread_snapshot() - before;
+        assert_eq!(hashed.digests_computed, 0);
     }
 
     #[test]

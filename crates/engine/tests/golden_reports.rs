@@ -1,5 +1,5 @@
 //! Golden report digests: the SHA-256 of the JSON and CSV exports of three fixed
-//! campaigns, pinned to absolute values.
+//! campaigns, and of one fixed fuzz search's log, pinned to absolute values.
 //!
 //! The other determinism gates compare a build with itself (across thread counts,
 //! shard counts or resume points), so a change that reorders message delivery the
@@ -13,7 +13,7 @@ use bsm_core::harness::AdversarySpec;
 use bsm_core::problem::AuthMode;
 use bsm_crypto::sha256::sha256;
 use bsm_engine::export::{to_csv, to_json};
-use bsm_engine::{Campaign, CampaignBuilder, Executor};
+use bsm_engine::{run_fuzz, Campaign, CampaignBuilder, Executor, FuzzConfig};
 use bsm_net::{FaultSpec, Topology};
 use std::fmt::Write as _;
 
@@ -96,5 +96,19 @@ fn fault_plan_reports_are_pinned() {
         &campaign,
         "67e59f89f25753220414b3d31097bad576b99c7c84a319539f93061e33d78199",
         "0dcce540926891ac0d9e09c07cd3f5c1486f7d6784fca1653d7f0b561f4cbd2f",
+    );
+}
+
+/// CI's fuzz smoke search (`campaign_ctl fuzz --budget 200 --seed 1`). Its scripted
+/// adversaries drop, delay, replay and equivocate traffic, relayed traffic included,
+/// which none of the campaigns above do; CI only compares the log with a second run
+/// of the same build.
+#[test]
+fn fuzz_smoke_log_is_pinned() {
+    let report = run_fuzz(&FuzzConfig { budget: 200, seed: 1 });
+    assert_eq!(
+        hex(sha256(report.log.as_bytes())),
+        "96316d89e0852e4a218a95453a805935e5582e04e2aadaf7a80c226e65e07823",
+        "fuzz smoke: log digest moved"
     );
 }

@@ -9,7 +9,7 @@ use bsm_core::harness::AdversarySpec;
 use bsm_core::problem::AuthMode;
 use bsm_engine::export::{to_csv, to_json};
 use bsm_engine::{CampaignBuilder, CampaignStats, CellTelemetry, Executor, StreamError};
-use bsm_net::Topology;
+use bsm_net::{FaultSpec, Topology};
 
 /// The same fixed mixed campaign as `campaign_determinism.rs`: solvable and
 /// unsolvable cells, every topology, both auth modes, all adversaries.
@@ -113,4 +113,42 @@ fn campaign_stats_aggregate_a_real_campaign() {
     // The rollups partition the campaign: each axis's cell counts sum to the total.
     let k_cells: u64 = stats.by_k.values().map(|r| r.cells).sum();
     assert_eq!(k_cells, stats.cells);
+}
+
+/// Only signatures need hashing: Dolev–Strong instance digests, signed relay and
+/// signature tags. Majority relay (Lemma 6) compares payloads by value, so a cell
+/// without a PKI computes no digest at all, relayed or not. The counts are exact per
+/// cell under any thread count, so this guard has no timing noise.
+#[test]
+fn unauthenticated_cells_hash_nothing() {
+    // The `run --smoke` grid under the three fault plans of the `grid_pipeline`
+    // benchmark workload.
+    let plans = ["none", "loss=125;jitter=1", "partition=1+2;crash=L0@1..3"]
+        .map(|text| text.parse::<FaultSpec>().expect("the fault plans are well-formed"));
+    let campaign = CampaignBuilder::new()
+        .sizes([3])
+        .corruptions([(0, 0), (1, 1)])
+        .adversaries(AdversarySpec::ALL)
+        .fault_plans(plans)
+        .seeds(0..2)
+        .build();
+    let (_, telemetry, _) = Executor::new().run_telemetry(&campaign);
+    let (unauthenticated, authenticated): (Vec<&CellTelemetry>, Vec<_>) =
+        telemetry.iter().partition(|cell| cell.spec.auth == AuthMode::Unauthenticated);
+    for cell in &unauthenticated {
+        assert_eq!(cell.crypto.digests_computed, 0, "{:?} computed digests", cell.spec);
+    }
+    // Not vacuous: unauthenticated cells ran on every topology, the relaying ones
+    // included, and the authenticated cells did hash.
+    for topology in Topology::ALL {
+        assert!(
+            unauthenticated
+                .iter()
+                .any(|cell| cell.spec.topology == topology && cell.status == "completed"),
+            "no completed unauthenticated {topology:?} cell"
+        );
+    }
+    for cell in authenticated.iter().filter(|cell| cell.status == "completed") {
+        assert!(cell.crypto.digests_computed > 0, "{:?} computed no digest", cell.spec);
+    }
 }
