@@ -18,7 +18,8 @@
 //!
 //! `run` executes the standard campaign grid (`--smoke`: the small CI grid; default:
 //! the full ~1080-cell sweep — the same grids as `examples/campaign.rs`) and writes
-//! `report.json` + `report.csv` to `--out`. All flags come from [`bsm_bench::cli`].
+//! `report.json` + `report.csv` (plus the `progress.json` heartbeat) to `--out`. All
+//! flags come from [`bsm_bench::cli`].
 //!
 //! # Scenario files (`--scenario`)
 //!
@@ -35,31 +36,33 @@
 //!
 //! # Streaming (`--stream`)
 //!
-//! For campaigns too large to hold every cell in memory, `run --stream` writes a
-//! `report.jsonl` — coordinate-sorted cell lines plus a totals footer, streamed to
-//! disk as cells complete — plus a per-shard `report.csv` (streamed through
-//! `StreamingCsvWriter`, byte-identical to the in-memory export of the same shard),
-//! and `merge --stream` k-way-merges shard `report.jsonl` files in constant memory
-//! into `report.json` + `report.csv` **byte-identical** to the in-memory `merge` of
-//! unstreamed shard exports:
+//! Every run streams, so no command holds a campaign's cells in memory. A run
+//! writes a `report.jsonl` — coordinate-sorted cell lines plus a totals footer,
+//! streamed to disk as cells complete — plus a per-shard `report.csv`. `run
+//! --stream` keeps that shard stream; without `--stream` a one-shard merge renders
+//! it as `report.json` and the stream is removed. `merge` k-way-merges shard exports
+//! in constant memory into `report.json` + `report.csv`, **byte-identical** to an
+//! unsharded run; it takes `report.jsonl` streams and `report.json` documents
+//! (detected by extension, case-insensitively), and accepts `--stream`, which
+//! selects nothing:
 //!
 //! ```sh
 //! campaign_ctl run --smoke --stream --shard 1/3 --out shards/1   # ... 2/3, 3/3
-//! campaign_ctl merge --stream --out merged \
+//! campaign_ctl merge --out merged \
 //!     shards/1/report.jsonl shards/2/report.jsonl shards/3/report.jsonl
 //! ```
 //!
-//! `diff` accepts both formats (`.jsonl` exports are detected by extension,
-//! case-insensitively).
+//! `diff` accepts both formats too.
 //!
 //! # Crash recovery (`resume`)
 //!
-//! A streamed run that dies mid-campaign leaves its completed cells at
+//! A run that dies mid-campaign leaves its completed cells at
 //! `report.jsonl.partial` — the stream is written there and renamed to
 //! `report.jsonl` only once footered. `resume` (with the same `--smoke`/`--shard`
 //! flags as the interrupted run) salvages the valid cell prefix, re-runs only the
-//! missing cells, and splices prefix + fresh cells into artifacts byte-identical
-//! to an uninterrupted run:
+//! missing cells, and splices prefix + fresh cells into a shard stream
+//! byte-identical to an uninterrupted `run --stream` (`merge` it for a
+//! `report.json`):
 //!
 //! ```sh
 //! campaign_ctl run  --smoke --stream --shard 2/3 --out shards/2   # ... killed!
@@ -102,15 +105,16 @@
 //!
 //! # Telemetry (`--metrics`, `stats`)
 //!
-//! `run --metrics` (in-memory or `--stream`) writes a `metrics.jsonl` sidecar next
+//! `run --metrics` (with or without `--stream`) writes a `metrics.jsonl` sidecar next
 //! to the report artifacts: one coordinate-sorted JSON line per cell carrying the
 //! cell's attributed crypto-counter delta, message accounting, per-role fan-out and
 //! wall time. The sidecar is strictly a side channel — every report artifact is
-//! byte-identical with and without it. Independently of `--metrics`, every streamed
-//! run heartbeats `progress.json` in its out-dir (done/total, rate, last
-//! coordinate, counter delta) every few cells through an atomic rename — the
-//! liveness signal the future coordinator daemon polls for dead shards. `stats`
-//! aggregates a sidecar into quantiles, top-N cells and per-axis rollups:
+//! byte-identical with and without it. Independently of `--metrics`, every run
+//! heartbeats `progress.json` in its out-dir (done/total, rate, last coordinate,
+//! counter delta) every few cells through an atomic rename — the liveness signal
+//! `supervise` polls for dead shards. `stats` aggregates a sidecar into quantiles,
+//! top-N cells and per-axis rollups; on an out-dir without one it prints just the
+//! heartbeat:
 //!
 //! ```sh
 //! campaign_ctl run --smoke --stream --metrics --shard 1/3 --out shards/1
@@ -136,10 +140,9 @@ use bsm_bench::exit::{CtlCode, CtlError};
 use bsm_core::harness::AdversarySpec;
 use bsm_core::script::{Script, Verdict};
 use bsm_engine::export::{
-    atomic_write, to_csv, to_json, AtomicFile, MergedJsonWriter, StreamingCsvWriter,
-    StreamingExporter,
+    atomic_write, AtomicFile, MergedJsonWriter, StreamingCsvWriter, StreamingExporter,
 };
-use bsm_engine::import::{footer_meta, from_json, from_jsonl, StreamingCells};
+use bsm_engine::import::{footer_meta, from_json, ImportError, StreamingCells};
 use bsm_engine::supervise::{
     attempt_from_env, pid_alive, run_supervisor, ChaosSpec, CrashPoint, SuperviseConfig,
     DEFAULT_BACKOFF_MS, DEFAULT_MAX_ATTEMPTS, DEFAULT_POLL_MS, DEFAULT_STALL_POLLS,
@@ -148,13 +151,23 @@ use bsm_engine::telemetry::{
     parse_progress, CampaignStats, CellTelemetry, Heartbeat, TelemetryExporter, HEARTBEAT_EVERY,
 };
 use bsm_engine::{
-    run_fuzz, Campaign, CampaignBuilder, CampaignDiff, CampaignReport, CellMerge, Executor,
-    FuzzConfig, Progress, ScenarioFile, ShardPlan, StreamError, Totals,
+    run_fuzz, Campaign, CampaignBuilder, CampaignDiff, CampaignReport, CellMerge, CellRecord,
+    ExecutionStats, FuzzConfig, ScenarioFile, ShardPlan, StreamError, Totals,
 };
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
+
+/// `println!` and `eprintln!` that ignore write errors: a closed stdout or stderr
+/// (`campaign_ctl … | head`) must not panic a command into exit 101. The artifacts
+/// and the exit code are the product; these lines are commentary.
+macro_rules! outln {
+    ($($arg:tt)*) => {{ let _ = writeln!(std::io::stdout(), $($arg)*); }};
+}
+macro_rules! errln {
+    ($($arg:tt)*) => {{ let _ = writeln!(std::io::stderr(), $($arg)*); }};
+}
 
 /// The campaign to run, plus the canonical scenario text when one was loaded from
 /// `--scenario FILE` (embedded in every report artifact as its scenario tag).
@@ -171,7 +184,7 @@ fn build_campaign(args: &BenchArgs) -> Result<(Campaign, Option<String>), CtlErr
             ));
         }
         let scenario = ScenarioFile::load(path).map_err(|err| err.to_string())?;
-        eprintln!("loaded scenario {:?} from {}", scenario.name, path.display());
+        errln!("loaded scenario {:?} from {}", scenario.name, path.display());
         return Ok((scenario.campaign(), Some(scenario.canonical())));
     }
     let campaign = if args.smoke {
@@ -194,53 +207,47 @@ fn build_campaign(args: &BenchArgs) -> Result<(Campaign, Option<String>), CtlErr
     Ok((campaign, None))
 }
 
-/// Writes `report.json` and `report.csv` for `report` under `dir` (each through a
-/// temp-file + atomic rename — see [`atomic_write`]).
-fn export_report(report: &CampaignReport, dir: &Path) -> Result<(), String> {
-    let json_path = dir.join("report.json");
-    let csv_path = dir.join("report.csv");
-    std::fs::create_dir_all(dir)
-        .and_then(|()| atomic_write(&json_path, to_json(report)))
-        .and_then(|()| atomic_write(&csv_path, to_csv(report)))
-        .map_err(|err| format!("cannot write to {}: {err}", dir.display()))?;
-    println!("exported {} and {}", json_path.display(), csv_path.display());
-    Ok(())
-}
+/// One export's cells, in coordinate order.
+type ExportCells = Box<dyn Iterator<Item = Result<CellRecord, ImportError>>>;
 
-/// Reads and imports one exported report: `report.json`, or a streamed
-/// `report.jsonl` (detected by extension, case-insensitively).
-fn import_report(path: &str) -> Result<CampaignReport, String> {
-    let streamed = Path::new(path).extension().is_some_and(|ext| ext.eq_ignore_ascii_case("jsonl"));
-    if streamed {
-        let file = File::open(path).map_err(|err| format!("cannot read {path}: {err}"))?;
-        return from_jsonl(BufReader::new(file))
-            .map_err(|err| format!("cannot import streamed export {path}: {err}"));
+/// Opens one exported report: its totals, its scenario tag and its cells. A
+/// `report.jsonl` shard stream (detected by extension, case-insensitively) yields its
+/// footer in a constant-memory pass and its cells lazily; anything else is imported
+/// whole as a `report.json` document.
+fn open_export(path: &Path) -> Result<(Totals, Option<String>, ExportCells), String> {
+    let shown = path.display();
+    if path.extension().is_some_and(|ext| ext.eq_ignore_ascii_case("jsonl")) {
+        let open = || File::open(path).map_err(|err| format!("cannot read {shown}: {err}"));
+        let (totals, tag) = footer_meta(BufReader::new(open()?))
+            .map_err(|err| format!("cannot read footer of {shown}: {err}"))?;
+        return Ok((totals, tag, Box::new(StreamingCells::new(BufReader::new(open()?)))));
     }
-    let text = std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
-    from_json(&text).map_err(|err| {
+    let text =
+        std::fs::read_to_string(path).map_err(|err| format!("cannot read {shown}: {err}"))?;
+    let report = from_json(&text).map_err(|err| {
         format!(
-            "cannot import {path}: {err} (expected a report.json document; streamed \
+            "cannot import {shown}: {err} (expected a report.json document; streamed \
              report.jsonl exports are detected by their .jsonl extension)"
         )
-    })
+    })?;
+    // A document merges in coordinate order whatever order its cells were written in.
+    let mut cells = report.cells().to_vec();
+    cells.sort_by_key(|cell| cell.spec);
+    let tag = report.scenario().map(str::to_owned);
+    Ok((report.totals(), tag, Box::new(cells.into_iter().map(Ok))))
 }
 
-/// Writes the `metrics.jsonl` telemetry sidecar for an in-memory run under `dir`
-/// (atomically, like every other artifact).
-fn export_metrics(telemetry: &[CellTelemetry], dir: &Path) -> Result<(), String> {
-    let path = dir.join("metrics.jsonl");
-    let mut out = AtomicFile::create(&path)
-        .map_err(|err| format!("cannot write {}: {err}", path.display()))?;
-    let mut exporter = TelemetryExporter::new(&mut out);
-    for cell in telemetry {
-        exporter
-            .write_cell(cell)
-            .map_err(|err| format!("cannot write telemetry to {}: {err}", path.display()))?;
-    }
-    exporter.finish().map_err(|err| format!("cannot finish {}: {err}", path.display()))?;
-    out.persist().map_err(|err| format!("cannot publish {}: {err}", path.display()))?;
-    println!("exported {}", path.display());
-    Ok(())
+/// Imports one exported report whole (see [`open_export`]).
+fn import_report(path: &Path) -> Result<CampaignReport, String> {
+    let (_, tag, cells) = open_export(path)?;
+    let cells = cells
+        .collect::<Result<_, _>>()
+        .map_err(|err| format!("cannot import streamed export {}: {err}", path.display()))?;
+    let report = CampaignReport::new(cells);
+    Ok(match tag {
+        Some(tag) => report.with_scenario(tag),
+        None => report,
+    })
 }
 
 /// Removes a stale artifact left by an earlier run, tolerating its absence.
@@ -264,72 +271,62 @@ fn publish_partial(jsonl: BufWriter<File>, partial: &Path, dest: &Path) -> Resul
         .map_err(|err| format!("cannot publish {}: {err}", dest.display()))
 }
 
+/// `run`: streams the campaign (or its `--shard`) through [`stream_shard`]. With
+/// `--stream` the shard stream is the product: `report.jsonl` + `report.csv`.
+/// Without it, a one-shard [`merge_reports`] renders the stream as `report.json` +
+/// `report.csv`, and the intermediate `report.jsonl` is removed. Either way the run
+/// holds no record vector and heartbeats `progress.json`.
 fn run(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     let (campaign, scenario) = build_campaign(args)?;
-    let executor = args.executor().progress(Progress::Stderr { every: 250 });
     match args.shard {
-        Some(plan) => eprintln!("running shard {plan} of {campaign}"),
-        None => eprintln!("running {campaign}"),
+        Some(plan) => errln!("running shard {plan} of {campaign}"),
+        None => errln!("running {campaign}"),
     }
-    if args.stream {
-        return run_streamed(args, &campaign, scenario.as_deref(), &executor);
-    }
-    // Tag the report with the scenario's canonical text (a no-op without --scenario).
-    let tag = |report: CampaignReport| match &scenario {
-        Some(text) => report.with_scenario(text.clone()),
-        None => report,
-    };
     let out = args.out.clone().unwrap_or_else(|| PathBuf::from("target/campaign_ctl"));
-    if args.metrics {
-        // The telemetry path builds the exact report the plain path builds (the
-        // records come from the same cell runner) — the sidecar is a pure addition.
-        let target = campaign.shard(args.shard.unwrap_or(ShardPlan::WHOLE));
-        let (report, telemetry, stats) = executor.run_telemetry(&target);
-        let report = tag(report);
-        eprintln!("{stats}");
-        println!("totals: {}", report.totals());
-        export_report(&report, &out)?;
-        export_metrics(&telemetry, &out)?;
-        return Ok(CtlCode::Success);
+    let shard = campaign.shard(args.shard.unwrap_or(ShardPlan::WHOLE));
+    stream_shard(args, &out, scenario.as_deref(), &[], &shard)?;
+    let (jsonl, json) = (out.join("report.jsonl"), out.join("report.json"));
+    let csv = out.join("report.csv");
+    if args.stream {
+        outln!("exported {} and {}", jsonl.display(), csv.display());
+    } else {
+        merge_reports(&[&jsonl], &out)?;
+        remove_stale(&jsonl)?;
+        outln!("exported {} and {}", json.display(), csv.display());
     }
-    let (report, stats) = match args.shard {
-        Some(plan) => executor.run_shard(&campaign, plan),
-        None => executor.run(&campaign),
-    };
-    let report = tag(report);
-    eprintln!("{stats}");
-    println!("totals: {}", report.totals());
-    export_report(&report, &out)?;
+    if args.metrics {
+        outln!("exported {}", out.join("metrics.jsonl").display());
+    }
     Ok(CtlCode::Success)
 }
 
-/// `run --stream`: cells are folded into rolling totals and streamed to
-/// `report.jsonl` **and** `report.csv` as they complete; the full record vector is
-/// never held in memory. The per-shard CSV is byte-identical to the `to_csv` export
-/// of the same shard run in memory (CSV needs no totals header, so it can stream on
-/// the shard side too).
+/// The one shard streamer, behind `run` (either mode) and `resume`: writes `prefix`
+/// (the cells an interrupted run already exported; empty for a fresh run), then
+/// every cell of `fresh` as it completes, to `report.jsonl` + `report.csv` under
+/// `out` (plus `metrics.jsonl` with `--metrics`), heartbeating `progress.json`.
 ///
 /// Crash safety: the JSONL stream is written at `report.jsonl.partial` and renamed
 /// to `report.jsonl` only once footered, so a crash (or failure) at any instant
 /// leaves the completed cells salvageable for [`resume`] and never a truncated
-/// stream at the final path. The CSV (and the `--metrics` sidecar) go through an
-/// [`AtomicFile`]. The `progress.json` heartbeat is the one artifact deliberately
-/// *left behind* on failure: its last atomic snapshot shows where the run died.
-fn run_streamed(
+/// stream at the final path. The CSV and the sidecar go through an [`AtomicFile`];
+/// the `progress.json` heartbeat is deliberately *left behind* on failure.
+fn stream_shard(
     args: &BenchArgs,
-    campaign: &Campaign,
+    out: &Path,
     scenario: Option<&str>,
-    executor: &Executor,
-) -> Result<CtlCode, CtlError> {
+    prefix: &[CellRecord],
+    fresh: &Campaign,
+) -> Result<(), CtlError> {
     // Deterministic crash injection (the supervision chaos tests): read the armed
-    // point first, so an `early` death happens before any artifact exists.
+    // point first, so an `early` death happens before any artifact exists. Chaos
+    // counts *stream-absolute* cells: replayed salvaged cells count too, so "die
+    // after the Nth cell" means the same position on every attempt.
     let mut crash = CrashPoint::from_env().map_err(CtlError::Usage)?;
     if let Some(point) = &crash {
         point.die_early_if_armed();
     }
     let attempt = attempt_from_env()?;
-    let out = args.out.clone().unwrap_or_else(|| PathBuf::from("target/campaign_ctl"));
-    std::fs::create_dir_all(&out)
+    std::fs::create_dir_all(out)
         .map_err(|err| format!("cannot create {}: {err}", out.display()))?;
     let path = out.join("report.jsonl");
     let partial_path = out.join("report.jsonl.partial");
@@ -337,7 +334,8 @@ fn run_streamed(
     let metrics_path = out.join("metrics.jsonl");
     // A stale report.jsonl from an earlier run must not sit next to this run's
     // partial: an interrupted run would otherwise look complete to a later merge.
-    // Same for a stale sidecar, which this run may not regenerate.
+    // Same for a stale sidecar, which this run may not regenerate. (A resumed
+    // prefix is already in memory, so truncating its source is safe.)
     remove_stale(&path)?;
     remove_stale(&metrics_path)?;
     let file = File::create(&partial_path)
@@ -345,20 +343,18 @@ fn run_streamed(
     let mut jsonl = BufWriter::new(file);
     let mut csv_out = AtomicFile::create(&csv_path)
         .map_err(|err| format!("cannot write {}: {err}", csv_path.display()))?;
-    let mut metrics_out = match args.metrics {
-        true => Some(
-            AtomicFile::create(&metrics_path)
-                .map_err(|err| format!("cannot write {}: {err}", metrics_path.display()))?,
-        ),
-        false => None,
-    };
-    // Every streamed run heartbeats, --metrics or not: liveness is for operators
-    // and the future coordinator, not a per-cell data product.
-    let shard_len = args.shard.map_or(campaign.len(), |plan| plan.range(campaign.len()).len());
-    let mut heartbeat = Heartbeat::new(&out, shard_len, HEARTBEAT_EVERY)
+    let staged_metrics = args.metrics.then(|| AtomicFile::create(&metrics_path)).transpose();
+    let mut metrics_out =
+        staged_metrics.map_err(|err| format!("cannot write {}: {err}", metrics_path.display()))?;
+    // Every run heartbeats, --metrics or not: liveness is for operators and the
+    // supervisor, not a per-cell data product. A resumed run starts at the salvaged
+    // count, so a watcher sees the shard continue where the interrupted run left off.
+    let done = prefix.len();
+    let mut heartbeat = Heartbeat::new(out, done + fresh.len(), HEARTBEAT_EVERY)
+        .and_then(|beat| if done > 0 { beat.starting_at(done) } else { Ok(beat) })
         .and_then(|beat| if attempt > 1 { beat.attempt(attempt) } else { Ok(beat) })
         .map_err(|err| format!("cannot write heartbeat in {}: {err}", out.display()))?;
-    let result = (|| -> Result<(Totals, bsm_engine::ExecutionStats), String> {
+    let result = (|| -> Result<(Totals, ExecutionStats), String> {
         let mut exporter = StreamingExporter::new(&mut jsonl);
         if let Some(text) = scenario {
             exporter.set_scenario(text);
@@ -366,32 +362,39 @@ fn run_streamed(
         let mut csv = StreamingCsvWriter::new(&mut csv_out)
             .map_err(|err| format!("cannot start {}: {err}", csv_path.display()))?;
         let mut metrics = metrics_out.as_mut().map(TelemetryExporter::new);
-        let mut sink =
-            |cell: bsm_engine::CellRecord, telemetry: CellTelemetry| -> Result<(), StreamError> {
-                exporter.write_cell(&cell)?;
-                csv.write_cell(&cell)?;
+        // A fresh cell carries its telemetry; a salvaged one has none, and the
+        // heartbeat already counts it.
+        let mut write = |cell: &CellRecord, telemetry: Option<&CellTelemetry>| {
+            exporter.write_cell(cell)?;
+            csv.write_cell(cell)?;
+            if let Some(telemetry) = telemetry {
                 if let Some(sidecar) = metrics.as_mut() {
-                    sidecar.write_cell(&telemetry)?;
+                    sidecar.write_cell(telemetry)?;
                 }
                 heartbeat.tick(cell.spec)?;
-                if let Some(point) = crash.as_mut() {
-                    if point.cell_written() {
-                        // Flush first: an injected death leaves whole lines (plus,
-                        // for torn mode, the fragment fire() appends after them).
-                        exporter.flush()?;
-                        point.fire(&partial_path);
-                    }
+            }
+            if let Some(point) = crash.as_mut() {
+                if point.cell_written() {
+                    // Flush first: an injected death leaves whole lines (plus, for
+                    // torn mode, the fragment fire() appends after them).
+                    exporter.flush()?;
+                    point.fire(&partial_path);
                 }
-                Ok(())
-            };
-        let run = match args.shard {
-            Some(plan) => executor.run_shard_streaming_telemetry(campaign, plan, &mut sink),
-            None => executor.run_streaming_telemetry(campaign, &mut sink),
+            }
+            Ok::<(), StreamError>(())
         };
-        let (totals, stats) = run.map_err(|err| {
-            format!("streamed export to {} failed: {err}", partial_path.display())
-        })?;
-        exporter
+        for cell in prefix {
+            write(cell, None).map_err(|err| {
+                format!("cannot replay the salvaged prefix into {}: {err}", partial_path.display())
+            })?;
+        }
+        let (_, stats) = args
+            .executor()
+            .run_streaming_telemetry(fresh, |cell, telemetry| write(&cell, Some(&telemetry)))
+            .map_err(|err| {
+                format!("streamed export to {} failed: {err}", partial_path.display())
+            })?;
+        let totals = exporter
             .finish()
             .map_err(|err| format!("cannot finish {}: {err}", partial_path.display()))?;
         csv.finish().map_err(|err| format!("cannot finish {}: {err}", csv_path.display()))?;
@@ -402,22 +405,15 @@ fn run_streamed(
         }
         Ok((totals, stats))
     })();
-    let (totals, stats) = match result {
-        Ok(finished) => finished,
-        Err(message) => {
-            // Keep the salvageable prefix at report.jsonl.partial; the CSV and
-            // sidecar staging files are discarded by the AtomicFile drops, leaving
-            // no partial CSV or metrics.jsonl.
-            drop(csv_out);
-            drop(metrics_out);
-            return Err(format!(
-                "{message} (completed cells kept at {}; `campaign_ctl resume` with the \
-                 same flags finishes the run)",
-                partial_path.display()
-            )
-            .into());
-        }
-    };
+    // On failure the salvageable prefix stays at report.jsonl.partial; the CSV and
+    // sidecar staging files are discarded by the AtomicFile drops.
+    let (totals, stats) = result.map_err(|message| {
+        format!(
+            "{message} (completed cells kept at {}; `campaign_ctl resume` with the same \
+             flags finishes the run)",
+            partial_path.display()
+        )
+    })?;
     if let Some(point) = &crash {
         // The `finish` death promises a complete, footered partial on disk: drain
         // the writer's buffer before dying between footer and rename.
@@ -434,25 +430,20 @@ fn run_streamed(
     heartbeat
         .finish()
         .map_err(|err| format!("cannot write heartbeat in {}: {err}", out.display()))?;
-    eprintln!("{stats}");
-    println!("totals: {totals}");
-    println!("exported {} and {}", path.display(), csv_path.display());
-    if args.metrics {
-        println!("exported {}", metrics_path.display());
-    }
-    Ok(CtlCode::Success)
+    errln!("{stats}");
+    outln!("totals: {totals}");
+    Ok(())
 }
 
-/// `resume --out DIR`: finish a crash-interrupted `run --stream`.
+/// `resume --out DIR`: finish a crash-interrupted run.
 ///
 /// Salvages the valid ordered cell prefix of the interrupted export
 /// (`report.jsonl.partial` when present, else `report.jsonl`), verifies it against
-/// the shard's canonical work list, re-runs only the un-run remainder of the
-/// shard's range ([`ShardPlan::remainder`]), and splices prefix + fresh cells into
-/// a complete footered `report.jsonl` + `report.csv` — byte-identical to an
+/// the shard's canonical work list, and hands it to [`stream_shard`] with only the
+/// un-run remainder of the shard's range ([`ShardPlan::remainder`]) to run — a
+/// complete footered `report.jsonl` + `report.csv`, byte-identical to an
 /// uninterrupted `run --stream`. Pass the same `--smoke`/`--shard` flags as the
-/// interrupted run; the salvaged prefix is held in memory while the output is
-/// rewritten through the same partial-then-rename scheme as `run --stream`.
+/// interrupted run.
 fn resume(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     if !args.files.is_empty() {
         return Err(CtlError::Usage(
@@ -474,26 +465,18 @@ fn resume(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     }
     let out = args.out.clone().ok_or_else(|| {
         CtlError::Usage(
-            "resume: --out DIR is required (the directory of the interrupted streamed run)".into(),
+            "resume: --out DIR is required (the directory of the interrupted run)".into(),
         )
     })?;
-    // Chaos counts *stream-absolute* cells: replayed salvaged cells count too, so
-    // "die after the Nth cell" means the same position on every attempt.
-    let mut crash = CrashPoint::from_env().map_err(CtlError::Usage)?;
-    if let Some(point) = &crash {
-        point.die_early_if_armed();
-    }
-    let attempt = attempt_from_env()?;
     let (campaign, scenario) = build_campaign(args)?;
     let plan = args.shard.unwrap_or(ShardPlan::WHOLE);
     let shard = campaign.shard(plan);
     let path = out.join("report.jsonl");
     let partial_path = out.join("report.jsonl.partial");
-    let csv_path = out.join("report.csv");
-    let source = if partial_path.exists() { partial_path.clone() } else { path.clone() };
+    let source = if partial_path.exists() { partial_path } else { path.clone() };
     let file = File::open(&source).map_err(|err| {
         format!(
-            "cannot read {}: {err} (nothing to resume; run `campaign_ctl run --stream` first)",
+            "cannot read {}: {err} (nothing to resume; run `campaign_ctl run` first)",
             source.display()
         )
     })?;
@@ -523,103 +506,20 @@ fn resume(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     }
     match (&salvaged.truncation, salvaged.complete) {
         (Some(reason), _) => {
-            eprintln!("salvaged {done} cell(s) from {} (stopped at: {reason})", source.display());
+            errln!("salvaged {done} cell(s) from {} (stopped at: {reason})", source.display());
         }
         (None, false) => {
-            eprintln!("salvaged {done} cell(s) from {} (no footer)", source.display());
+            errln!("salvaged {done} cell(s) from {} (no footer)", source.display());
         }
         (None, true) => {
-            eprintln!("salvaged all {done} cell(s) from {} (complete export)", source.display());
+            errln!("salvaged all {done} cell(s) from {} (complete export)", source.display());
         }
     }
-    let remainder = plan.remainder(campaign.len(), done);
-    let fresh = remainder.len();
-    let executor = args.executor().progress(Progress::Stderr { every: 250 });
-    eprintln!("re-running {fresh} remaining cell(s) of shard {plan} of {campaign}");
-    // Same crash-safe scheme as `run --stream`: the spliced stream goes to
-    // report.jsonl.partial (truncating the source we already hold in memory) and is
-    // renamed into place only once footered. A stale sidecar from an earlier
-    // `--metrics` run is removed — resume cannot regenerate it (see above).
-    remove_stale(&path)?;
-    remove_stale(&out.join("metrics.jsonl"))?;
-    let jsonl_file = File::create(&partial_path)
-        .map_err(|err| format!("cannot write {}: {err}", partial_path.display()))?;
-    let mut jsonl = BufWriter::new(jsonl_file);
-    let mut csv_out = AtomicFile::create(&csv_path)
-        .map_err(|err| format!("cannot write {}: {err}", csv_path.display()))?;
-    // The heartbeat starts at the salvaged count, so a watcher sees the resumed
-    // shard continue from where the interrupted run's progress.json left off.
-    let mut heartbeat = Heartbeat::new(&out, shard.len(), HEARTBEAT_EVERY)
-        .and_then(|heartbeat| heartbeat.starting_at(done))
-        .and_then(|beat| if attempt > 1 { beat.attempt(attempt) } else { Ok(beat) })
-        .map_err(|err| format!("cannot write heartbeat in {}: {err}", out.display()))?;
-    let result = (|| -> Result<(Totals, bsm_engine::ExecutionStats), String> {
-        let mut exporter = StreamingExporter::new(&mut jsonl);
-        if let Some(text) = &scenario {
-            exporter.set_scenario(text.clone());
-        }
-        let mut csv = StreamingCsvWriter::new(&mut csv_out)
-            .map_err(|err| format!("cannot start {}: {err}", csv_path.display()))?;
-        for cell in &salvaged.cells {
-            exporter.write_cell(cell).and_then(|()| csv.write_cell(cell)).map_err(|err| {
-                format!("cannot replay the salvaged prefix into {}: {err}", partial_path.display())
-            })?;
-            if let Some(point) = crash.as_mut() {
-                if point.cell_written() {
-                    exporter
-                        .flush()
-                        .map_err(|err| format!("cannot flush {}: {err}", partial_path.display()))?;
-                    point.fire(&partial_path);
-                }
-            }
-        }
-        let mut sink = |cell: bsm_engine::CellRecord| -> Result<(), StreamError> {
-            exporter.write_cell(&cell)?;
-            csv.write_cell(&cell)?;
-            heartbeat.tick(cell.spec)?;
-            if let Some(point) = crash.as_mut() {
-                if point.cell_written() {
-                    exporter.flush()?;
-                    point.fire(&partial_path);
-                }
-            }
-            Ok(())
-        };
-        let run = executor.run_range_streaming(&campaign, remainder, &mut sink);
-        let (_, stats) = run.map_err(|err| {
-            format!("streamed export to {} failed: {err}", partial_path.display())
-        })?;
-        let totals = exporter
-            .finish()
-            .map_err(|err| format!("cannot finish {}: {err}", partial_path.display()))?;
-        csv.finish().map_err(|err| format!("cannot finish {}: {err}", csv_path.display()))?;
-        Ok((totals, stats))
-    })();
-    let (totals, stats) = match result {
-        Ok(finished) => finished,
-        Err(message) => {
-            drop(csv_out);
-            return Err(format!(
-                "{message} (completed cells kept at {}; rerun `campaign_ctl resume` to \
-                 finish)",
-                partial_path.display()
-            )
-            .into());
-        }
-    };
-    if let Some(point) = &crash {
-        jsonl.flush().map_err(|err| format!("cannot flush {}: {err}", partial_path.display()))?;
-        point.die_before_publish_if_armed();
-    }
-    publish_partial(jsonl, &partial_path, &path)?;
-    csv_out.persist().map_err(|err| format!("cannot publish {}: {err}", csv_path.display()))?;
-    heartbeat
-        .finish()
-        .map_err(|err| format!("cannot write heartbeat in {}: {err}", out.display()))?;
-    eprintln!("{stats}");
-    println!("totals: {totals}");
-    println!("resumed: {done} salvaged + {fresh} fresh cell(s)");
-    println!("exported {} and {}", path.display(), csv_path.display());
+    let fresh = campaign.slice(plan.remainder(campaign.len(), done));
+    errln!("re-running {} remaining cell(s) of shard {plan} of {campaign}", fresh.len());
+    stream_shard(args, &out, scenario.as_deref(), &salvaged.cells, &fresh)?;
+    outln!("resumed: {done} salvaged + {} fresh cell(s)", fresh.len());
+    outln!("exported {} and {}", path.display(), out.join("report.csv").display());
     Ok(CtlCode::Success)
 }
 
@@ -668,9 +568,9 @@ fn supervise(args: &BenchArgs) -> Result<CtlCode, CtlError> {
         chaos: args.chaos.clone().unwrap_or(ChaosSpec::NONE),
     };
     if !config.chaos.is_empty() {
-        eprintln!("supervise: chaos armed: {}", config.chaos);
+        errln!("supervise: chaos armed: {}", config.chaos);
     }
-    eprintln!(
+    errln!(
         "supervising {shards} worker(s) over {campaign} (max {} attempt(s)/shard)",
         config.max_attempts
     );
@@ -701,10 +601,8 @@ fn supervise(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     atomic_write(&summary_path, summary.to_json())
         .map_err(|err| format!("cannot write {}: {err}", summary_path.display()))?;
     let completed = summary.completed_shards();
-    let exports: Vec<String> = completed
-        .iter()
-        .map(|&shard| dirs[shard - 1].join("report.jsonl").to_string_lossy().into_owned())
-        .collect();
+    let exports: Vec<PathBuf> =
+        completed.iter().map(|&shard| dirs[shard - 1].join("report.jsonl")).collect();
     let json_path = out.join("report.json");
     let csv_path = out.join("report.csv");
     if exports.is_empty() {
@@ -712,16 +610,16 @@ fn supervise(args: &BenchArgs) -> Result<CtlCode, CtlError> {
         // next to a supervise.json that says everything was quarantined.
         remove_stale(&json_path)?;
         remove_stale(&csv_path)?;
-        eprintln!("supervise: no shard completed; nothing to merge");
+        errln!("supervise: no shard completed; nothing to merge");
     } else {
-        let totals = merge_streams(&exports, &out)?;
-        println!("merged {} of {shards} shard(s): {totals}", exports.len());
-        println!("exported {} and {}", json_path.display(), csv_path.display());
+        let totals = merge_reports(&exports, &out)?;
+        outln!("merged {} of {shards} shard(s): {totals}", exports.len());
+        outln!("exported {} and {}", json_path.display(), csv_path.display());
     }
-    println!("exported {}", summary_path.display());
+    outln!("exported {}", summary_path.display());
     if summary.degraded() {
         for shard in &summary.quarantined {
-            eprintln!(
+            errln!(
                 "supervise: shard {}/{shards} quarantined after {} attempt(s) — cells \
                  {}..{} missing from the merged artifacts",
                 shard.shard,
@@ -732,10 +630,7 @@ fn supervise(args: &BenchArgs) -> Result<CtlCode, CtlError> {
         }
         return Ok(CtlCode::Degraded);
     }
-    println!(
-        "supervised run complete: {shards} shard(s) over {} attempt(s)",
-        summary.attempts.len()
-    );
+    outln!("supervised run complete: {shards} shard(s) over {} attempt(s)", summary.attempts.len());
     Ok(CtlCode::Success)
 }
 
@@ -762,8 +657,8 @@ fn bench(args: &BenchArgs) -> Result<CtlCode, CtlError> {
                 .into(),
         ));
     }
-    let executor = args.executor().progress(Progress::Stderr { every: 250 });
-    eprintln!(
+    let executor = args.executor();
+    errln!(
         "running {} benchmark campaign on {} thread(s)",
         if args.smoke { "quick" } else { "full" },
         executor.thread_count()
@@ -774,7 +669,7 @@ fn bench(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     std::fs::create_dir_all(&dir)
         .and_then(|()| atomic_write(&path, snapshot.to_json()))
         .map_err(|err| format!("cannot write {}: {err}", path.display()))?;
-    println!(
+    outln!(
         "{} cells in {:.3}s ({:.1} scenarios/sec); {} signatures verified \
          (+{} cache hits), {} digests computed",
         snapshot.cells,
@@ -784,7 +679,7 @@ fn bench(args: &BenchArgs) -> Result<CtlCode, CtlError> {
         snapshot.verify_cache_hits,
         snapshot.digests_computed
     );
-    println!("exported {}", path.display());
+    outln!("exported {}", path.display());
     Ok(CtlCode::Success)
 }
 
@@ -840,7 +735,7 @@ fn fuzz(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     std::fs::create_dir_all(&out)
         .and_then(|()| atomic_write(&log_path, report.log.clone()))
         .map_err(|err| format!("cannot write {}: {err}", log_path.display()))?;
-    println!(
+    outln!(
         "fuzzed {} case(s): {} violation(s), worst slots {} (case {:04}), \
          worst messages {} (case {:04})",
         report.cases,
@@ -850,9 +745,9 @@ fn fuzz(args: &BenchArgs) -> Result<CtlCode, CtlError> {
         report.worst_messages,
         report.worst_messages_case
     );
-    println!("exported {}", log_path.display());
+    outln!("exported {}", log_path.display());
     for violation in &report.violations {
-        eprintln!(
+        errln!(
             "case {:04}: VIOLATION {} (shrunk {} -> {} action(s))",
             violation.case,
             violation.signature,
@@ -865,7 +760,7 @@ fn fuzz(args: &BenchArgs) -> Result<CtlCode, CtlError> {
             std::fs::create_dir_all(&dir)
                 .and_then(|()| atomic_write(&path, violation.shrunk.canonical()))
                 .map_err(|err| format!("cannot freeze {}: {err}", path.display()))?;
-            println!("froze {}", path.display());
+            outln!("froze {}", path.display());
         }
     }
     Ok(if report.violations.is_empty() { CtlCode::Success } else { CtlCode::Findings })
@@ -882,7 +777,7 @@ fn replay_script(path: &Path, freeze: bool) -> Result<bool, String> {
     let outcome =
         script.run().map_err(|err| format!("replay of {} failed to run: {err}", path.display()))?;
     let observed = Verdict::of(&outcome);
-    println!(
+    outln!(
         "replayed {}: decided={} slots={} violations={:?}",
         path.display(),
         observed.decided,
@@ -894,32 +789,36 @@ fn replay_script(path: &Path, freeze: bool) -> Result<bool, String> {
         updated.verdict = Some(observed);
         atomic_write(path, updated.canonical())
             .map_err(|err| format!("cannot freeze {}: {err}", path.display()))?;
-        println!("froze {}", path.display());
+        outln!("froze {}", path.display());
         return Ok(false);
     }
     match &script.verdict {
         Some(recorded) if *recorded == observed => {
-            println!("verdict reproduced");
+            outln!("verdict reproduced");
             Ok(false)
         }
         Some(recorded) => {
-            eprintln!(
+            errln!(
                 "verdict MISMATCH: file records decided={} slots={} violations={:?}",
-                recorded.decided, recorded.slots, recorded.violations
+                recorded.decided,
+                recorded.slots,
+                recorded.violations
             );
             Ok(true)
         }
         None => {
-            println!("no recorded verdict (stamp one with --replay FILE --freeze)");
+            outln!("no recorded verdict (stamp one with --replay FILE --freeze)");
             Ok(false)
         }
     }
 }
 
+/// `merge`: [`merge_reports`] over the given shard exports. `--stream` is accepted
+/// (scripts and CI pass it) and selects nothing: every merge streams.
 fn merge(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     if args.files.is_empty() {
         return Err(CtlError::Usage(
-            "merge: no shard exports given (pass report.json paths)".into(),
+            "merge: no shard exports given (pass report.json or report.jsonl paths)".into(),
         ));
     }
     if args.metrics {
@@ -929,23 +828,10 @@ fn merge(args: &BenchArgs) -> Result<CtlCode, CtlError> {
                 .into(),
         ));
     }
-    if args.stream {
-        return merge_streamed(args);
-    }
-    let shards = args.files.iter().map(|p| import_report(p)).collect::<Result<Vec<_>, _>>()?;
-    let merged = CampaignReport::merge(shards).map_err(|err| err.to_string())?;
-    println!("merged {} shard(s): {}", args.files.len(), merged.totals());
     let out = args.out.clone().unwrap_or_else(|| PathBuf::from("target/campaign_ctl/merged"));
-    export_report(&merged, &out)?;
-    Ok(CtlCode::Success)
-}
-
-/// `merge --stream`: k-way merge of shard `report.jsonl` streams in constant memory.
-fn merge_streamed(args: &BenchArgs) -> Result<CtlCode, CtlError> {
-    let out = args.out.clone().unwrap_or_else(|| PathBuf::from("target/campaign_ctl/merged"));
-    let totals = merge_streams(&args.files, &out)?;
-    println!("merged {} shard stream(s): {totals}", args.files.len());
-    println!(
+    let totals = merge_reports(&args.files, &out)?;
+    outln!("merged {} shard(s): {totals}", args.files.len());
+    outln!(
         "exported {} and {}",
         out.join("report.json").display(),
         out.join("report.csv").display()
@@ -953,41 +839,37 @@ fn merge_streamed(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     Ok(CtlCode::Success)
 }
 
-/// The streamed-merge core shared by `merge --stream` and `supervise`: k-way merge
-/// of shard `report.jsonl` streams into `report.json` + `report.csv` under `out`,
-/// in constant memory.
+/// The one merge, behind `merge` (with or without `--stream`), `supervise` and a
+/// non-streamed `run`: a k-way merge of shard exports into `report.json` +
+/// `report.csv` under `out`, holding one pending cell per shard.
 ///
-/// Pass 1 reads just the totals footers (the JSON document puts totals before the
-/// cells, so the coordinator must know them up front) and the scenario tags they
-/// carry — shards from different scenarios refuse to merge; pass 2 lazily streams
-/// the cells of all shards through the binary-heap merge into `report.json` +
-/// `report.csv`, byte-identical to the in-memory merge. The writers verify the
-/// summed footers against the cells actually streamed, so a lying footer or
-/// truncated shard fails the merge instead of shipping a wrong artifact.
-fn merge_streams(files: &[String], out: &Path) -> Result<Totals, String> {
+/// Pass 1 learns every shard's totals (the JSON document puts totals before the
+/// cells, so the merge must know them up front) and its scenario tag — shards from
+/// different scenarios refuse to merge; pass 2 streams the cells of all shards
+/// through [`CellMerge`] into `report.json` + `report.csv`. The writers verify the
+/// summed totals against the cells actually merged, so a lying footer or truncated
+/// shard fails the merge instead of shipping a wrong artifact.
+fn merge_reports(files: &[impl AsRef<Path>], out: &Path) -> Result<Totals, String> {
     let mut declared = Totals::default();
     let mut scenario: Option<String> = None;
+    let mut shards = Vec::with_capacity(files.len());
     for (index, path) in files.iter().enumerate() {
-        let file = File::open(path).map_err(|err| format!("cannot read {path}: {err}"))?;
-        let (totals, tag) = footer_meta(BufReader::new(file))
-            .map_err(|err| format!("cannot read footer of {path}: {err}"))?;
+        let path = path.as_ref();
+        let (totals, tag, cells) = open_export(path)?;
         declared += totals;
         if index == 0 {
             scenario = tag;
         } else if tag != scenario {
             let render = |t: &Option<String>| t.clone().unwrap_or_else(|| "no scenario tag".into());
             return Err(format!(
-                "cannot merge shards from different scenarios: {path} carries {:?} but the \
+                "cannot merge shards from different scenarios: {} carries {:?} but the \
                  first shard carries {:?}",
+                path.display(),
                 render(&tag),
                 render(&scenario)
             ));
         }
-    }
-    let mut streams = Vec::new();
-    for path in files {
-        let file = File::open(path).map_err(|err| format!("cannot read {path}: {err}"))?;
-        streams.push(StreamingCells::new(BufReader::new(file)));
+        shards.push(cells);
     }
     std::fs::create_dir_all(out)
         .map_err(|err| format!("cannot create {}: {err}", out.display()))?;
@@ -1004,7 +886,7 @@ fn merge_streams(files: &[String], out: &Path) -> Result<Totals, String> {
             .map_err(|err| format!("cannot start {}: {err}", json_path.display()))?;
         let mut csv = StreamingCsvWriter::new(&mut csv_out)
             .map_err(|err| format!("cannot start {}: {err}", csv_path.display()))?;
-        for cell in CellMerge::new(streams) {
+        for cell in CellMerge::new(shards) {
             let cell = cell.map_err(|err| format!("streamed merge failed: {err}"))?;
             json.write_cell(&cell)
                 .map_err(|err| format!("cannot write {}: {err}", json_path.display()))?;
@@ -1036,7 +918,7 @@ fn diff(args: &BenchArgs) -> Result<CtlCode, CtlError> {
             args.files.len()
         )));
     };
-    let (left, right) = (import_report(left)?, import_report(right)?);
+    let (left, right) = (import_report(Path::new(left))?, import_report(Path::new(right))?);
     if left.scenario() != right.scenario() {
         // Cells of different scenarios are different experiments; a cell-level diff
         // would be meaningless (and, under different grids, mostly "missing cell").
@@ -1049,18 +931,19 @@ fn diff(args: &BenchArgs) -> Result<CtlCode, CtlError> {
         .into());
     }
     let diff = CampaignDiff::between(&left, &right);
-    print!("{diff}");
+    let _ = write!(std::io::stdout(), "{diff}");
     Ok(if diff.is_empty() { CtlCode::Success } else { CtlCode::Findings })
 }
 
 /// `stats`: aggregate a telemetry sidecar into quantiles, top cells and per-axis
 /// rollups.
 ///
-/// Takes exactly one path — a `metrics.jsonl` file, or a campaign out-dir
-/// containing one. For a directory that also holds a `progress.json` heartbeat
-/// (any streamed run), the heartbeat snapshot is summarized first, so `stats` on
-/// a *running* shard's out-dir doubles as a liveness check. Aggregation streams
-/// the sidecar and validates schema and canonical coordinate order as it goes.
+/// Takes exactly one path — a `metrics.jsonl` file, or a campaign out-dir. For a
+/// directory holding a `progress.json` heartbeat (every run leaves one), the
+/// heartbeat snapshot is summarized first, so `stats` on a *running* shard's out-dir
+/// doubles as a liveness check; a directory with a heartbeat but no sidecar (a run
+/// without `--metrics`) stops there. Aggregation streams the sidecar and validates
+/// schema and canonical coordinate order as it goes.
 fn stats(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     let [target] = args.files.as_slice() else {
         return Err(CtlError::Usage(format!(
@@ -1075,8 +958,9 @@ fn stats(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     } else {
         (target.clone(), None)
     };
-    if let Some(progress_path) = progress_path.filter(|path| path.exists()) {
-        let text = std::fs::read_to_string(&progress_path)
+    let heartbeat = progress_path.filter(|path| path.exists());
+    if let Some(progress_path) = &heartbeat {
+        let text = std::fs::read_to_string(progress_path)
             .map_err(|err| format!("cannot read {}: {err}", progress_path.display()))?;
         let progress = parse_progress(&text)
             .map_err(|err| format!("cannot parse {}: {err}", progress_path.display()))?;
@@ -1094,7 +978,7 @@ fn stats(args: &BenchArgs) -> Result<CtlCode, CtlError> {
                 None => "liveness unknown",
             }
         };
-        println!(
+        outln!(
             "heartbeat: {}/{} cell(s) at {:.1}/s over {:.3}s, last {last} \
              [attempt {}, seq {}, pid {}: {verdict}]",
             progress.done,
@@ -1106,6 +990,9 @@ fn stats(args: &BenchArgs) -> Result<CtlCode, CtlError> {
             progress.pid
         );
     }
+    if heartbeat.is_some() && !metrics_path.exists() {
+        return Ok(CtlCode::Success);
+    }
     let file = File::open(&metrics_path).map_err(|err| {
         format!(
             "cannot read {}: {err} (produce a sidecar with `campaign_ctl run --metrics`)",
@@ -1114,7 +1001,7 @@ fn stats(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     })?;
     let stats = CampaignStats::from_stream(BufReader::new(file))
         .map_err(|err| format!("cannot aggregate {}: {err}", metrics_path.display()))?;
-    print!("{}", stats.render(5));
+    let _ = write!(std::io::stdout(), "{}", stats.render(5));
     Ok(CtlCode::Success)
 }
 
@@ -1167,7 +1054,8 @@ fn dispatch(subcommand: &str, args: &BenchArgs) -> Result<CtlCode, CtlError> {
              [--shards K] [--chaos SPEC] [--max-attempts N] [--backoff-ms MS] \
              [--poll-ms MS] [--stall-polls N] \
              [--budget N] [--seed S] [--replay FILE] [--freeze] \
-             [report.json|report.jsonl|metrics.jsonl ...]"
+             [report.json|report.jsonl|metrics.jsonl ...] (merge accepts --stream; \
+             every merge streams)"
         ))),
     }
 }
@@ -1179,7 +1067,7 @@ fn main() -> ExitCode {
     match dispatch(&subcommand, &args) {
         Ok(code) => code.into(),
         Err(err) => {
-            eprintln!("campaign_ctl: {}", err.message());
+            errln!("campaign_ctl: {}", err.message());
             err.code().into()
         }
     }

@@ -13,7 +13,7 @@
 //! * `--smoke` — the small CI grid instead of the full sweep,
 //! * `--scenario FILE` — load the campaign from a declarative scenario file
 //!   (see `docs/SCENARIOS.md`); mutually exclusive with `--smoke`,
-//! * `--stream` — streamed export/merge (constant memory; see `campaign_ctl`),
+//! * `--stream` — `run` keeps its shard stream, `report.jsonl` (see `campaign_ctl`),
 //! * `--metrics` — write the per-cell telemetry sidecar (`metrics.jsonl`) next to
 //!   the report artifacts; never changes a report byte (see `campaign_ctl stats`),
 //! * `--budget N` — fuzzing case budget for `campaign_ctl fuzz`,
@@ -60,8 +60,8 @@ pub struct BenchArgs {
     /// Scenario file from `--scenario` (a declarative campaign description; see
     /// `docs/SCENARIOS.md`).
     pub scenario: Option<PathBuf>,
-    /// `true` when `--stream` was passed (streamed export/merge instead of the
-    /// in-memory report path).
+    /// `true` when `--stream` was passed (`run` keeps `report.jsonl` instead of
+    /// rendering `report.json`; `merge` accepts it and always streams).
     pub stream: bool,
     /// `true` when `--metrics` was passed (write the `metrics.jsonl` telemetry
     /// sidecar alongside the report artifacts).

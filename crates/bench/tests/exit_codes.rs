@@ -6,7 +6,7 @@
 
 use bsm_engine::{CampaignBuilder, Executor};
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bsm-ctl-exit-{name}-{}", std::process::id()));
@@ -41,6 +41,57 @@ fn success_is_0() {
     let merged = dir.join("merged");
     assert_eq!(code_of(&["merge", path, "--out", merged.to_str().unwrap()]), 0);
     assert_eq!(code_of(&["diff", path, path]), 0, "identical reports are not findings");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A pipe whose reader is already gone: every write fails with EPIPE, as it does
+/// for `campaign_ctl … | head` once `head` has exited.
+fn closed_pipe() -> Stdio {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    writer.into()
+}
+
+#[test]
+fn a_closed_stdout_or_stderr_is_not_an_error() {
+    let dir = scratch("epipe");
+    let code_without_readers = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_campaign_ctl"))
+            .args(args)
+            .stdout(closed_pipe())
+            .stderr(closed_pipe())
+            .status()
+            .expect("campaign_ctl spawns")
+            .code()
+    };
+    let run = dir.join("run");
+    assert_eq!(code_without_readers(&["run", "--smoke", "--out", run.to_str().unwrap()]), Some(0));
+    let report = run.join("report.json");
+    assert!(report.exists(), "run left no report.json");
+    let merged = dir.join("merged");
+    let merge = ["merge", report.to_str().unwrap(), "--out", merged.to_str().unwrap()];
+    assert_eq!(code_without_readers(&merge), Some(0));
+    assert!(merged.join("report.json").exists(), "merge left no report.json");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stats_on_a_run_without_a_sidecar_is_a_liveness_check() {
+    let dir = scratch("stats");
+    let run = dir.join("run");
+    let out = run.to_str().unwrap();
+    assert_eq!(code_of(&["run", "--smoke", "--stream", "--shard", "3/3", "--out", out]), 0);
+    let stats = Command::new(env!("CARGO_BIN_EXE_campaign_ctl"))
+        .args(["stats", out])
+        .output()
+        .expect("campaign_ctl spawns");
+    assert_eq!(stats.status.code(), Some(0), "{}", String::from_utf8_lossy(&stats.stderr));
+    let printed = String::from_utf8_lossy(&stats.stdout);
+    assert!(printed.starts_with("heartbeat: 24/24"), "{printed}");
+    // Neither a heartbeat nor a sidecar: nothing to report.
+    let empty = dir.join("empty");
+    std::fs::create_dir_all(&empty).unwrap();
+    assert_eq!(code_of(&["stats", empty.to_str().unwrap()]), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -118,7 +118,6 @@ pub struct CampaignBuilder {
     fault_plans: Vec<FaultSpec>,
     seeds: Range<u64>,
     skip_unsolvable: bool,
-    shard: Option<ShardPlan>,
 }
 
 impl Default for CampaignBuilder {
@@ -139,7 +138,6 @@ impl CampaignBuilder {
             fault_plans: vec![FaultSpec::NONE],
             seeds: 0..1,
             skip_unsolvable: false,
-            shard: None,
         }
     }
 
@@ -202,16 +200,6 @@ impl CampaignBuilder {
         self
     }
 
-    /// Restricts [`build`](Self::build) to one shard of the expanded work list (see
-    /// [`Campaign::shard`]). `None` (the default) keeps the whole campaign.
-    ///
-    /// Sharding happens *after* the full expansion, so every shard of a distributed
-    /// run agrees on the canonical work list and the slices partition it exactly.
-    pub fn shard(mut self, plan: impl Into<Option<ShardPlan>>) -> Self {
-        self.shard = plan.into();
-        self
-    }
-
     /// Expands the cross product into a campaign, in canonical order:
     /// size → topology → auth → corruption pair → adversary → fault plan → seed.
     ///
@@ -267,11 +255,7 @@ impl CampaignBuilder {
                 }
             }
         }
-        let campaign = Campaign { specs };
-        match self.shard {
-            Some(plan) => campaign.shard(plan),
-            None => campaign,
-        }
+        Campaign { specs }
     }
 }
 
@@ -404,21 +388,10 @@ mod tests {
             for index in 0..count {
                 let plan = ShardPlan::new(index, count).unwrap();
                 let shard = campaign.shard(plan);
-                // The builder-level shard agrees with the campaign-level slice.
-                let built = CampaignBuilder::new().sizes([2, 3, 4]).seeds(0..2).shard(plan).build();
-                assert_eq!(built.specs(), shard.specs(), "builder shard {plan} diverged");
                 rejoined.extend_from_slice(shard.specs());
             }
             assert_eq!(rejoined, campaign.specs(), "{count} shards do not rejoin");
         }
-    }
-
-    #[test]
-    fn builder_shard_none_keeps_the_whole_campaign() {
-        let whole = CampaignBuilder::new().build();
-        let explicit = CampaignBuilder::new().shard(None).build();
-        assert_eq!(whole, explicit);
-        assert_eq!(whole, CampaignBuilder::new().shard(ShardPlan::WHOLE).build());
     }
 
     #[test]

@@ -1,22 +1,23 @@
 //! The multi-threaded campaign executor.
 //!
-//! Workers are `std::thread` scoped threads over a shared work queue (an atomic cursor
-//! into the campaign's canonical work list). Every result is keyed by its index in
-//! that list and merged back in canonical order after the workers join, so the
-//! aggregated [`CampaignReport`] — and everything exported from it — is **bit-identical
-//! regardless of the thread count** or of which worker happened to run which cell.
+//! Every entry point runs on one worker core: scoped `std::thread` workers pull items
+//! off a shared work queue and send each result, keyed by its input index, over a
+//! bounded channel; a reorder buffer hands the results on **in input order** — for a
+//! campaign, its canonical work list. So every export is **bit-identical regardless
+//! of the thread count**. [`Executor::run_streaming_telemetry`] streams cells to a
+//! sink, [`Executor::run`] collects that stream, and [`Executor::map`] runs arbitrary
+//! jobs; shard or resume with [`Campaign::shard`] or [`Campaign::slice`].
 //!
 //! The thread count comes from (in order of precedence) [`Executor::threads`], the
 //! `BSM_THREADS` environment variable, and the machine's available parallelism.
 
 use crate::campaign::Campaign;
 use crate::grid::{ScenarioSpec, ShardPlan};
-use crate::progress::Progress;
 use crate::report::{CampaignReport, CellOutcome, CellRecord, CellStats, ExecutionStats, Totals};
 use crate::telemetry::CellTelemetry;
 use bsm_core::solvability::{characterize, Solvability};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::convert::Infallible;
 use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
@@ -27,7 +28,6 @@ pub const THREADS_ENV: &str = "BSM_THREADS";
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
-    progress: Progress,
 }
 
 impl Default for Executor {
@@ -42,7 +42,7 @@ impl Executor {
     pub fn new() -> Self {
         let threads = parse_threads(std::env::var(THREADS_ENV).ok().as_deref())
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        Self { threads, progress: Progress::Silent }
+        Self { threads }
     }
 
     /// Overrides the worker-thread count (clamped to at least 1).
@@ -51,251 +51,65 @@ impl Executor {
         self
     }
 
-    /// Sets the progress reporter (default: silent).
-    pub fn progress(mut self, progress: Progress) -> Self {
-        self.progress = progress;
-        self
-    }
-
     /// The configured worker-thread count.
     pub fn thread_count(&self) -> usize {
         self.threads
     }
 
-    /// Runs every cell of `campaign` and aggregates the results in canonical order.
+    /// Runs every cell of `campaign` and collects the records, in canonical order,
+    /// into a report (the stream of [`run_streaming_telemetry`](Self::run_streaming_telemetry)).
     ///
     /// Unsolvable cells are recorded (not errors); cells that fail to build or run are
     /// recorded as failed. The returned [`ExecutionStats`] carries the wall-clock side
     /// of the run and is intentionally not part of the deterministic report.
     pub fn run(&self, campaign: &Campaign) -> (CampaignReport, ExecutionStats) {
-        let start = Instant::now();
-        let cells = self.map(campaign.specs().to_vec(), run_cell);
-        let stats = ExecutionStats {
-            threads: self.threads.min(campaign.len()).max(1),
-            scenarios: campaign.len(),
-            elapsed: start.elapsed(),
-        };
+        let mut cells = Vec::with_capacity(campaign.len());
+        let Ok((_, stats)) = self.run_streaming_telemetry(campaign, |cell, _| {
+            cells.push(cell);
+            Ok::<(), Infallible>(())
+        });
         (CampaignReport::new(cells), stats)
     }
 
-    /// Runs every cell of `campaign` like [`run`](Self::run), additionally returning
-    /// one [`CellTelemetry`] per cell, index-aligned with
-    /// [`CampaignReport::cells`](crate::report::CampaignReport::cells).
+    /// Runs every cell of `campaign`, delivering each completed [`CellRecord`] and its
+    /// [`CellTelemetry`] to `sink` **in canonical order** and then dropping them — the
+    /// record vector is never materialized. Aggregate counters are folded into a
+    /// rolling [`Totals`], returned alongside the [`ExecutionStats`].
     ///
-    /// Telemetry is strictly a side channel: the report built here is identical to
-    /// the one [`run`](Self::run) builds (the cells are the same values, produced by
-    /// the same code path), so exports stay byte-identical with telemetry on or off.
-    /// Each cell's crypto counters are attributed exactly via the worker thread's
-    /// thread-local delta around that cell — correct under any thread count because
-    /// a cell runs entirely on one worker.
-    pub fn run_telemetry(
-        &self,
-        campaign: &Campaign,
-    ) -> (CampaignReport, Vec<CellTelemetry>, ExecutionStats) {
-        let start = Instant::now();
-        let results = self.map(campaign.specs().to_vec(), run_cell_instrumented);
-        let (cells, telemetry): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-        let stats = ExecutionStats {
-            threads: self.threads.min(campaign.len()).max(1),
-            scenarios: campaign.len(),
-            elapsed: start.elapsed(),
-        };
-        (CampaignReport::new(cells), telemetry, stats)
-    }
-
-    /// Runs one shard of `campaign` (see [`Campaign::shard`]) and aggregates its slice
-    /// of the results in canonical order.
-    ///
-    /// This is the distributed entry point: each process runs its own shard, exports
-    /// the shard report, and [`CampaignReport::merge`] recombines the exports into the
-    /// single-process report byte for byte.
-    ///
-    /// [`CampaignReport::merge`]: crate::report::CampaignReport::merge
-    pub fn run_shard(
-        &self,
-        campaign: &Campaign,
-        plan: ShardPlan,
-    ) -> (CampaignReport, ExecutionStats) {
-        self.run(&campaign.shard(plan))
-    }
-
-    /// Runs every cell of `campaign`, delivering each completed [`CellRecord`] to
-    /// `sink` **in canonical order** and then dropping it — the full record vector is
-    /// never materialized.
-    ///
-    /// This is the streaming counterpart of [`run`](Self::run) for campaigns too
-    /// large to hold every record in memory: aggregate counters are folded into a
-    /// rolling [`Totals`] (returned alongside the [`ExecutionStats`]), and the sink —
-    /// typically a [`StreamingExporter`] — sees exactly the cell sequence
-    /// [`CampaignReport::cells`] would contain, so a streamed export is byte-identical
-    /// to the in-memory one.
-    ///
-    /// Workers run cells in parallel and complete them out of order; a reorder buffer
-    /// holds cells finished ahead of the emission frontier, and a **bounded** channel
-    /// applies backpressure: when the sink (e.g. a slow disk) falls behind, workers
-    /// block instead of piling completed cells into memory, so cells ahead of the
-    /// frontier stay bounded by a small multiple of the worker count. (Only a
-    /// pathologically slow *head* cell can grow the buffer beyond that — emission
-    /// cannot pass it, but the cells behind it must be received to reach it.)
+    /// The sink — typically a [`StreamingExporter`] — sees exactly the cell sequence
+    /// [`run`](Self::run) collects, so a streamed export is byte-identical to the
+    /// in-memory one, and a sink slower than the workers throttles them. Telemetry is
+    /// strictly a side channel: a sink that ignores it emits the same artifacts.
     ///
     /// [`StreamingExporter`]: crate::export::StreamingExporter
-    /// [`CampaignReport::cells`]: crate::report::CampaignReport::cells
     ///
     /// # Errors
     ///
     /// The first error the sink returns aborts the run and is passed through;
     /// in-flight cells are finished and discarded.
-    pub fn run_streaming<E>(
-        &self,
-        campaign: &Campaign,
-        mut sink: impl FnMut(CellRecord) -> Result<(), E>,
-    ) -> Result<(Totals, ExecutionStats), E> {
-        let mut totals = Totals::default();
-        let stats = self.stream_ordered(campaign, run_cell, |record| {
-            totals.record(&record.outcome);
-            sink(record)
-        })?;
-        Ok((totals, stats))
-    }
-
-    /// The streaming counterpart of [`run_telemetry`](Self::run_telemetry):
-    /// [`run_streaming`](Self::run_streaming) where the sink also receives each
-    /// cell's [`CellTelemetry`], in the same canonical order as the records.
-    ///
-    /// The telemetry is produced whether or not the sink keeps it, and nothing about
-    /// the record sequence or the folded [`Totals`] depends on it — a sink that
-    /// ignores its second argument emits exactly the artifacts
-    /// [`run_streaming`](Self::run_streaming) would.
-    ///
-    /// # Errors
-    ///
-    /// The first error the sink returns, as in [`run_streaming`](Self::run_streaming).
     pub fn run_streaming_telemetry<E>(
         &self,
         campaign: &Campaign,
         mut sink: impl FnMut(CellRecord, CellTelemetry) -> Result<(), E>,
     ) -> Result<(Totals, ExecutionStats), E> {
         let mut totals = Totals::default();
-        let stats =
-            self.stream_ordered(campaign, run_cell_instrumented, |(record, telemetry)| {
+        let stats = self.ordered(
+            campaign.specs().iter().copied(),
+            run_cell_instrumented,
+            |(record, telemetry)| {
                 totals.record(&record.outcome);
                 sink(record, telemetry)
-            })?;
+            },
+        )?;
         Ok((totals, stats))
     }
 
-    /// The generic ordered-streaming core behind
-    /// [`run_streaming`](Self::run_streaming) and
-    /// [`run_streaming_telemetry`](Self::run_streaming_telemetry): runs `job` on
-    /// every spec across the worker pool and hands each result to `emit` **in
-    /// canonical order**, never materializing the result vector.
-    ///
-    /// Workers run cells in parallel and complete them out of order; a reorder
-    /// buffer holds results finished ahead of the emission frontier, and a
-    /// **bounded** channel applies backpressure: when `emit` (e.g. a slow disk)
-    /// falls behind, workers block instead of piling completed results into memory,
-    /// so results ahead of the frontier stay bounded by a small multiple of the
-    /// worker count. (Only a pathologically slow *head* cell can grow the buffer
-    /// beyond that — emission cannot pass it, but the results behind it must be
-    /// received to reach it.)
-    fn stream_ordered<T: Send, E>(
-        &self,
-        campaign: &Campaign,
-        job: impl Fn(ScenarioSpec) -> T + Sync,
-        mut emit: impl FnMut(T) -> Result<(), E>,
-    ) -> Result<ExecutionStats, E> {
-        let start = Instant::now();
-        let specs = campaign.specs();
-        let total = specs.len();
-        let workers = self.threads.min(total);
-        let progress = self.progress;
-        let cursor = AtomicUsize::new(0);
-        let mut failure: Option<E> = None;
-
-        std::thread::scope(|scope| {
-            // Bounded: an emitter slower than the workers must throttle them, not
-            // let completed results accumulate toward O(campaign) — the cap this
-            // mode exists to remove. Two slots per worker keeps the pipeline full.
-            let (tx, rx) = mpsc::sync_channel::<(usize, T)>(workers.max(1) * 2);
-            let cursor = &cursor;
-            let job = &job;
-            for _ in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= total {
-                        break;
-                    }
-                    // A send error means the receiver gave up (emit failure): stop.
-                    if tx.send((idx, job(specs[idx]))).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            // Reorder buffer: results completed ahead of the emission frontier wait
-            // here; `next` is the index the canonical order emits next.
-            let mut pending: BTreeMap<usize, T> = BTreeMap::new();
-            let mut next = 0usize;
-            'receive: for (idx, item) in rx {
-                pending.insert(idx, item);
-                while let Some(item) = pending.remove(&next) {
-                    if let Err(err) = emit(item) {
-                        failure = Some(err);
-                        break 'receive;
-                    }
-                    next += 1;
-                    progress.tick(next, total, start);
-                }
-            }
-            // On failure the receiver is dropped here; workers exit on their next
-            // send, and the scope joins them.
-        });
-        if let Some(err) = failure {
-            return Err(err);
-        }
-        Ok(ExecutionStats {
-            threads: self.threads.min(total).max(1),
-            scenarios: total,
-            elapsed: start.elapsed(),
-        })
-    }
-
-    /// Runs one shard of `campaign` in streaming mode: [`run_streaming`] over the
-    /// shard's slice of the canonical work list (see [`Campaign::shard`]).
-    ///
-    /// This is the distributed entry point for campaigns that do not fit in memory:
-    /// each process streams its shard's cells into a
-    /// [`StreamingExporter`](crate::export::StreamingExporter), and the coordinator
-    /// recombines the shard streams with a k-way
-    /// [`CellMerge`](crate::report::CellMerge) into an export byte-identical to the
-    /// unsharded in-memory run.
-    ///
-    /// [`run_streaming`]: Self::run_streaming
+    /// [`run_streaming_telemetry`](Self::run_streaming_telemetry) over one shard of
+    /// `campaign` (see [`Campaign::shard`]).
     ///
     /// # Errors
     ///
-    /// The first error the sink returns, as in [`run_streaming`](Self::run_streaming).
-    pub fn run_shard_streaming<E>(
-        &self,
-        campaign: &Campaign,
-        plan: ShardPlan,
-        sink: impl FnMut(CellRecord) -> Result<(), E>,
-    ) -> Result<(Totals, ExecutionStats), E> {
-        self.run_streaming(&campaign.shard(plan), sink)
-    }
-
-    /// Runs one shard of `campaign` in streaming-telemetry mode:
-    /// [`run_streaming_telemetry`](Self::run_streaming_telemetry) over the shard's
-    /// slice of the canonical work list (see [`Campaign::shard`]).
-    ///
-    /// This is how `campaign_ctl run --stream --metrics` writes a `metrics.jsonl`
-    /// sidecar next to each shard's `report.jsonl` without perturbing the report
-    /// bytes.
-    ///
-    /// # Errors
-    ///
-    /// The first error the sink returns, as in [`run_streaming`](Self::run_streaming).
+    /// The first error the sink returns.
     pub fn run_shard_streaming_telemetry<E>(
         &self,
         campaign: &Campaign,
@@ -303,34 +117,6 @@ impl Executor {
         sink: impl FnMut(CellRecord, CellTelemetry) -> Result<(), E>,
     ) -> Result<(Totals, ExecutionStats), E> {
         self.run_streaming_telemetry(&campaign.shard(plan), sink)
-    }
-
-    /// Runs an explicit contiguous sub-range of `campaign`'s canonical work list in
-    /// streaming mode: [`run_streaming`] over [`Campaign::slice`].
-    ///
-    /// This is the resumption entry point: `campaign_ctl resume` salvages the cell
-    /// prefix a crashed shard already exported, computes the un-run tail of the
-    /// shard's range with [`ShardPlan::remainder`], and re-runs exactly that range —
-    /// the emitted cells splice after the salvaged prefix into the sequence an
-    /// uninterrupted [`run_shard_streaming`](Self::run_shard_streaming) would emit.
-    ///
-    /// [`run_streaming`]: Self::run_streaming
-    ///
-    /// # Errors
-    ///
-    /// The first error the sink returns, as in [`run_streaming`](Self::run_streaming).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `range` is out of bounds for the work list (see
-    /// [`Campaign::slice`]).
-    pub fn run_range_streaming<E>(
-        &self,
-        campaign: &Campaign,
-        range: std::ops::Range<usize>,
-        sink: impl FnMut(CellRecord) -> Result<(), E>,
-    ) -> Result<(Totals, ExecutionStats), E> {
-        self.run_streaming(&campaign.slice(range), sink)
     }
 
     /// Applies `f` to every item on the worker pool, returning the results **in input
@@ -345,73 +131,86 @@ impl Executor {
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        let total = items.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        let workers = self.threads.min(total).max(1);
-        // The shared work queue: an atomic cursor over the slotted items. Workers take
-        // the item at their claimed index; results keep the index so the merge below
-        // can restore canonical order no matter which worker finished first.
-        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-        let cursor = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        let start = Instant::now();
-        let f = &f;
-        let slots = &slots;
-        let cursor = &cursor;
-        let done = &done;
-        let progress = self.progress;
-
-        let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, R)> = Vec::new();
-                        loop {
-                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                            if idx >= total {
-                                break;
-                            }
-                            let item = slots[idx]
-                                .lock()
-                                .expect("work slot lock is never poisoned")
-                                .take()
-                                .expect("each slot is claimed exactly once");
-                            local.push((idx, f(item)));
-                            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                            progress.tick(finished, total, start);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("worker threads do not panic"))
-                .collect()
+        let mut results = Vec::with_capacity(items.len());
+        let Ok(_) = self.ordered(items.into_iter(), f, |result| {
+            results.push(result);
+            Ok::<(), Infallible>(())
         });
-        indexed.sort_unstable_by_key(|(idx, _)| *idx);
-        indexed.into_iter().map(|(_, r)| r).collect()
+        results
+    }
+
+    /// The one worker core: runs `job` on every item across the worker pool and
+    /// hands each result to `emit` **in input order**, never materializing the
+    /// result vector.
+    ///
+    /// Workers finish items out of order; a reorder buffer holds results finished
+    /// ahead of the emission frontier, and the bounded channel applies backpressure:
+    /// when `emit` (e.g. a slow disk) falls behind, workers block instead of piling
+    /// results into memory. (Only a pathologically slow *head* item can grow the
+    /// buffer beyond a few results per worker: emission cannot pass it.)
+    fn ordered<T: Send, R: Send, E>(
+        &self,
+        items: impl ExactSizeIterator<Item = T> + Send,
+        job: impl Fn(T) -> R + Sync,
+        mut emit: impl FnMut(R) -> Result<(), E>,
+    ) -> Result<ExecutionStats, E> {
+        let start = Instant::now();
+        let total = items.len();
+        let workers = self.threads.min(total);
+        let queue = Mutex::new(items.enumerate());
+        let mut failure: Option<E> = None;
+
+        std::thread::scope(|scope| {
+            // Two slots per worker keeps the pipeline full without letting completed
+            // results accumulate toward O(items).
+            let (tx, rx) = mpsc::sync_channel::<(usize, R)>(workers.max(1) * 2);
+            let (queue, job) = (&queue, &job);
+            for _ in 0..workers {
+                let tx = tx.clone();
+                scope.spawn(move || loop {
+                    // The guard drops with this statement: the job runs unlocked.
+                    let next = queue.lock().expect("no worker panics holding the queue").next();
+                    let Some((idx, item)) = next else { break };
+                    // A send error means the receiver gave up (emit failure): stop.
+                    if tx.send((idx, job(item))).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(tx);
+            // `next` is the index the input order emits next.
+            let mut pending: BTreeMap<usize, R> = BTreeMap::new();
+            let mut next = 0usize;
+            'receive: for (idx, result) in rx {
+                pending.insert(idx, result);
+                while let Some(result) = pending.remove(&next) {
+                    if let Err(err) = emit(result) {
+                        failure = Some(err);
+                        break 'receive;
+                    }
+                    next += 1;
+                }
+            }
+            // On failure the receiver is dropped here; workers exit on their next
+            // send, and the scope joins them.
+        });
+        if let Some(err) = failure {
+            return Err(err);
+        }
+        Ok(ExecutionStats {
+            threads: self.threads.min(total).max(1),
+            scenarios: total,
+            elapsed: start.elapsed(),
+        })
     }
 }
 
-/// Runs one campaign cell: characterize, then execute the prescribed plan.
-fn run_cell(spec: ScenarioSpec) -> CellRecord {
-    run_cell_instrumented(spec).0
-}
-
-/// Runs one campaign cell and attributes its cost: the crypto-counter delta is the
-/// *worker thread's* thread-local delta around the cell — exact under any thread
-/// count, because each cell runs start to finish on the one thread that claimed it
-/// (see [`bsm_crypto::counters::thread_snapshot`]).
-///
-/// The [`CellRecord`] half is exactly what [`run_cell`] produces; the instrumentation
-/// reads state the run drops anyway (the thread counters, [`Metrics`] breakdown and
-/// corrupted set of the outcome), so instrumented and plain runs build identical
-/// records.
-///
-/// [`Metrics`]: bsm_net::Metrics
+/// Runs one campaign cell — characterize, then execute the prescribed plan — and
+/// attributes its cost: the crypto-counter delta is the *worker thread's*
+/// thread-local delta around the cell — exact under any thread count, because each
+/// cell runs start to finish on the one thread that claimed it (see
+/// [`bsm_crypto::counters::thread_snapshot`]). The instrumentation only reads state
+/// the run drops anyway, so it never changes the [`CellRecord`].
 fn run_cell_instrumented(spec: ScenarioSpec) -> (CellRecord, CellTelemetry) {
     let before = bsm_crypto::counters::thread_snapshot();
     let start = Instant::now();
@@ -530,7 +329,7 @@ mod tests {
         let mut rejoined = Vec::new();
         for index in 0..3 {
             let plan = ShardPlan::new(index, 3).unwrap();
-            let (report, stats) = executor.run_shard(&campaign, plan);
+            let (report, stats) = executor.run(&campaign.shard(plan));
             assert_eq!(stats.scenarios, plan.range(campaign.len()).len());
             rejoined.extend_from_slice(report.cells());
         }
@@ -545,9 +344,9 @@ mod tests {
         let mut streamed = Vec::new();
         let (totals, stats) = Executor::new()
             .threads(4)
-            .run_streaming(&campaign, |cell| {
+            .run_streaming_telemetry(&campaign, |cell, _| {
                 streamed.push(cell);
-                Ok::<(), std::convert::Infallible>(())
+                Ok::<(), Infallible>(())
             })
             .unwrap();
         assert_eq!(streamed, reference.cells());
@@ -565,9 +364,9 @@ mod tests {
         for index in 0..3 {
             let plan = ShardPlan::new(index, 3).unwrap();
             let (totals, stats) = executor
-                .run_shard_streaming(&campaign, plan, |cell| {
+                .run_shard_streaming_telemetry(&campaign, plan, |cell, _| {
                     rejoined.push(cell);
-                    Ok::<(), std::convert::Infallible>(())
+                    Ok::<(), Infallible>(())
                 })
                 .unwrap();
             assert_eq!(stats.scenarios, plan.range(campaign.len()).len());
@@ -584,9 +383,9 @@ mod tests {
         let plan = ShardPlan::new(1, 3).unwrap();
         let mut uninterrupted = Vec::new();
         executor
-            .run_shard_streaming(&campaign, plan, |cell| {
+            .run_shard_streaming_telemetry(&campaign, plan, |cell, _| {
                 uninterrupted.push(cell);
-                Ok::<(), std::convert::Infallible>(())
+                Ok::<(), Infallible>(())
             })
             .unwrap();
         // Pretend the first `done` cells survived a crash; re-run only the tail.
@@ -594,9 +393,9 @@ mod tests {
             let remainder = plan.remainder(campaign.len(), done);
             let mut spliced = uninterrupted[..done].to_vec();
             let (totals, stats) = executor
-                .run_range_streaming(&campaign, remainder, |cell| {
+                .run_streaming_telemetry(&campaign.slice(remainder), |cell, _| {
                     spliced.push(cell);
-                    Ok::<(), std::convert::Infallible>(())
+                    Ok::<(), Infallible>(())
                 })
                 .unwrap();
             assert_eq!(spliced, uninterrupted, "splice after {done} cells diverged");
@@ -615,7 +414,7 @@ mod tests {
         let mut emitted = 0usize;
         let err = Executor::new()
             .threads(2)
-            .run_streaming(&campaign, |_| {
+            .run_streaming_telemetry(&campaign, |_, _| {
                 emitted += 1;
                 if emitted == 3 {
                     Err("sink full")
@@ -633,7 +432,7 @@ mod tests {
         let campaign = Campaign::from_specs(Vec::new());
         let (totals, stats) = Executor::new()
             .threads(4)
-            .run_streaming(&campaign, |_| Err("must not be called"))
+            .run_streaming_telemetry(&campaign, |_, _| Err("must not be called"))
             .unwrap();
         assert_eq!(totals, Totals::default());
         assert_eq!(stats.scenarios, 0);
@@ -651,6 +450,7 @@ mod tests {
             faults: bsm_net::FaultSpec::NONE,
             seed: 4,
         };
+        let run_cell = |spec| run_cell_instrumented(spec).0;
         let record = run_cell(solvable);
         let stats = record.outcome.stats().expect("solvable cell completes");
         assert!(stats.messages > 0);

@@ -326,7 +326,7 @@ pub(crate) fn check_order(
 /// rolling-[`Totals`] footer, written as cells complete.
 ///
 /// This is what lets a shard run campaigns too large to hold every [`CellRecord`] in
-/// memory: [`Executor::run_shard_streaming`] folds each completed cell into the
+/// memory: [`Executor::run_streaming_telemetry`] folds each completed cell into the
 /// rolling totals, hands it to [`write_cell`](Self::write_cell), and drops it. The
 /// resulting document is JSON lines — one cell object per line, byte-identical to the
 /// objects in [`to_json`]'s `cells` array, closed by a `{"totals": {...}}` footer
@@ -336,7 +336,7 @@ pub(crate) fn check_order(
 /// campaigns always do); out-of-order writes are rejected so a malformed stream can
 /// never be exported in the first place.
 ///
-/// [`Executor::run_shard_streaming`]: crate::executor::Executor::run_shard_streaming
+/// [`Executor::run_streaming_telemetry`]: crate::executor::Executor::run_streaming_telemetry
 #[derive(Debug)]
 pub struct StreamingExporter<W: Write> {
     writer: W,
@@ -414,7 +414,7 @@ impl<W: Write> StreamingExporter<W> {
 ///
 /// The [`to_json`] layout puts the totals *before* the cells, so a streaming writer
 /// must know them up front: the coordinator sums the per-shard footer totals (see
-/// [`crate::import::footer_totals`]) and passes the sum to [`new`](Self::new), which
+/// [`crate::import::footer_meta`]) and passes the sum to [`new`](Self::new), which
 /// writes the document header. Every [`write_cell`](Self::write_cell) then appends
 /// one cell in canonical order, and [`finish`](Self::finish) closes the document —
 /// verifying that the totals folded from the streamed cells match the declared ones,

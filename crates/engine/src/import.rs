@@ -20,7 +20,7 @@
 //! are read back with [`StreamingCells`], an iterator that parses one cell per line
 //! without ever loading the whole document — the lazy per-shard cell source the k-way
 //! [`crate::report::CellMerge`] runs over. The totals footer closing the stream is
-//! verified against the cells actually yielded, and [`footer_totals`] reads just that
+//! verified against the cells actually yielded, and [`footer_meta`] reads just that
 //! footer (one O(1)-memory pass) so a merge coordinator can pre-compute the merged
 //! totals before streaming a single cell.
 //!
@@ -852,21 +852,11 @@ pub fn footer_meta<R: BufRead>(mut reader: R) -> Result<(Totals, Option<String>)
     }
 }
 
-/// [`footer_meta`] without the scenario tag — the totals-only convenience most
-/// callers (and pre-scenario code) want.
-///
-/// # Errors
-///
-/// Exactly those of [`footer_meta`].
-pub fn footer_totals<R: BufRead>(reader: R) -> Result<Totals, ImportError> {
-    footer_meta(reader).map(|(totals, _)| totals)
-}
-
 /// Collects a whole streamed shard export into an in-memory [`CampaignReport`] —
-/// the convenience path for tools (e.g. `campaign_ctl diff`) that want to treat a
-/// `.jsonl` export like a `.json` one and do not care about memory. A scenario tag
-/// in the stream's footer is carried onto the report, exactly as [`from_json`]
-/// carries a document's `"scenario"` key.
+/// the convenience path for tools that want to treat a `.jsonl` export like a
+/// `.json` one and do not care about memory. A scenario tag in the stream's footer
+/// is carried onto the report, exactly as [`from_json`] carries a document's
+/// `"scenario"` key.
 ///
 /// # Errors
 ///
@@ -1046,11 +1036,11 @@ mod tests {
     #[test]
     fn footer_totals_reads_only_the_footer() {
         let (report, text) = streamed_report();
-        assert_eq!(footer_totals(text.as_bytes()).unwrap(), report.totals());
+        assert_eq!(footer_meta(text.as_bytes()).unwrap(), (report.totals(), None));
         // An empty stream and a footerless stream both fail.
-        assert!(footer_totals(&b""[..]).unwrap_err().to_string().contains("empty stream"));
+        assert!(footer_meta(&b""[..]).unwrap_err().to_string().contains("empty stream"));
         let footer_start = text.rfind("{\"totals\"").unwrap();
-        let err = footer_totals(&text.as_bytes()[..footer_start]).unwrap_err();
+        let err = footer_meta(&text.as_bytes()[..footer_start]).unwrap_err();
         assert!(err.to_string().contains("not a totals footer"), "{err}");
     }
 
@@ -1097,7 +1087,7 @@ mod tests {
         assert!(stream.next().is_none());
         assert!(stream.finished());
         assert_eq!(stream.totals(), Totals::default());
-        assert_eq!(footer_totals(&buf[..]).unwrap(), Totals::default());
+        assert_eq!(footer_meta(&buf[..]).unwrap().0, Totals::default());
         assert!(from_jsonl(&buf[..]).unwrap().cells().is_empty());
     }
 

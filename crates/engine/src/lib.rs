@@ -9,8 +9,10 @@
 //! * [`campaign`] — the [`CampaignBuilder`] DSL: expand sizes × topologies × auth
 //!   modes × corruption pairs × adversaries × seeds into an ordered work list,
 //! * [`executor`] — scoped worker threads over a shared work queue (`BSM_THREADS`
-//!   or [`Executor::threads`]); results are keyed by grid coordinates and merged in
-//!   canonical order, so aggregation is **bit-identical across thread counts**,
+//!   or [`Executor::threads`]) and one ordered core: a bounded channel plus a
+//!   reorder buffer hand results on in canonical order, so aggregation is
+//!   **bit-identical across thread counts**; [`Executor::run`] collects the stream
+//!   that [`Executor::run_streaming_telemetry`] emits,
 //! * [`report`] — [`CampaignReport`]: per-cell outcome stats (plan, violations,
 //!   slots, messages, signatures) plus aggregate [`Totals`]; wall-clock throughput
 //!   lives in the separate [`ExecutionStats`],
@@ -39,7 +41,6 @@
 //!   ([`SuperviseSummary`]), and deterministic crash injection
 //!   ([`ChaosSpec`]/[`CrashPoint`]) for testing supervision against real
 //!   SIGKILL-style deaths,
-//! * [`progress`] — an optional scenarios/sec + ETA reporter on stderr,
 //! * [`telemetry`] — the observability side channel: per-cell attributed cost
 //!   records ([`CellTelemetry`]) streamed to a `metrics.jsonl` sidecar, log-bucketed
 //!   [`Histogram`]s and `campaign_ctl stats` aggregation ([`CampaignStats`]), and
@@ -62,7 +63,7 @@
 //! let executor = Executor::new().threads(2);
 //! let (whole, _) = executor.run(&campaign);
 //! let shards: Vec<_> = (0..3)
-//!     .map(|i| executor.run_shard(&campaign, ShardPlan::new(i, 3).unwrap()).0)
+//!     .map(|i| executor.run(&campaign.shard(ShardPlan::new(i, 3).unwrap())).0)
 //!     .collect();
 //! let merged = CampaignReport::merge(shards).unwrap();
 //! assert_eq!(bsm_engine::to_json(&merged), bsm_engine::to_json(&whole));
@@ -70,19 +71,20 @@
 //!
 //! # Streaming campaigns
 //!
-//! Campaigns too large to hold every [`CellRecord`] in memory use the streaming path:
-//! [`Executor::run_shard_streaming`] folds completed cells into a rolling [`Totals`]
-//! and hands each one — in canonical order — to a [`StreamingExporter`], which writes
-//! one coordinate-sorted JSON line per cell plus a totals footer. The coordinator
-//! reads shard streams back lazily with [`StreamingCells`], merges them with the
-//! k-way [`CellMerge`] (a binary heap holding one pending cell per shard), and
-//! re-renders the canonical document with [`MergedJsonWriter`] /
+//! Campaigns too large to hold every [`CellRecord`] in memory stream them — and
+//! every executor entry point is this stream underneath:
+//! [`Executor::run_shard_streaming_telemetry`] folds completed cells into a rolling
+//! [`Totals`] and hands each one — in canonical order — to a [`StreamingExporter`],
+//! which writes one coordinate-sorted JSON line per cell plus a totals footer. The
+//! coordinator reads shard streams back lazily with [`StreamingCells`], merges them
+//! with the k-way [`CellMerge`] (a binary heap holding one pending cell per shard),
+//! and re-renders the canonical document with [`MergedJsonWriter`] /
 //! [`StreamingCsvWriter`] — byte-identical to the in-memory [`CampaignReport::merge`]
 //! path, as `crates/engine/tests/streaming_merge.rs` proves:
 //!
 //! ```rust
 //! use bsm_engine::{
-//!     footer_totals, CampaignBuilder, CellMerge, Executor, MergedJsonWriter, ShardPlan,
+//!     footer_meta, CampaignBuilder, CellMerge, Executor, MergedJsonWriter, ShardPlan,
 //!     StreamingCells, StreamingExporter, Totals,
 //! };
 //!
@@ -94,14 +96,16 @@
 //!     let mut buf = Vec::new();
 //!     let mut exporter = StreamingExporter::new(&mut buf);
 //!     let plan = ShardPlan::new(index, 2).unwrap();
-//!     executor.run_shard_streaming(&campaign, plan, |cell| exporter.write_cell(&cell)).unwrap();
+//!     executor
+//!         .run_shard_streaming_telemetry(&campaign, plan, |cell, _| exporter.write_cell(&cell))
+//!         .unwrap();
 //!     exporter.finish().unwrap();
 //!     shards.push(buf);
 //! }
 //! // Coordinator side: sum the footers, then k-way-merge the cell streams.
 //! let mut totals = Totals::default();
 //! for shard in &shards {
-//!     totals += footer_totals(&shard[..]).unwrap();
+//!     totals += footer_meta(&shard[..]).unwrap().0;
 //! }
 //! let mut out = Vec::new();
 //! let mut writer = MergedJsonWriter::new(&mut out, totals).unwrap();
@@ -120,11 +124,12 @@
 //! A shard that dies mid-stream leaves a truncated JSONL export behind.
 //! [`StreamingCells::salvage`] reads back its valid ordered cell prefix (stopping
 //! cleanly at the first broken or missing line instead of erroring), and
-//! [`Executor::run_range_streaming`] re-runs exactly the un-run tail of the shard's
-//! range — [`ShardPlan::remainder`] computes it — so the salvaged prefix plus the
-//! fresh cells splice into an export byte-identical to an uninterrupted run. Final
-//! artifacts are published with [`AtomicFile`] / [`atomic_write`] (temp file +
-//! atomic rename), so a crash can never leave a truncated file at a tracked path.
+//! [`Executor::run_streaming_telemetry`] over [`Campaign::slice`] re-runs exactly the
+//! un-run tail of the shard's range — [`ShardPlan::remainder`] computes it — so the
+//! salvaged prefix plus the fresh cells splice into an export byte-identical to an
+//! uninterrupted run. Final artifacts are published with [`AtomicFile`] /
+//! [`atomic_write`] (temp file + atomic rename), so a crash can never leave a
+//! truncated file at a tracked path.
 //!
 //! # Quickstart
 //!
@@ -155,7 +160,6 @@ pub mod export;
 pub mod fuzz;
 pub mod grid;
 pub mod import;
-pub mod progress;
 pub mod report;
 pub mod scenario_file;
 pub mod supervise;
@@ -171,10 +175,7 @@ pub use export::{
 };
 pub use fuzz::{run_fuzz, shrink, violation_signature, FoundViolation, FuzzConfig, FuzzReport};
 pub use grid::{ScenarioSpec, ShardPlan, ShardPlanError};
-pub use import::{
-    footer_meta, footer_totals, from_json, from_jsonl, ImportError, SalvagedPrefix, StreamingCells,
-};
-pub use progress::Progress;
+pub use import::{footer_meta, from_json, from_jsonl, ImportError, SalvagedPrefix, StreamingCells};
 pub use report::{
     CampaignReport, CellMerge, CellMergeError, CellOutcome, CellRecord, CellStats, ExecutionStats,
     MergeError, Totals,

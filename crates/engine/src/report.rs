@@ -224,7 +224,7 @@ impl CampaignReport {
     /// let (whole, _) = executor.run(&campaign);
     /// // Run the campaign as two shards (as two processes would) and recombine.
     /// let halves: Vec<_> = (0..2)
-    ///     .map(|i| executor.run_shard(&campaign, ShardPlan::new(i, 2).unwrap()).0)
+    ///     .map(|i| executor.run(&campaign.shard(ShardPlan::new(i, 2).unwrap())).0)
     ///     .collect();
     /// let merged = CampaignReport::merge(halves).unwrap();
     /// assert_eq!(merged, whole);

@@ -55,7 +55,7 @@ use std::time::{Duration, Instant, SystemTime};
 /// Environment variable arming a worker's deterministic crash injection; the value
 /// is a [`CrashMode`] rendered by its `Display` impl (e.g. `5`, `torn5`, `hang3`,
 /// `early`, `finish`). Set by the supervisor from the `--chaos` spec; honored by
-/// `campaign_ctl run --stream` and `resume`.
+/// `campaign_ctl run` and `resume`.
 pub const CRASH_ENV: &str = "BSM_CRASH_AFTER_CELLS";
 
 /// Environment variable carrying the supervisor-assigned attempt number (1-based)

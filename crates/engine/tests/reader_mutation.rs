@@ -14,8 +14,9 @@ use bsm_core::script::Script;
 use bsm_core::TextError;
 use bsm_engine::{
     footer_meta, from_json, parse_progress, parse_supervise, parse_telemetry_line, to_json,
-    AttemptOutcome, AttemptRecord, CampaignBuilder, Executor, Heartbeat, ImportError,
-    QuarantinedShard, ScenarioFile, StreamingCells, StreamingExporter, SuperviseSummary,
+    AttemptOutcome, AttemptRecord, CampaignBuilder, CampaignReport, Executor, Heartbeat,
+    ImportError, QuarantinedShard, ScenarioFile, StreamError, StreamingCells, StreamingExporter,
+    SuperviseSummary,
 };
 use bsm_net::Topology;
 use rand::rngs::StdRng;
@@ -149,8 +150,16 @@ fn exported_campaign() -> (String, String, Vec<String>) {
         .corruptions([(0, 0), (1, 1)])
         .adversaries([bsm_core::AdversarySpec::Lying])
         .build();
-    let (report, telemetry, _) = Executor::new().threads(1).run_telemetry(&campaign);
-    let report = report.with_scenario("name = \"mutation \\\"seed\\\"\"\n");
+    let (mut cells, mut metrics) = (Vec::new(), Vec::new());
+    Executor::new()
+        .threads(1)
+        .run_streaming_telemetry(&campaign, |cell, telemetry| -> Result<(), StreamError> {
+            cells.push(cell);
+            metrics.push(telemetry.to_json());
+            Ok(())
+        })
+        .unwrap();
+    let report = CampaignReport::new(cells).with_scenario("name = \"mutation \\\"seed\\\"\"\n");
     let mut jsonl = Vec::new();
     let mut exporter = StreamingExporter::new(&mut jsonl);
     exporter.set_scenario(report.scenario().unwrap().to_string());
@@ -158,7 +167,6 @@ fn exported_campaign() -> (String, String, Vec<String>) {
         exporter.write_cell(cell).unwrap();
     }
     exporter.finish().unwrap();
-    let metrics = telemetry.iter().map(|cell| cell.to_json()).collect();
     (to_json(&report), String::from_utf8(jsonl).unwrap(), metrics)
 }
 

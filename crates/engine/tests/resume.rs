@@ -36,7 +36,7 @@ fn uninterrupted(campaign: &Campaign, plan: ShardPlan, threads: usize) -> (Vec<u
     let mut csv = StreamingCsvWriter::new(&mut csv_buf).unwrap();
     Executor::new()
         .threads(threads)
-        .run_shard_streaming(campaign, plan, |cell| {
+        .run_shard_streaming_telemetry(campaign, plan, |cell, _| {
             exporter.write_cell(&cell)?;
             csv.write_cell(&cell)
         })
@@ -74,7 +74,7 @@ fn resume(
     }
     Executor::new()
         .threads(threads)
-        .run_range_streaming(campaign, remainder, |cell: CellRecord| {
+        .run_streaming_telemetry(&campaign.slice(remainder), |cell: CellRecord, _| {
             exporter.write_cell(&cell)?;
             csv.write_cell(&cell)
         })

@@ -118,7 +118,9 @@ fn faulty_scenario_streamed_shard_merge_is_byte_identical_to_the_unsharded_run()
         let mut exporter = StreamingExporter::new(&mut buf);
         exporter.set_scenario(tag.clone());
         let plan = ShardPlan::new(index, 3).unwrap();
-        executor.run_shard_streaming(&campaign, plan, |cell| exporter.write_cell(&cell)).unwrap();
+        executor
+            .run_shard_streaming_telemetry(&campaign, plan, |cell, _| exporter.write_cell(&cell))
+            .unwrap();
         exporter.finish().unwrap();
         shards.push(buf);
     }

@@ -44,7 +44,7 @@ fn merging_k_shard_runs_is_byte_identical_to_the_unsharded_run() {
             // Vary the thread count per shard — distributed processes won't agree on
             // hardware, and the merge must not care.
             let executor = Executor::new().threads(1 + index);
-            let (report, _) = executor.run_shard(&campaign, plan);
+            let (report, _) = executor.run(&campaign.shard(plan));
             // Round-trip through the on-disk format, exactly as `campaign_ctl merge`
             // consumes shard exports from other processes.
             let imported = from_json(&to_json(&report)).unwrap();
@@ -94,12 +94,11 @@ fn diff_of_a_report_against_itself_renders_zero_cells() {
     assert_eq!(diff.cells_compared(), campaign.len());
     assert!(diff.render().starts_with("0 differing cell(s)"));
     // A merged reconstruction diffs clean against the original too.
-    let halves = vec![
-        from_json(&to_json(&Executor::new().run_shard(&campaign, ShardPlan::new(0, 2).unwrap()).0))
-            .unwrap(),
-        from_json(&to_json(&Executor::new().run_shard(&campaign, ShardPlan::new(1, 2).unwrap()).0))
-            .unwrap(),
-    ];
+    let half = |index| {
+        let (shard, _) = Executor::new().run(&campaign.shard(ShardPlan::new(index, 2).unwrap()));
+        from_json(&to_json(&shard)).unwrap()
+    };
+    let halves = vec![half(0), half(1)];
     let merged = CampaignReport::merge(halves).unwrap();
     assert!(CampaignDiff::between(&report, &merged).is_empty());
 }
@@ -108,8 +107,8 @@ fn diff_of_a_report_against_itself_renders_zero_cells() {
 fn overlapping_shards_are_rejected_at_merge_time() {
     let campaign = large_campaign();
     let half = ShardPlan::new(0, 2).unwrap();
-    let (a, _) = Executor::new().run_shard(&campaign, half);
-    let (b, _) = Executor::new().run_shard(&campaign, half);
+    let (a, _) = Executor::new().run(&campaign.shard(half));
+    let (b, _) = Executor::new().run(&campaign.shard(half));
     let err = CampaignReport::merge([a, b]).unwrap_err();
     assert!(err.to_string().contains("duplicate cell"), "{err}");
 }

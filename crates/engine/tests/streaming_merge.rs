@@ -14,7 +14,7 @@ use bsm_core::problem::AuthMode;
 use bsm_engine::export::{
     to_csv, to_json, MergedJsonWriter, StreamingCsvWriter, StreamingExporter,
 };
-use bsm_engine::import::{footer_totals, from_jsonl, StreamingCells};
+use bsm_engine::import::{footer_meta, from_jsonl, StreamingCells};
 use bsm_engine::{Campaign, CampaignBuilder, CellMerge, Executor, ShardPlan, Totals};
 use bsm_net::Topology;
 
@@ -39,7 +39,7 @@ fn streamed_shard(campaign: &Campaign, index: usize, count: usize, threads: usiz
     let mut exporter = StreamingExporter::new(&mut buf);
     let (totals, _) = Executor::new()
         .threads(threads)
-        .run_shard_streaming(campaign, plan, |cell| exporter.write_cell(&cell))
+        .run_shard_streaming_telemetry(campaign, plan, |cell, _| exporter.write_cell(&cell))
         .unwrap_or_else(|err| panic!("streamed shard {plan} failed: {err}"));
     let finished = exporter.finish().unwrap();
     assert_eq!(totals, finished, "executor and exporter disagree on shard {plan} totals");
@@ -52,7 +52,7 @@ fn streamed_shard(campaign: &Campaign, index: usize, count: usize, threads: usiz
 fn streamed_merge(shards: &[Vec<u8>]) -> (String, String) {
     let mut declared = Totals::default();
     for shard in shards {
-        declared += footer_totals(&shard[..]).unwrap();
+        declared += footer_meta(&shard[..]).unwrap().0;
     }
     let streams: Vec<_> = shards.iter().map(|s| StreamingCells::new(&s[..])).collect();
     let mut json_out = Vec::new();
@@ -99,7 +99,7 @@ fn streamed_k_shard_runs_merge_byte_identical_to_the_unsharded_in_memory_export(
 fn streamed_shard_exports_round_trip_through_the_lazy_importer() {
     let campaign = large_campaign();
     let plan = ShardPlan::new(1, 3).unwrap();
-    let (in_memory, _) = Executor::new().threads(2).run_shard(&campaign, plan);
+    let (in_memory, _) = Executor::new().threads(2).run(&campaign.shard(plan));
     let streamed = streamed_shard(&campaign, 1, 3, 2);
     // The lazy importer reconstructs the in-memory shard report exactly.
     assert_eq!(from_jsonl(&streamed[..]).unwrap(), in_memory);
@@ -127,7 +127,7 @@ fn empty_shards_stream_and_merge_cleanly() {
     let (reference, _) = Executor::new().threads(1).run(&campaign);
     let shards: Vec<Vec<u8>> = (0..5).map(|index| streamed_shard(&campaign, index, 5, 1)).collect();
     for shard in &shards[2..] {
-        assert_eq!(footer_totals(&shard[..]).unwrap(), Totals::default());
+        assert_eq!(footer_meta(&shard[..]).unwrap(), (Totals::default(), None));
     }
     let (merged_json, merged_csv) = streamed_merge(&shards);
     assert_eq!(merged_json, to_json(&reference));

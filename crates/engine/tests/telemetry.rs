@@ -8,8 +8,29 @@
 use bsm_core::harness::AdversarySpec;
 use bsm_core::problem::AuthMode;
 use bsm_engine::export::{to_csv, to_json};
-use bsm_engine::{CampaignBuilder, CampaignStats, CellTelemetry, Executor, StreamError};
+use bsm_engine::{
+    Campaign, CampaignBuilder, CampaignReport, CampaignStats, CellTelemetry, ExecutionStats,
+    Executor, StreamError,
+};
 use bsm_net::{FaultSpec, Topology};
+
+/// Streams `campaign` and keeps everything: the report, one telemetry record per
+/// cell (index-aligned with the report's cells) and the execution stats.
+fn run_telemetry(
+    threads: usize,
+    campaign: &Campaign,
+) -> (CampaignReport, Vec<CellTelemetry>, ExecutionStats) {
+    let (mut cells, mut telemetry) = (Vec::new(), Vec::new());
+    let (_, stats) = Executor::new()
+        .threads(threads)
+        .run_streaming_telemetry(campaign, |cell, sidecar| -> Result<(), StreamError> {
+            cells.push(cell);
+            telemetry.push(sidecar);
+            Ok(())
+        })
+        .expect("collecting sinks never fail");
+    (CampaignReport::new(cells), telemetry, stats)
+}
 
 /// The same fixed mixed campaign as `campaign_determinism.rs`: solvable and
 /// unsolvable cells, every topology, both auth modes, all adversaries.
@@ -31,7 +52,7 @@ fn telemetry_never_changes_a_report_byte() {
     let reference_json = to_json(&reference);
     let reference_csv = to_csv(&reference);
     for threads in [1usize, 4] {
-        let (report, telemetry, stats) = Executor::new().threads(threads).run_telemetry(&campaign);
+        let (report, telemetry, stats) = run_telemetry(threads, &campaign);
         assert_eq!(report, reference, "telemetry changed the report at {threads} threads");
         assert_eq!(to_json(&report), reference_json);
         assert_eq!(to_csv(&report), reference_csv);
@@ -48,13 +69,13 @@ fn telemetry_never_changes_a_report_byte() {
 fn deterministic_projection_is_byte_identical_across_thread_counts() {
     let campaign = fixed_campaign();
     let projections = |threads: usize| -> Vec<String> {
-        let (_, telemetry, _) = Executor::new().threads(threads).run_telemetry(&campaign);
+        let (_, telemetry, _) = run_telemetry(threads, &campaign);
         telemetry.iter().map(CellTelemetry::deterministic_json).collect()
     };
     let reference = projections(1);
     assert_eq!(projections(4), reference, "deterministic projection diverged at 4 threads");
     // The projection really is the full line minus the timing suffix.
-    let (_, telemetry, _) = Executor::new().threads(2).run_telemetry(&campaign);
+    let (_, telemetry, _) = run_telemetry(2, &campaign);
     for (cell, expected) in telemetry.iter().zip(&reference) {
         let line = cell.to_json();
         let stripped = line
@@ -70,7 +91,8 @@ fn deterministic_projection_is_byte_identical_across_thread_counts() {
 fn streamed_telemetry_matches_the_in_memory_run() {
     let campaign = fixed_campaign();
     let executor = Executor::new().threads(4);
-    let (report, in_memory, _) = executor.run_telemetry(&campaign);
+    let (report, _) = executor.run(&campaign);
+    let (_, in_memory, _) = run_telemetry(1, &campaign);
     let mut streamed_records = Vec::new();
     let mut streamed_telemetry = Vec::new();
     let (totals, _) = executor
@@ -91,7 +113,7 @@ fn streamed_telemetry_matches_the_in_memory_run() {
 #[test]
 fn campaign_stats_aggregate_a_real_campaign() {
     let campaign = fixed_campaign();
-    let (_, telemetry, _) = Executor::new().threads(4).run_telemetry(&campaign);
+    let (_, telemetry, _) = run_telemetry(4, &campaign);
     let mut stats = CampaignStats::default();
     for cell in &telemetry {
         stats.record(cell);
@@ -132,7 +154,7 @@ fn unauthenticated_cells_hash_nothing() {
         .fault_plans(plans)
         .seeds(0..2)
         .build();
-    let (_, telemetry, _) = Executor::new().run_telemetry(&campaign);
+    let (_, telemetry, _) = run_telemetry(Executor::new().thread_count(), &campaign);
     let (unauthenticated, authenticated): (Vec<&CellTelemetry>, Vec<_>) =
         telemetry.iter().partition(|cell| cell.spec.auth == AuthMode::Unauthenticated);
     for cell in &unauthenticated {

@@ -13,7 +13,7 @@
 
 use bsm_core::harness::AdversarySpec;
 use bsm_core::problem::AuthMode;
-use bsm_engine::{CampaignBuilder, Executor};
+use bsm_engine::{CampaignBuilder, Executor, StreamError};
 use bsm_net::Topology;
 
 #[test]
@@ -28,7 +28,13 @@ fn per_cell_deltas_sum_to_the_global_counter_delta() {
         .build();
     let executor = Executor::new().threads(4);
     let before = bsm_crypto::counters::snapshot();
-    let (_, telemetry, _) = executor.run_telemetry(&campaign);
+    let mut telemetry = Vec::new();
+    executor
+        .run_streaming_telemetry(&campaign, |_, cell| -> Result<(), StreamError> {
+            telemetry.push(cell);
+            Ok(())
+        })
+        .unwrap();
     let global = bsm_crypto::counters::snapshot() - before;
     let mut attributed = bsm_crypto::CounterSnapshot::default();
     for cell in &telemetry {

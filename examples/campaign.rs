@@ -20,7 +20,7 @@
 
 use byzantine_stable_matching::engine::export::{to_csv, to_json};
 use byzantine_stable_matching::engine::{
-    Campaign, CampaignBuilder, CampaignReport, Executor, Progress, ShardPlan,
+    Campaign, CampaignBuilder, CampaignReport, Executor, ShardPlan,
 };
 use byzantine_stable_matching::AdversarySpec;
 use std::path::PathBuf;
@@ -107,8 +107,7 @@ fn main() -> ExitCode {
     let mut exports: Vec<(usize, String, String, f64)> = Vec::new();
     let mut totals = None;
     for &threads in &counts {
-        let executor = Executor::new().threads(threads).progress(Progress::Stderr { every: 250 });
-        let (report, stats) = executor.run(&campaign);
+        let (report, stats) = Executor::new().threads(threads).run(&campaign);
         eprintln!("threads={threads}: {stats}");
         exports.push((threads, to_json(&report), to_csv(&report), stats.elapsed.as_secs_f64()));
         totals = Some(report.totals());
@@ -136,7 +135,7 @@ fn main() -> ExitCode {
     let shard_reports: Vec<CampaignReport> = (0..args.shards)
         .map(|index| {
             let plan = ShardPlan::new(index, args.shards).expect("index < count");
-            Executor::new().threads(parallel).run_shard(&campaign, plan).0
+            Executor::new().threads(parallel).run(&campaign.shard(plan)).0
         })
         .collect();
     match CampaignReport::merge(shard_reports) {

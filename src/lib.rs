@@ -51,3 +51,8 @@ pub use bsm_core::{
 pub use bsm_engine::{Campaign, CampaignBuilder, CampaignReport, Executor, ScenarioSpec};
 pub use bsm_matching::{Matching, PreferenceList, PreferenceProfile};
 pub use bsm_net::{PartyId, Side, Topology};
+
+// Compiles and runs the Rust examples in `README.md` as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
