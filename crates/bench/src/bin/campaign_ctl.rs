@@ -154,6 +154,7 @@ use bsm_engine::{
     run_fuzz, Campaign, CampaignBuilder, CampaignDiff, CampaignReport, CellMerge, CellRecord,
     ExecutionStats, FuzzConfig, ScenarioFile, ShardPlan, StreamError, Totals,
 };
+use std::ffi::OsString;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -1061,8 +1062,10 @@ fn dispatch(subcommand: &str, args: &BenchArgs) -> Result<CtlCode, CtlError> {
 }
 
 fn main() -> ExitCode {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let subcommand = if raw.is_empty() { String::new() } else { raw.remove(0) };
+    let mut raw: Vec<OsString> = std::env::args_os().skip(1).collect();
+    // A non-UTF-8 subcommand renders lossily and matches no subcommand: exit 2.
+    let subcommand =
+        if raw.is_empty() { String::new() } else { raw.remove(0).to_string_lossy().into_owned() };
     let args = BenchArgs::from_args(raw);
     match dispatch(&subcommand, &args) {
         Ok(code) => code.into(),

@@ -37,7 +37,9 @@
 
 use bsm_engine::supervise::ChaosSpec;
 use bsm_engine::{Executor, ShardPlan};
+use std::ffi::OsString;
 use std::fmt;
+use std::iter::Peekable;
 use std::path::PathBuf;
 
 /// Parsed command-line arguments shared by the experiment binaries.
@@ -131,22 +133,44 @@ impl Default for BenchArgs {
 impl BenchArgs {
     /// Parses the process arguments (skipping the binary name).
     pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+        Self::from_args(std::env::args_os().skip(1))
     }
 
     /// Parses an explicit argument list (testable core of [`BenchArgs::parse`]).
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+    ///
+    /// An argument that is not valid UTF-8 is never taken as a flag's value: it lands
+    /// in [`BenchArgs::unknown`], rendered lossily.
+    pub fn from_args<S: Into<OsString>>(args: impl IntoIterator<Item = S>) -> Self {
         let mut parsed = Self::default();
-        let mut iter = args.into_iter().peekable();
+        let mut iter = args
+            .into_iter()
+            .map(|arg| arg.into().into_string().map_err(|raw| raw.to_string_lossy().into_owned()))
+            .peekable();
         // The value of a `--flag VALUE` pair; never steals a following flag, so
         // `--threads --smoke` reports a missing value instead of swallowing `--smoke`.
-        fn value(iter: &mut std::iter::Peekable<impl Iterator<Item = String>>) -> Option<String> {
+        fn value(
+            iter: &mut Peekable<impl Iterator<Item = Result<String, String>>>,
+        ) -> Option<String> {
             match iter.peek() {
-                Some(next) if !next.starts_with("--") => iter.next(),
+                Some(Ok(next)) if !next.starts_with("--") => iter.next()?.ok(),
                 _ => None,
             }
         }
+        // A path value must name something: an empty `--out ""` would otherwise
+        // write into the working directory.
+        fn path(
+            iter: &mut Peekable<impl Iterator<Item = Result<String, String>>>,
+        ) -> Option<PathBuf> {
+            value(iter).filter(|v| !v.is_empty()).map(PathBuf::from)
+        }
         while let Some(arg) = iter.next() {
+            let arg = match arg {
+                Ok(arg) => arg,
+                Err(lossy) => {
+                    parsed.unknown.push(format!("{lossy} (not valid UTF-8)"));
+                    continue;
+                }
+            };
             match arg.as_str() {
                 "--no-verify" => parsed.verify = false,
                 "--threads" => match value(&mut iter).and_then(|v| v.parse::<usize>().ok()) {
@@ -162,13 +186,13 @@ impl BenchArgs {
                     Some((Err(err), v)) => parsed.unknown.push(format!("--shard {v} ({err})")),
                     None => parsed.unknown.push("--shard (expects I/K, e.g. 2/3)".into()),
                 },
-                "--out" => match value(&mut iter) {
-                    Some(dir) => parsed.out = Some(PathBuf::from(dir)),
+                "--out" => match path(&mut iter) {
+                    Some(dir) => parsed.out = Some(dir),
                     None => parsed.unknown.push("--out (expects a directory)".into()),
                 },
                 "--smoke" => parsed.smoke = true,
-                "--scenario" => match value(&mut iter) {
-                    Some(file) => parsed.scenario = Some(PathBuf::from(file)),
+                "--scenario" => match path(&mut iter) {
+                    Some(file) => parsed.scenario = Some(file),
                     None => parsed.unknown.push("--scenario (expects a file)".into()),
                 },
                 "--stream" => parsed.stream = true,
@@ -181,8 +205,8 @@ impl BenchArgs {
                     Some(n) => parsed.seed = Some(n),
                     None => parsed.unknown.push("--seed (expects an integer)".into()),
                 },
-                "--replay" => match value(&mut iter) {
-                    Some(file) => parsed.replay = Some(PathBuf::from(file)),
+                "--replay" => match path(&mut iter) {
+                    Some(file) => parsed.replay = Some(file),
                     None => parsed.unknown.push("--replay (expects a script file)".into()),
                 },
                 "--freeze" => parsed.freeze = true,
@@ -449,6 +473,170 @@ mod tests {
         let starved = args(&["--shards", "--smoke"]);
         assert_eq!(starved.shards, None);
         assert!(starved.smoke);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn non_utf8_arguments_are_unknown_and_never_values() {
+        use std::os::unix::ffi::OsStringExt;
+        let bad = || OsString::from_vec(b"/tmp/x\xff".to_vec());
+        let parsed = BenchArgs::from_args([OsString::from("--out"), bad(), "--smoke".into()]);
+        assert_eq!(parsed.out, None);
+        assert!(parsed.smoke);
+        assert_eq!(
+            parsed.unknown,
+            ["--out (expects a directory)", "/tmp/x\u{FFFD} (not valid UTF-8)"],
+        );
+        let parsed = BenchArgs::from_args([bad()]);
+        assert!(parsed.files.is_empty());
+        assert_eq!(parsed.unknown.len(), 1);
+    }
+
+    /// Each flag that takes a value, and whether `value` is well formed for it.
+    const VALUE_FLAGS: [&str; 14] = [
+        "--threads",
+        "--seeds",
+        "--shard",
+        "--out",
+        "--scenario",
+        "--budget",
+        "--seed",
+        "--replay",
+        "--shards",
+        "--chaos",
+        "--max-attempts",
+        "--backoff-ms",
+        "--poll-ms",
+        "--stall-polls",
+    ];
+
+    fn well_formed(flag: &str, value: &str) -> bool {
+        let positive = |v: &str| v.parse::<u64>().is_ok_and(|n| n > 0);
+        let positive_u32 = |v: &str| v.parse::<u32>().is_ok_and(|n| n > 0);
+        match flag {
+            "--threads" | "--shards" => value.parse::<usize>().is_ok_and(|n| n > 0),
+            "--seeds" | "--budget" | "--poll-ms" => positive(value),
+            "--max-attempts" | "--stall-polls" => positive_u32(value),
+            "--seed" | "--backoff-ms" => value.parse::<u64>().is_ok(),
+            "--shard" => value.parse::<ShardPlan>().is_ok(),
+            "--chaos" => value.parse::<ChaosSpec>().is_ok(),
+            "--out" | "--scenario" | "--replay" => !value.is_empty(),
+            other => unreachable!("{other} takes no value"),
+        }
+    }
+
+    /// Whether the field `flag` sets still holds its default.
+    fn is_default(parsed: &BenchArgs, flag: &str) -> bool {
+        match flag {
+            "--threads" => parsed.threads.is_none(),
+            "--seeds" => parsed.seeds == 1,
+            "--shard" => parsed.shard.is_none(),
+            "--out" => parsed.out.is_none(),
+            "--scenario" => parsed.scenario.is_none(),
+            "--budget" => parsed.budget.is_none(),
+            "--seed" => parsed.seed.is_none(),
+            "--replay" => parsed.replay.is_none(),
+            "--shards" => parsed.shards.is_none(),
+            "--chaos" => parsed.chaos.is_none(),
+            "--max-attempts" => parsed.max_attempts.is_none(),
+            "--backoff-ms" => parsed.backoff_ms.is_none(),
+            "--poll-ms" => parsed.poll_ms.is_none(),
+            "--stall-polls" => parsed.stall_polls.is_none(),
+            other => unreachable!("{other} takes no value"),
+        }
+    }
+
+    /// Seeded argv mutants: tokens of a well-formed invocation dropped, duplicated,
+    /// swapped, or replaced by a hostile value. No mutant may panic, and every flag
+    /// whose value is missing or malformed must land in `unknown` — once per
+    /// occurrence — without setting its field.
+    #[test]
+    fn mutated_argv_never_panics_and_reports_every_malformed_value() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        const HOSTILE: [&str; 6] = ["0", "-1", "18446744073709551616", "1/0", "4/3", ""];
+        let base: Vec<String> = [
+            "5",
+            "--threads",
+            "2",
+            "--seeds",
+            "3",
+            "--shard",
+            "2/3",
+            "--out",
+            "target/x",
+            "--smoke",
+            "--scenario",
+            "s.toml",
+            "--stream",
+            "--metrics",
+            "--budget",
+            "10",
+            "--seed",
+            "7",
+            "--replay",
+            "r.toml",
+            "--freeze",
+            "--shards",
+            "2",
+            "--chaos",
+            "1:1:early",
+            "--max-attempts",
+            "2",
+            "--backoff-ms",
+            "0",
+            "--poll-ms",
+            "25",
+            "--stall-polls",
+            "4",
+            "--no-verify",
+            "a.json",
+        ]
+        .map(String::from)
+        .to_vec();
+        assert!(args(&base.iter().map(String::as_str).collect::<Vec<_>>()).unknown.is_empty());
+
+        let mut rng = StdRng::seed_from_u64(0xa76);
+        let mut malformed_seen = 0;
+        for _ in 0..3000 {
+            let mut tokens = base.clone();
+            for _ in 0..rng.random_range(1..=3u32) {
+                let i = rng.random_range(0..tokens.len());
+                match rng.random_range(0..4u32) {
+                    0 if tokens.len() > 1 => {
+                        tokens.remove(i);
+                    }
+                    1 => tokens.insert(i, tokens[i].clone()),
+                    2 => {
+                        let j = rng.random_range(0..tokens.len());
+                        tokens.swap(i, j);
+                    }
+                    _ => tokens[i] = HOSTILE[rng.random_range(0..HOSTILE.len())].to_string(),
+                }
+            }
+            let parsed = std::panic::catch_unwind(|| BenchArgs::from_args(tokens.clone()))
+                .unwrap_or_else(|_| panic!("from_args panicked on {tokens:?}"));
+            for flag in VALUE_FLAGS {
+                let (mut bad, mut good) = (0, 0);
+                for (i, token) in tokens.iter().enumerate() {
+                    if token != flag {
+                        continue;
+                    }
+                    match tokens.get(i + 1).filter(|next| !next.starts_with("--")) {
+                        Some(value) if well_formed(flag, value) => good += 1,
+                        _ => bad += 1,
+                    }
+                }
+                let reported =
+                    parsed.unknown.iter().filter(|u| u.split(' ').next() == Some(flag)).count();
+                assert_eq!(reported, bad, "{flag} in {tokens:?}: {:?}", parsed.unknown);
+                if good == 0 {
+                    assert!(is_default(&parsed, flag), "{flag} set from {tokens:?}");
+                }
+                malformed_seen += bad;
+            }
+        }
+        assert!(malformed_seen > 1000, "the mutants must exercise malformed values");
     }
 
     #[test]

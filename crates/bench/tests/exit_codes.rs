@@ -116,6 +116,33 @@ fn usage_errors_are_2() {
     assert_eq!(code_of(&["fuzz", "--smoke"]), 2, "fuzz requires --budget");
 }
 
+/// A non-UTF-8 argument is a usage error wherever it stands: as the subcommand, as a
+/// flag's value or as a file.
+#[cfg(unix)]
+#[test]
+fn non_utf8_arguments_are_usage_errors() {
+    use std::ffi::OsString;
+    use std::os::unix::ffi::OsStringExt;
+    let dir = scratch("non-utf8");
+    let raw = |bytes: &[u8]| OsString::from_vec(bytes.to_vec());
+    let code = |args: Vec<OsString>| {
+        Command::new(env!("CARGO_BIN_EXE_campaign_ctl"))
+            .args(args)
+            .output()
+            .expect("campaign_ctl spawns")
+            .status
+            .code()
+    };
+    let mut out = dir.clone().into_os_string().into_vec();
+    out.extend_from_slice(b"/x\xff");
+    assert_eq!(code(vec![raw(b"stats"), raw(b"\xff")]), Some(2), "as a file");
+    assert_eq!(code(vec![raw(b"\xff")]), Some(2), "as the subcommand");
+    let run = vec![raw(b"run"), raw(b"--smoke"), raw(b"--out"), OsString::from_vec(out)];
+    assert_eq!(code(run), Some(2), "as a flag value");
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "nothing was written");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn findings_are_3() {
     let dir = scratch("findings");

@@ -4,6 +4,7 @@ use bsm_crypto::{
 };
 use bsm_net::{Outgoing, PartyId, RoundProtocol};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Upper bound on memoized instance digests per protocol instance.
 ///
@@ -35,7 +36,11 @@ impl<V: Digestible> Digestible for DolevStrongMsg<V> {
     }
 }
 
-/// Configuration of a [`DolevStrong`] instance.
+/// Configuration of a single [`DolevStrong`] instance, for [`DolevStrong::new`].
+///
+/// It bundles the instance's [`DolevStrongRole`] with the parts of a [`KeyDirectory`].
+/// Executions that run many instances over one participant set build the directory
+/// once and use [`DolevStrong::with_directory`] instead.
 #[derive(Debug, Clone)]
 pub struct DolevStrongConfig {
     /// The party running this instance.
@@ -54,9 +59,64 @@ pub struct DolevStrongConfig {
     pub key_of: BTreeMap<PartyId, KeyId>,
 }
 
-impl DolevStrongConfig {
-    fn key_of(&self, party: PartyId) -> Option<KeyId> {
+/// What one party's instance of a Dolev–Strong broadcast owns of its configuration:
+/// everything that differs between the instances sharing a [`KeyDirectory`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DolevStrongRole {
+    /// The party running this instance.
+    pub me: PartyId,
+    /// The designated sender.
+    pub sender: PartyId,
+    /// Upper bound on corrupted participants; any `t < participants.len()` is supported.
+    pub t: usize,
+    /// Instance tag, for domain separation between parallel broadcasts.
+    pub instance: u64,
+}
+
+/// The public side of a set of Dolev–Strong instances: who participates, the PKI, and
+/// which key each party holds.
+///
+/// It is immutable, so one `Arc<KeyDirectory>` serves every instance that runs over the
+/// same participants, and building an instance copies no list or map. The composite
+/// protocol of Lemma 1 runs one broadcast per party at every party, up to `4k²`
+/// instances per execution, all over one directory; the signed relay reads it too.
+#[derive(Debug)]
+pub struct KeyDirectory {
+    participants: Vec<PartyId>,
+    pki: Pki,
+    key_of: BTreeMap<PartyId, KeyId>,
+    /// Inverse of `key_of`, restricted to participants: the party a chain link's signer
+    /// must be. A key outside the map and a key of a non-participant both miss it.
+    party_of: BTreeMap<KeyId, PartyId>,
+}
+
+impl KeyDirectory {
+    /// Builds the directory of `participants`, holding the keys `key_of` assigns in `pki`.
+    pub fn new(participants: Vec<PartyId>, pki: Pki, key_of: BTreeMap<PartyId, KeyId>) -> Self {
+        let mut party_of: BTreeMap<KeyId, PartyId> =
+            key_of.iter().map(|(&party, &key)| (key, party)).collect();
+        party_of.retain(|_, party| participants.contains(party));
+        Self { participants, pki, key_of, party_of }
+    }
+
+    /// The participants, in the order messages are sent to them.
+    pub(crate) fn participants(&self) -> &[PartyId] {
+        &self.participants
+    }
+
+    /// The public-key infrastructure.
+    pub fn pki(&self) -> &Pki {
+        &self.pki
+    }
+
+    /// The key id `party` holds, if it has one.
+    pub fn key_of(&self, party: PartyId) -> Option<KeyId> {
         self.key_of.get(&party).copied()
+    }
+
+    /// The participant holding `key`, if any.
+    pub(crate) fn participant_of(&self, key: KeyId) -> Option<PartyId> {
+        self.party_of.get(&key).copied()
     }
 }
 
@@ -68,22 +128,28 @@ impl DolevStrongConfig {
 /// a party outputs the unique value it extracted, or the default value if the (then
 /// necessarily byzantine) sender caused zero or several values to be extracted.
 ///
+/// An instance holds its [`DolevStrongRole`], its signing key, its input and default,
+/// the extracted set, its memos and a scratch buffer. The participants, the PKI and the
+/// key map with its `KeyId → PartyId` inverse live in a shared [`KeyDirectory`], so
+/// building an instance copies no map.
+///
 /// The hot path is allocation- and hash-light: the instance digest of each candidate
 /// value is computed once and memoized, signature verifications go through a
-/// per-instance [`Verifier`] memo, the `KeyId → PartyId` direction of the key map is
-/// precomputed, and relayed chains are shared [`SigChain`]s. None of this changes any
-/// observable outcome — every cached answer is identical to its uncached counterpart.
+/// per-instance [`Verifier`] memo, and relayed chains are shared [`SigChain`]s. None of
+/// this changes any observable outcome — every cached answer is identical to its
+/// uncached counterpart.
 #[derive(Debug)]
 pub struct DolevStrong<V> {
-    config: DolevStrongConfig,
+    directory: Arc<KeyDirectory>,
+    role: DolevStrongRole,
+    /// The sender's key id, looked up once (it is part of every instance digest).
+    sender_key: KeyId,
     signing_key: SigningKey,
     input: Option<V>,
     default: V,
     extracted: BTreeSet<V>,
     output: Option<V>,
-    /// Inverse of `config.key_of`, built once (the config only stores the forward map).
-    party_of: BTreeMap<KeyId, PartyId>,
-    /// Memoizing verification handle for `config.pki`.
+    /// Memoizing verification handle for the directory's PKI.
     verifier: Verifier,
     /// Instance digests per candidate value (at most [`DIGEST_MEMO_CAP`] entries).
     digest_memo: Vec<(V, Digest)>,
@@ -92,7 +158,32 @@ pub struct DolevStrong<V> {
 }
 
 impl<V: Value + Digestible> DolevStrong<V> {
-    /// Creates an instance for `config.me`.
+    /// Creates a stand-alone instance for `config.me`, with a directory of its own.
+    ///
+    /// `input` is the value to broadcast (required iff `me == sender`); `default` is
+    /// the fallback output when the sender misbehaves.
+    ///
+    /// # Panics
+    ///
+    /// As [`DolevStrong::with_directory`].
+    pub fn new(
+        config: DolevStrongConfig,
+        signing_key: SigningKey,
+        input: Option<V>,
+        default: V,
+    ) -> Self {
+        let DolevStrongConfig { me, sender, participants, t, instance, pki, key_of } = config;
+        let directory = Arc::new(KeyDirectory::new(participants, pki, key_of));
+        Self::with_directory(
+            directory,
+            DolevStrongRole { me, sender, t, instance },
+            signing_key,
+            input,
+            default,
+        )
+    }
+
+    /// Creates the instance `role` over a shared directory.
     ///
     /// `input` is the value to broadcast (required iff `me == sender`); `default` is
     /// the fallback output when the sender misbehaves.
@@ -101,36 +192,35 @@ impl<V: Value + Digestible> DolevStrong<V> {
     ///
     /// Panics if `me` or `sender` is missing from the participants/key map, if the
     /// signing key does not belong to `me`, or if the sender has no input.
-    pub fn new(
-        config: DolevStrongConfig,
+    pub fn with_directory(
+        directory: Arc<KeyDirectory>,
+        role: DolevStrongRole,
         signing_key: SigningKey,
         input: Option<V>,
         default: V,
     ) -> Self {
-        assert!(config.participants.contains(&config.me), "the local party must be a participant");
-        assert!(config.participants.contains(&config.sender), "the sender must be a participant");
-        assert!(
-            config.key_of.contains_key(&config.me) && config.key_of.contains_key(&config.sender),
-            "participants must have keys in the directory"
-        );
-        assert_eq!(
-            Some(signing_key.id()),
-            config.key_of(config.me),
-            "the signing key must belong to the local party"
-        );
-        if config.me == config.sender {
+        let participants = directory.participants();
+        assert!(participants.contains(&role.me), "the local party must be a participant");
+        assert!(participants.contains(&role.sender), "the sender must be a participant");
+        let (Some(my_key), Some(sender_key)) =
+            (directory.key_of(role.me), directory.key_of(role.sender))
+        else {
+            panic!("participants must have keys in the directory");
+        };
+        assert_eq!(signing_key.id(), my_key, "the signing key must belong to the local party");
+        if role.me == role.sender {
             assert!(input.is_some(), "the sender must hold an input value");
         }
-        let party_of = config.key_of.iter().map(|(&party, &key)| (key, party)).collect();
-        let verifier = config.pki.verifier();
+        let verifier = directory.pki().verifier();
         Self {
-            config,
+            directory,
+            role,
+            sender_key,
             signing_key,
             input,
             default,
             extracted: BTreeSet::new(),
             output: None,
-            party_of,
             verifier,
             digest_memo: Vec::new(),
             seen_signers: Vec::new(),
@@ -144,11 +234,13 @@ impl<V: Value + Digestible> DolevStrong<V> {
 
     /// The digest signed by every link of a chain for `value` in this instance.
     pub fn instance_digest(config: &DolevStrongConfig, value: &V) -> Digest {
+        let sender_key = config.key_of.get(&config.sender).copied().expect("sender has a key");
+        Self::digest_for(config.instance, sender_key, value)
+    }
+
+    fn digest_for(instance: u64, sender_key: KeyId, value: &V) -> Digest {
         let mut writer = DigestWriter::new();
-        writer
-            .label("dolev-strong")
-            .u64(config.instance)
-            .u64(u64::from(config.key_of(config.sender).expect("sender has a key").0));
+        writer.label("dolev-strong").u64(instance).u64(u64::from(sender_key.0));
         value.feed(&mut writer);
         writer.finish()
     }
@@ -159,7 +251,7 @@ impl<V: Value + Digestible> DolevStrong<V> {
         if let Some((_, digest)) = self.digest_memo.iter().find(|(v, _)| v == value) {
             return *digest;
         }
-        let digest = Self::instance_digest(&self.config, value);
+        let digest = Self::digest_for(self.role.instance, self.sender_key, value);
         if self.digest_memo.len() < DIGEST_MEMO_CAP {
             self.digest_memo.push((value.clone(), digest));
         }
@@ -171,11 +263,7 @@ impl<V: Value + Digestible> DolevStrong<V> {
         if (chain.len() as u64) < round || chain.is_empty() {
             return false;
         }
-        let sender_key = match self.config.key_of(self.config.sender) {
-            Some(key) => key,
-            None => return false,
-        };
-        if chain.first().map(Signature::signer) != Some(sender_key) {
+        if chain.first().map(Signature::signer) != Some(self.sender_key) {
             return false;
         }
         let digest = self.digest_of(&msg.value);
@@ -185,11 +273,7 @@ impl<V: Value + Digestible> DolevStrong<V> {
                 return false;
             }
             self.seen_signers.push(signature.signer());
-            let signer_party = match self.party_of.get(&signature.signer()) {
-                Some(&p) => p,
-                None => return false,
-            };
-            if !self.config.participants.contains(&signer_party) {
+            if self.directory.participant_of(signature.signer()).is_none() {
                 return false;
             }
             if !self.verifier.verify(signature, digest) {
@@ -209,10 +293,10 @@ impl<V: Value + Digestible> DolevStrong<V> {
         let digest = self.digest_of(&msg.value);
         let chain = msg.chain.extended(self.signing_key.sign(digest));
         let extended = DolevStrongMsg { value: msg.value.clone(), chain };
-        let me = self.config.me;
+        let me = self.role.me;
         out.extend(
-            self.config
-                .participants
+            self.directory
+                .participants()
                 .iter()
                 .filter(|&&p| p != me)
                 .map(|&p| Outgoing::new(p, extended.clone())),
@@ -235,18 +319,18 @@ impl<V: Value + Digestible> DolevStrong<V> {
         if self.output.is_some() {
             return Vec::new();
         }
-        let t = self.config.t as u64;
+        let t = self.role.t as u64;
         let mut out = Vec::new();
 
         if round == 0 {
-            if self.config.me == self.config.sender {
+            if self.role.me == self.role.sender {
                 let value = self.input.clone().expect("sender holds an input");
                 let digest = self.digest_of(&value);
                 let chain = SigChain::single(self.signing_key.sign(digest));
                 self.extracted.insert(value.clone());
                 let msg = DolevStrongMsg { value, chain };
-                for &p in &self.config.participants {
-                    if p != self.config.me {
+                for &p in self.directory.participants() {
+                    if p != self.role.me {
                         out.push(Outgoing::new(p, msg.clone()));
                     }
                 }
@@ -448,6 +532,45 @@ mod tests {
         assert!(delta.verify_cache_hits >= 1, "re-verified prefix must hit the memo: {delta:?}");
         receiver.round(2, &[]);
         assert_eq!(receiver.output(), Some(value), "the valid chain must still extract");
+    }
+
+    /// Delivers the chain `[sender link, link by extra]` for a fresh value to L1 at
+    /// round 1 and runs the instance to its end; returns L1's output.
+    fn output_after_two_link_chain(config: &DolevStrongConfig, pki: &Pki, extra: KeyId) -> u64 {
+        let mut receiver = instance_for(config, pki, &config.key_of, PartyId::left(1), None);
+        let value = 17u64;
+        let digest = DolevStrong::<u64>::instance_digest(config, &value);
+        let sender_link = pki.signing_key(config.key_of[&config.sender].0).unwrap().sign(digest);
+        let extra_link = pki.signing_key(extra.0).unwrap().sign(digest);
+        let msg = DolevStrongMsg { value, chain: vec![sender_link, extra_link].into() };
+        receiver.round(0, &[]);
+        receiver.round(1, &[(PartyId::left(2), msg)]);
+        for round in 2..DolevStrong::<u64>::total_rounds(config.t) {
+            receiver.round(round, &[]);
+        }
+        receiver.output().expect("terminates")
+    }
+
+    #[test]
+    fn a_link_by_a_key_outside_the_key_map_is_rejected() {
+        let (_, _, _, mut config) = setup(3, 1, PartyId::left(0));
+        // The PKI holds one key more than the key map assigns: KeyId(3) signs validly,
+        // but no party holds it.
+        let pki = Pki::new(4);
+        config.pki = pki.clone();
+        assert_eq!(output_after_two_link_chain(&config, &pki, KeyId(2)), 17, "control");
+        assert_eq!(output_after_two_link_chain(&config, &pki, KeyId(3)), u64::MAX);
+    }
+
+    #[test]
+    fn a_link_by_a_mapped_non_participant_is_rejected() {
+        let (_, _, _, mut config) = setup(3, 1, PartyId::left(0));
+        // R0 holds KeyId(3) in the key map but is not a participant of the instance.
+        let pki = Pki::new(4);
+        config.pki = pki.clone();
+        config.key_of.insert(PartyId::right(0), KeyId(3));
+        assert_eq!(output_after_two_link_chain(&config, &pki, KeyId(2)), 17, "control");
+        assert_eq!(output_after_two_link_chain(&config, &pki, KeyId(3)), u64::MAX);
     }
 
     #[test]

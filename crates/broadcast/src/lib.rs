@@ -37,7 +37,9 @@ mod pi_bb;
 mod value;
 
 pub use committee::{Committee, CommitteeBroadcast, CommitteeBroadcastConfig, CommitteeMsg};
-pub use dolev_strong::{DolevStrong, DolevStrongConfig, DolevStrongMsg};
+pub use dolev_strong::{
+    DolevStrong, DolevStrongConfig, DolevStrongMsg, DolevStrongRole, KeyDirectory,
+};
 pub use phase_king::{KingMsg, KingMsgKind, PhaseKing};
 pub use pi_ba::{BaMsg, OmissionTolerantBa};
 pub use pi_bb::{BbMsg, OmissionTolerantBb};

@@ -8,9 +8,9 @@ use crate::relay::{RelayEngine, RelayMode};
 use crate::runtime::{BsmProtocol, PartyRuntime};
 use crate::solvability::{characterize, Impossibility, ProtocolPlan, Solvability};
 use crate::strategies::{BsmPuppetAdversary, GarbageAdversary};
-use crate::wire::{dense_key_index, WireMsg};
-use bsm_broadcast::Committee;
-use bsm_crypto::{KeyId, Pki};
+use crate::wire::{dense_key_index, PrefVec, WireMsg};
+use bsm_broadcast::{Committee, DolevStrong, KeyDirectory};
+use bsm_crypto::{KeyId, Pki, SigningKey};
 use bsm_matching::generators::uniform_profile;
 use bsm_matching::{PreferenceProfile, Side};
 use bsm_net::{
@@ -21,6 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// The byzantine behaviour installed for the corrupted parties.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -201,12 +202,12 @@ impl Scenario {
     /// tailored attacks obtain them through this directory together with
     /// [`Scenario::key_id_of`].
     pub fn pki(&self) -> &Pki {
-        &self.env.pki
+        self.env.directory.pki()
     }
 
     /// The key id assigned to `party` in this scenario's PKI (dense numbering).
     pub fn key_id_of(&self, party: PartyId) -> Option<KeyId> {
-        self.env.key_of.get(&party).copied()
+        self.env.directory.key_of(party)
     }
 
     /// The shared run environment (PKI, key directory, runtime construction) — used by
@@ -264,7 +265,7 @@ impl Scenario {
         // Snapshot the signature counter so repeated runs of the same scenario (which
         // share one PKI) still report the per-run cost; taken before the runtimes are
         // registered because protocol constructors may already sign.
-        let signatures_before = env.pki.signatures_issued();
+        let signatures_before = env.directory.pki().signatures_issued();
         let slots_per_round = env.slots_per_round();
         let total_rounds = env.total_rounds(plan);
         // Under a fault schedule the automatic budget is extended by the worst case the
@@ -295,7 +296,7 @@ impl Scenario {
         }
 
         let outcome = net.run(max_slots)?;
-        let signatures = env.pki.signatures_issued() - signatures_before;
+        let signatures = env.directory.pki().signatures_issued() - signatures_before;
         let instance = BsmInstance::new(self.profile.clone(), outcome.corrupted.clone());
         let violations = check_bsm(&instance, &outcome.outputs);
         Ok(ScenarioOutcome {
@@ -429,13 +430,15 @@ impl ScenarioBuilder {
     }
 }
 
-/// Shared per-run environment: PKI, key directory and runtime construction helpers.
+/// Shared per-run environment: the key directory and runtime construction helpers.
 #[derive(Debug, Clone)]
 pub(crate) struct ScenarioEnv {
     pub(crate) setting: Setting,
     pub(crate) parties: PartySet,
-    pub(crate) pki: Pki,
-    pub(crate) key_of: BTreeMap<PartyId, KeyId>,
+    /// The one key directory of the cell: all `2k` parties, the PKI and each party's
+    /// key (dense numbering). Every Dolev–Strong instance and signed relay engine of
+    /// every party and puppet holds a reference to it.
+    pub(crate) directory: Arc<KeyDirectory>,
 }
 
 impl ScenarioEnv {
@@ -445,7 +448,8 @@ impl ScenarioEnv {
         let pki = Pki::new(2 * k as u32);
         let key_of: BTreeMap<PartyId, KeyId> =
             parties.iter().map(|p| (p, KeyId(dense_key_index(p, k)))).collect();
-        Self { setting: *setting, parties, pki, key_of }
+        let directory = Arc::new(KeyDirectory::new(parties.iter().collect(), pki, key_of));
+        Self { setting: *setting, parties, directory }
     }
 
     pub(crate) fn slots_per_round(&self) -> u64 {
@@ -461,12 +465,21 @@ impl ScenarioEnv {
         Committee::new(members, self.setting.t_of(side))
     }
 
+    /// `party`'s signing key.
+    pub(crate) fn signing_key(&self, party: PartyId) -> SigningKey {
+        let key = self.directory.key_of(party).expect("every party has a key");
+        self.directory.pki().signing_key(key.0).expect("every key is in the PKI")
+    }
+
+    /// The corruption bound of the Dolev–Strong flavor: `tL + tR`, capped at `n − 1`.
+    fn ds_t(&self) -> usize {
+        (self.setting.t_l() + self.setting.t_r()).min(self.setting.n().saturating_sub(1))
+    }
+
     pub(crate) fn total_rounds(&self, plan: ProtocolPlan) -> u64 {
         let k = self.setting.k();
         match plan {
-            ProtocolPlan::DolevStrongBsm => {
-                BroadcastBsm::total_rounds(k, &self.ds_flavor(PartyId::left(0)))
-            }
+            ProtocolPlan::DolevStrongBsm => DolevStrong::<PrefVec>::total_rounds(self.ds_t()),
             ProtocolPlan::CommitteeBroadcastBsm { committee_side } => BroadcastBsm::total_rounds(
                 k,
                 &BroadcastFlavor::Committee { committee: self.committee(committee_side) },
@@ -478,12 +491,10 @@ impl ScenarioEnv {
     }
 
     pub(crate) fn ds_flavor(&self, me: PartyId) -> BroadcastFlavor {
-        let t = (self.setting.t_l() + self.setting.t_r()).min(self.setting.n().saturating_sub(1));
         BroadcastFlavor::DolevStrong {
-            pki: self.pki.clone(),
-            signing_key: self.pki.signing_key(self.key_of[&me].0).expect("every party has a key"),
-            key_of: self.key_of.clone(),
-            t,
+            directory: Arc::clone(&self.directory),
+            signing_key: self.signing_key(me),
+            t: self.ds_t(),
         }
     }
 
@@ -493,11 +504,9 @@ impl ScenarioEnv {
         } else {
             match self.setting.auth() {
                 AuthMode::Unauthenticated => RelayMode::Majority,
-                AuthMode::Authenticated => RelayMode::Signed {
-                    pki: self.pki.clone(),
-                    key_of: self.key_of.clone(),
-                    max_age: 2,
-                },
+                AuthMode::Authenticated => {
+                    RelayMode::Signed { directory: Arc::clone(&self.directory), max_age: 2 }
+                }
             }
         }
     }
@@ -546,19 +555,9 @@ impl ScenarioEnv {
         plan: ProtocolPlan,
         profile: &PreferenceProfile,
     ) -> PartyRuntime {
-        let signing_key = match self.relay_mode() {
-            RelayMode::Signed { .. } => {
-                Some(self.pki.signing_key(self.key_of[&me].0).expect("every party has a key"))
-            }
-            _ => None,
-        };
-        let relay = RelayEngine::new(
-            me,
-            self.parties,
-            self.setting.topology(),
-            self.relay_mode(),
-            signing_key,
-        );
+        let mode = self.relay_mode();
+        let signing_key = matches!(mode, RelayMode::Signed { .. }).then(|| self.signing_key(me));
+        let relay = RelayEngine::new(me, self.parties, self.setting.topology(), mode, signing_key);
         PartyRuntime::new(me, relay, self.build_protocol(me, plan, profile), self.slots_per_round())
     }
 }
@@ -691,6 +690,38 @@ mod tests {
             "partition + loss must drop something: {:?}",
             a.metrics
         );
+    }
+
+    /// Every Dolev–Strong instance and signed relay engine of every party and puppet
+    /// holds the cell's one directory: a per-instance copy would leave the count at 1.
+    #[test]
+    fn every_instance_and_signed_relay_shares_the_cell_directory() {
+        let k = 3;
+        for (topology, signed_relays) in
+            [(Topology::FullyConnected, 0), (Topology::OneSided, 2 * k)]
+        {
+            let setting = setting(k, topology, AuthMode::Authenticated, 1, 1);
+            let scenario = Scenario::builder(setting)
+                .seed(4)
+                .corrupt_left([0])
+                .adversary(AdversarySpec::Lying)
+                .build()
+                .unwrap();
+            let env = scenario.env();
+            let plan = ProtocolPlan::DolevStrongBsm;
+            let honest: Vec<PartyRuntime> = env
+                .parties
+                .iter()
+                .filter(|party| !scenario.corrupted().contains(party))
+                .map(|party| env.build_runtime(party, plan, scenario.profile()))
+                .collect();
+            let puppets = scenario.build_adversary(env, plan);
+            // The env's handle, one per instance (2k runtimes × 2k broadcasts) and one
+            // per signed relay engine.
+            assert_eq!(Arc::strong_count(&env.directory), 1 + 4 * k * k + signed_relays);
+            drop((honest, puppets));
+            assert_eq!(Arc::strong_count(&env.directory), 1);
+        }
     }
 
     #[test]

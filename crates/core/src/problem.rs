@@ -52,6 +52,13 @@ impl std::str::FromStr for AuthMode {
 /// "nobody" when byzantine parties withhold participation.
 pub type MatchDecision = Option<PartyId>;
 
+/// The largest market size `k` a script or scenario file may declare.
+///
+/// Readers of untrusted files reject a larger `k` with a positioned error before anything
+/// `k`-sized is allocated; a Dolev–Strong cell at this size already runs `4k²` = 16,384
+/// broadcast instances. [`Setting::new`] itself takes any `k ≥ 1`.
+pub const MAX_K: usize = 64;
+
 /// A complete description of one bSM instance environment: the market size, the network
 /// topology, the cryptographic assumptions and the per-side corruption budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -14,25 +14,27 @@ use crate::wire::{
     ProtoBody, ProtoMsg,
 };
 use bsm_broadcast::{
-    Committee, CommitteeBroadcast, CommitteeBroadcastConfig, DolevStrong, DolevStrongConfig,
+    Committee, CommitteeBroadcast, CommitteeBroadcastConfig, DolevStrong, DolevStrongRole,
+    KeyDirectory,
 };
-use bsm_crypto::{KeyId, Pki, SigningKey};
+use bsm_crypto::SigningKey;
 use bsm_matching::gale_shapley::gale_shapley_left;
 use bsm_matching::{PreferenceList, PreferenceProfile, Side};
 use bsm_net::{Outgoing, PartyId, PartySet, RoundProtocol};
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Which broadcast primitive carries the preference lists.
 #[derive(Debug, Clone)]
 pub enum BroadcastFlavor {
     /// Dolev–Strong over the PKI (authenticated settings, Theorem 5 / Lemma 8).
+    ///
+    /// All `2k` instances of a party, and every party of one execution, share the one
+    /// `directory`; each instance owns only its role, key, memos and extracted set.
     DolevStrong {
-        /// The public-key directory.
-        pki: Pki,
+        /// The participants (all `2k` parties), the PKI and every party's key.
+        directory: Arc<KeyDirectory>,
         /// This party's signing key.
         signing_key: SigningKey,
-        /// Key of every party (dense numbering).
-        key_of: BTreeMap<PartyId, KeyId>,
         /// Total corruption bound used for the round count (`tL + tR`, capped at
         /// `n − 1`).
         t: usize,
@@ -64,7 +66,8 @@ pub struct BroadcastBsm {
     me: PartyId,
     k: usize,
     my_pref: PreferenceList,
-    instances: BTreeMap<u32, InstanceState>,
+    /// One broadcast per party, indexed by the instance id (the sender's dense index).
+    instances: Vec<InstanceState>,
     decision: Option<MatchDecision>,
 }
 
@@ -89,26 +92,26 @@ impl BroadcastBsm {
         assert_eq!(my_pref.len(), k, "preference list must rank all k opposite-side parties");
         let parties = PartySet::new(k);
         let all: Vec<PartyId> = parties.iter().collect();
-        let mut instances = BTreeMap::new();
+        let default = default_pref_vec(k);
+        // Pushed in dense order, so each instance sits at its instance id.
+        let mut instances = Vec::with_capacity(all.len());
         for sender in parties.iter() {
             let instance_id = dense_key_index(sender, k);
             let input = if sender == me { Some(pref_to_vec(&my_pref)) } else { None };
             let state = match &flavor {
-                BroadcastFlavor::DolevStrong { pki, signing_key, key_of, t } => {
-                    let config = DolevStrongConfig {
+                BroadcastFlavor::DolevStrong { directory, signing_key, t } => {
+                    let role = DolevStrongRole {
                         me,
                         sender,
-                        participants: all.clone(),
                         t: (*t).min(all.len().saturating_sub(1)),
                         instance: u64::from(instance_id),
-                        pki: pki.clone(),
-                        key_of: key_of.clone(),
                     };
-                    InstanceState::Ds(DolevStrong::new(
-                        config,
+                    InstanceState::Ds(DolevStrong::with_directory(
+                        Arc::clone(directory),
+                        role,
                         signing_key.clone(),
                         input,
-                        default_pref_vec(k),
+                        default.clone(),
                     ))
                 }
                 BroadcastFlavor::Committee { committee } => {
@@ -117,15 +120,15 @@ impl BroadcastBsm {
                         sender,
                         committee: committee.clone(),
                         all_parties: all.clone(),
-                        default: default_pref_vec(k),
+                        default: default.clone(),
                     };
                     InstanceState::Cb(CommitteeBroadcast::new(
                         config,
-                        input.unwrap_or_else(|| default_pref_vec(k)),
+                        input.unwrap_or_else(|| default.clone()),
                     ))
                 }
             };
-            instances.insert(instance_id, state);
+            instances.push(state);
         }
         Self { me, k, my_pref, instances, decision: None }
     }
@@ -158,21 +161,17 @@ impl BroadcastBsm {
         if self.decision.is_some() {
             return;
         }
-        let mut outputs: BTreeMap<u32, PrefVec> = BTreeMap::new();
-        for (&instance, state) in &self.instances {
-            match state.output() {
-                Some(value) => {
-                    outputs.insert(instance, value);
-                }
-                None => return,
-            }
-        }
+        let Some(outputs) =
+            self.instances.iter().map(InstanceState::output).collect::<Option<Vec<PrefVec>>>()
+        else {
+            return;
+        };
         // All broadcasts finished: reconstruct the (identical-at-every-honest-party)
         // preference profile, substituting the default list for invalid payloads.
         let k = self.k;
         let mut left = vec![PreferenceList::identity(k); k];
         let mut right = vec![PreferenceList::identity(k); k];
-        for (instance, value) in outputs {
+        for (instance, value) in (0u32..).zip(outputs) {
             let party = party_from_dense(instance, k);
             let list = vec_to_pref(k, &value).unwrap_or_else(|| PreferenceList::identity(k));
             match party.side {
@@ -204,7 +203,7 @@ impl RoundProtocol for BroadcastBsm {
         // Demultiplex by borrowing: each instance reads its own messages, in inbox
         // order, straight out of the inbox instead of from per-instance clones.
         let mut out = Vec::new();
-        for (&instance, state) in self.instances.iter_mut() {
+        for (instance, state) in (0u32..).zip(self.instances.iter_mut()) {
             let incoming = inbox.iter().filter(move |(_, msg)| msg.instance == instance);
             match state {
                 InstanceState::Ds(protocol) => {
@@ -245,9 +244,11 @@ impl RoundProtocol for BroadcastBsm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsm_crypto::{KeyId, Pki};
     use bsm_matching::generators::uniform_profile;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
     /// Drives a full set of honest BroadcastBsm parties in lock step without a network
     /// (all messages delivered next round), and returns each party's decision.
@@ -288,16 +289,20 @@ mod tests {
         }
     }
 
-    fn ds_flavor(k: usize, pki: &Pki) -> impl Fn(PartyId) -> BroadcastFlavor + '_ {
-        move |p: PartyId| {
-            let key_of: BTreeMap<PartyId, KeyId> =
-                PartySet::new(k).iter().map(|q| (q, KeyId(dense_key_index(q, k)))).collect();
-            BroadcastFlavor::DolevStrong {
-                pki: pki.clone(),
-                signing_key: pki.signing_key(dense_key_index(p, k)).unwrap(),
-                key_of,
-                t: 1,
-            }
+    /// The directory of the `2k` parties, each holding the key of its dense index.
+    fn dense_directory(k: usize) -> Arc<KeyDirectory> {
+        let key_of: BTreeMap<PartyId, KeyId> =
+            PartySet::new(k).iter().map(|q| (q, KeyId(dense_key_index(q, k)))).collect();
+        let pki = Pki::new(2 * k as u32);
+        Arc::new(KeyDirectory::new(PartySet::new(k).iter().collect(), pki, key_of))
+    }
+
+    fn ds_flavor(k: usize) -> impl Fn(PartyId) -> BroadcastFlavor {
+        let directory = dense_directory(k);
+        move |p: PartyId| BroadcastFlavor::DolevStrong {
+            directory: Arc::clone(&directory),
+            signing_key: directory.pki().signing_key(dense_key_index(p, k)).unwrap(),
+            t: 1,
         }
     }
 
@@ -323,8 +328,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let k = 3usize;
         let profile = uniform_profile(k, &mut rng);
-        let pki = Pki::new(2 * k as u32);
-        let decisions = run_lockstep(k, &profile, ds_flavor(k, &pki));
+        let decisions = run_lockstep(k, &profile, ds_flavor(k));
         let expected = gale_shapley_left(&profile);
         for (party, decision) in decisions {
             let expected_partner = match party.side {
@@ -338,15 +342,9 @@ mod tests {
     #[test]
     fn total_rounds_are_positive_and_flavor_dependent() {
         let k = 3usize;
-        let pki = Pki::new(2 * k as u32);
-        let key_of: BTreeMap<PartyId, KeyId> =
-            PartySet::new(k).iter().map(|q| (q, KeyId(dense_key_index(q, k)))).collect();
-        let ds = BroadcastFlavor::DolevStrong {
-            pki: pki.clone(),
-            signing_key: pki.signing_key(0).unwrap(),
-            key_of,
-            t: 2,
-        };
+        let directory = dense_directory(k);
+        let signing_key = directory.pki().signing_key(0).unwrap();
+        let ds = BroadcastFlavor::DolevStrong { directory, signing_key, t: 2 };
         assert_eq!(BroadcastBsm::total_rounds(k, &ds), 4);
         let cb = committee_flavor(k);
         assert!(BroadcastBsm::total_rounds(k, &cb) > 4);

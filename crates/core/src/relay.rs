@@ -16,7 +16,8 @@
 //!   omission model of §5.2.
 
 use crate::wire::{ProtoMsg, WireMsg};
-use bsm_crypto::{Digest, DigestWriter, Digestible, KeyId, Pki, SigningKey, Verifier};
+use bsm_broadcast::KeyDirectory;
+use bsm_crypto::{Digest, DigestWriter, Digestible, SigningKey, Verifier};
 use bsm_net::{Outgoing, PartyId, PartySet, Time, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -33,10 +34,9 @@ pub enum RelayMode {
     /// Lemmas 8 / 10: accept payloads with a valid origin signature, no older than
     /// `max_age` slots.
     Signed {
-        /// The public-key directory.
-        pki: Pki,
-        /// Key of every party (dense numbering).
-        key_of: BTreeMap<PartyId, KeyId>,
+        /// The PKI and every party's key. A scenario passes its one per-cell directory,
+        /// the one its Dolev–Strong instances share.
+        directory: Arc<KeyDirectory>,
         /// Maximum accepted age (in slots) of a relayed message; the paper uses `2·Δ`.
         max_age: u64,
     },
@@ -121,7 +121,7 @@ impl RelayEngine {
             assert!(signing_key.is_some(), "signed relay mode requires this party's signing key");
         }
         let verifier = match &mode {
-            RelayMode::Signed { pki, .. } => Some(pki.verifier()),
+            RelayMode::Signed { directory, .. } => Some(directory.pki().verifier()),
             _ => None,
         };
         Self {
@@ -233,11 +233,11 @@ impl RelayEngine {
                             accepted.push((origin, payload));
                         }
                     }
-                    RelayMode::Signed { pki: _, key_of, max_age } => {
+                    RelayMode::Signed { directory, max_age } => {
                         let Some(signature) = signature else {
                             return;
                         };
-                        let Some(&origin_key) = key_of.get(&origin) else {
+                        let Some(origin_key) = directory.key_of(origin) else {
                             return;
                         };
                         if signature.signer() != origin_key
@@ -264,6 +264,7 @@ impl RelayEngine {
 mod tests {
     use super::*;
     use crate::wire::{PrefVec, ProtoBody};
+    use bsm_crypto::{KeyId, Pki};
 
     fn msg(tag: u64) -> ProtoMsg {
         ProtoMsg { instance: 0, body: ProtoBody::Suggest(Some(tag)) }
@@ -429,7 +430,8 @@ mod tests {
         let origin_key = pki.signing_key(key_of[&origin].0).unwrap();
         let target_key = pki.signing_key(key_of[&target].0).unwrap();
 
-        let mode = RelayMode::Signed { pki: pki.clone(), key_of: key_of.clone(), max_age: 2 };
+        let directory = Arc::new(KeyDirectory::new(PartySet::new(k).iter().collect(), pki, key_of));
+        let mode = RelayMode::Signed { directory, max_age: 2 };
         let mut sender_engine = RelayEngine::new(
             origin,
             PartySet::new(k),
@@ -519,12 +521,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires this party's signing key")]
     fn signed_mode_without_key_panics() {
-        let pki = Pki::new(2);
+        let directory = Arc::new(KeyDirectory::new(Vec::new(), Pki::new(2), BTreeMap::new()));
         let _ = RelayEngine::new(
             PartyId::left(0),
             parties(),
             Topology::Bipartite,
-            RelayMode::Signed { pki, key_of: BTreeMap::new(), max_age: 2 },
+            RelayMode::Signed { directory, max_age: 2 },
             None,
         );
     }

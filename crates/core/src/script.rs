@@ -14,7 +14,7 @@
 //! byte-for-byte.
 
 use crate::harness::{HarnessError, Scenario, ScenarioOutcome};
-use crate::problem::{AuthMode, Setting};
+use crate::problem::{AuthMode, Setting, MAX_K};
 use crate::solvability::{characterize, ProtocolPlan, Solvability};
 use crate::strategies::{BsmPuppetAdversary, GarbageAdversary};
 use crate::text::{self, Document, Table, TextError, Value, Writer};
@@ -276,6 +276,11 @@ pub struct Script {
     pub verdict: Option<Verdict>,
 }
 
+/// The largest `per_slot` a script's `garbage` action may declare, so a malformed file
+/// cannot make the flooder loop without bound. The fuzzer draws `per_slot ≤ 3` and its
+/// number mutation caps doubling at 1,024.
+pub const MAX_GARBAGE_PER_SLOT: u64 = 4096;
+
 /// The script format's name in errors and its table headers.
 const FORMAT: &str = "script";
 const HEADERS: [&str; 3] = ["[script]", "[[action]]", "[verdict]"];
@@ -388,7 +393,7 @@ impl Script {
         let mut t = doc.table("[script]").ok_or_else(|| doc.error("missing [script] table"))?;
         let script = Script {
             name: t.require("name", Value::string)?,
-            k: t.require("k", Value::narrow)?,
+            k: t.require("k", |v| v.at_most(MAX_K as u64))?,
             topology: t.require("topology", Value::parse)?,
             auth: t.require("auth", Value::parse)?,
             t_l: t.require("t_l", Value::narrow)?,
@@ -480,6 +485,7 @@ fn action_from(mut t: Table) -> Result<ScriptAction, TextError> {
     for &key in number_keys(template) {
         numbers.push(match key {
             "index" => u64::from(t.require::<u32>(key, Value::narrow)?),
+            "per_slot" => t.require(key, |v| v.at_most(MAX_GARBAGE_PER_SLOT))?,
             _ => t.require(key, Value::int)?,
         });
     }
@@ -585,14 +591,8 @@ impl ScriptedAdversary {
             }
         }
 
-        let keys = scenario
-            .corrupted()
-            .iter()
-            .map(|&party| {
-                let key = env.pki.signing_key(env.key_of[&party].0).expect("every party has a key");
-                (party, key)
-            })
-            .collect();
+        let keys =
+            scenario.corrupted().iter().map(|&party| (party, env.signing_key(party))).collect();
 
         Self {
             k,
@@ -939,6 +939,10 @@ mod tests {
             ("[script]\nname = \"a\"\nname = \"b\"\n", "duplicate key"),
             ("[script]\nnot a pair\n", "expected key = value"),
             ("[script]\nname = \"a\"\nk = \"three\"\n", "k: expected integer"),
+            (
+                "[script]\nname = \"a\"\nk = 4294967296\n",
+                "line 3: k: 4294967296 exceeds the maximum 64",
+            ),
             ("[script]\nname = \"unterminated\n", "unterminated string"),
             ("[script]\nseed = [1, \"x\"]\n", "mixed array"),
             ("[script]\nseed = nope\n", "invalid value"),
@@ -951,6 +955,12 @@ mod tests {
         let mut bad_kind = empty_script(0).canonical();
         bad_kind.push_str("\n[[action]]\nkind = \"explode\"\n");
         assert!(Script::parse(&bad_kind).unwrap_err().to_string().contains("unknown action kind"));
+        let mut flood = empty_script(0).canonical();
+        flood.push_str(
+            "\n[[action]]\nkind = \"garbage\"\nseed = 1\nper_slot = 18446744073709551615\n",
+        );
+        let err = Script::parse(&flood).unwrap_err().to_string();
+        assert!(err.contains("per_slot: 18446744073709551615 exceeds the maximum 4096"), "{err}");
         let mut bad_key = empty_script(0).canonical();
         bad_key.push_str("bogus = 1\n");
         assert!(Script::parse(&bad_key).unwrap_err().to_string().contains("unknown key"));

@@ -125,6 +125,15 @@ impl Value {
         T::try_from(n).map_err(|_| format!("{n} is out of range"))
     }
 
+    /// The integer, if it is at most `max` and fits `T` — how an input-derived size
+    /// is bounded before anything of that size is allocated.
+    pub fn at_most<T: TryFrom<u64>>(self, max: u64) -> Result<T, String> {
+        match self.int()? {
+            n if n > max => Err(format!("{n} exceeds the maximum {max}")),
+            n => T::try_from(n).map_err(|_| format!("{n} is out of range")),
+        }
+    }
+
     /// The boolean.
     pub fn bool(self) -> Result<bool, String> {
         match self {

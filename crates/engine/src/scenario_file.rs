@@ -25,10 +25,15 @@
 
 use crate::campaign::{Campaign, CampaignBuilder};
 use bsm_core::harness::AdversarySpec;
-use bsm_core::problem::AuthMode;
+use bsm_core::problem::{AuthMode, MAX_K};
 use bsm_core::text::{self, Document, Table, TextError, Value, Writer};
 use bsm_net::{CrashWindow, FaultSpec, PartitionWindow, Topology};
 use std::path::Path;
+
+/// The most cells a scenario file's grid may expand to: the product of its axis
+/// lengths, `seeds` included. Expansion materializes every cell's spec, so a larger
+/// grid is rejected at parse time; the default `campaign_ctl` grid has 1,080 cells.
+pub const MAX_GRID_CELLS: u64 = 1 << 20;
 
 /// The scenario format's name in errors and its table headers.
 const FORMAT: &str = "scenario file";
@@ -114,7 +119,10 @@ impl ScenarioFile {
         }
         let scenario = ScenarioFile {
             name,
-            sizes: axis(grid.get("sizes", |v| nonempty(v.list(Value::narrow)))?, vec![3]),
+            sizes: axis(
+                grid.get("sizes", |v| nonempty(v.list(|v| v.at_most(MAX_K as u64))))?,
+                vec![3],
+            ),
             topologies: axis(
                 grid.get("topologies", |v| nonempty(v.list(Value::parse)))?,
                 Topology::ALL.to_vec(),
@@ -144,6 +152,22 @@ impl ScenarioFile {
             },
         };
         grid.finish()?;
+        let axes = [
+            scenario.sizes.len(),
+            scenario.topologies.len(),
+            scenario.auth.len(),
+            scenario.corruptions.len(),
+            scenario.adversaries.len(),
+            scenario.faults.len(),
+        ];
+        let cells =
+            axes.iter().try_fold(scenario.seeds, |cells, &len| cells.checked_mul(len as u64));
+        if cells.is_none_or(|cells| cells > MAX_GRID_CELLS) {
+            return Err(grid.key_error(
+                "seeds",
+                format!("the grid expands to more than the maximum {MAX_GRID_CELLS} cells"),
+            ));
+        }
         Ok(scenario)
     }
 
@@ -379,6 +403,8 @@ jitter = 2
             ("name = \"x\"\n[grid]\ntopologies = [\"ring\"]\n", 3, "unknown topology"),
             ("name = \"x\"\n[grid]\nseeds = 0\n", 3, "at least 1"),
             ("name = \"x\"\n[grid]\nseeds = 1\nseeds = 2\n", 4, "duplicate key"),
+            ("name = \"x\"\n[grid]\nseeds = 18446744073709551615\n", 3, "maximum 1048576 cells"),
+            ("name = \"x\"\n[grid]\nsizes = [3, 4294967296]\n", 3, "sizes: 4294967296 exceeds"),
             ("name = \"x\"\n[[faults]]\nloss = 2000\n", 3, "exceeds 1000"),
             ("name = \"x\"\n[[faults]]\njitter = 999\n", 3, "exceeds 255"),
             ("name = \"x\"\n[[faults]]\npartitions = [[0, 0]]\n", 3, "zero duration"),
