@@ -1,8 +1,9 @@
 //! Shared helpers for the experiment binaries and Criterion benchmarks.
 //!
 //! Every table and figure of the paper is regenerated by one of the binaries in
-//! `src/bin/` (see `DESIGN.md` §4 for the experiment index); the Criterion benches in
-//! `benches/` measure the wall-clock cost of the same code paths.
+//! `src/bin/` (README's "Benchmarks and experiments" section indexes them: E1 and
+//! E6–E11); the Criterion benches in `benches/` measure the wall-clock cost of the
+//! same code paths.
 
 use bsm_core::harness::{AdversarySpec, Scenario, ScenarioOutcome};
 use bsm_core::problem::{AuthMode, Setting};

@@ -138,7 +138,9 @@ pub struct CommitteeBroadcastConfig<V> {
 /// unauthenticated network for the product adversary structure, provided one side
 /// satisfies `t < k/3`.
 ///
-/// Construction (see `DESIGN.md` §1, substitution 3):
+/// This construction stands in for a broadcast protocol for general adversary
+/// structures: since one side has `t < k/3`, agreement can be delegated to that side
+/// alone, where [`PhaseKing`] suffices, and every cost stays polynomial in `k`.
 ///
 /// 1. (round 0) the sender sends its value to every committee member;
 /// 2. (rounds 1 … 3(t+1)+1) the committee runs [`PhaseKing`] on the received values

@@ -12,8 +12,24 @@
 //!   signature verifies if and only if the holder of the corresponding [`SigningKey`]
 //!   actually signed that exact digest. Unforgeability is enforced by a shared signing
 //!   registry rather than by number theory, which is the standard idealization used in
-//!   distributed computing proofs (and by this paper). See `DESIGN.md` §1 for the
-//!   substitution rationale.
+//!   distributed computing proofs (and by this paper). The substitution changes no
+//!   protocol behaviour the paper analyses: its proofs use only that a signature
+//!   cannot be forged, which the registry makes true by construction rather than
+//!   computationally hard, with no key generation or modular arithmetic per message
+//!   and no randomness that would break the simulator's determinism.
+//!
+//! # Hashing cost and the one `unsafe` block
+//!
+//! Every digest finishes through [`sha256::Sha256`]: [`Digest::of`], [`DigestWriter`],
+//! signature tags, Dolev–Strong instance digests and relay digests. Its 64-byte block
+//! compression has two implementations, chosen per block at run time: one on the x86
+//! SHA extensions when `is_x86_feature_detected!` confirms `sha` and `sse4.1`, and a
+//! portable one everywhere else. Both give the same digests; a unit test holds the
+//! accelerated compression to the portable one on 10,000 seeded random inputs, and
+//! the FIPS vectors run through whichever path the CPU selects. The call into the
+//! accelerated function, after that feature check, is the crate's only `unsafe`
+//! block, which is why this crate denies `unsafe_code` where the rest of the
+//! workspace forbids it. Verification hashes nothing (see [`Pki::verify_detailed`]).
 //!
 //! # Example
 //!
@@ -31,7 +47,7 @@
 //! assert!(!pki.verify(&signature, Digest::of_bytes(b"something else")));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod chain;

@@ -3,8 +3,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Message and round accounting for one simulation run.
 ///
-/// The complexity experiments (E6–E11 in `DESIGN.md`) read these counters to build the
-/// rounds/messages-versus-`k` tables.
+/// The complexity experiments (E6–E11, indexed in README's "Benchmarks and experiments"
+/// section) read these counters to build the rounds/messages-versus-`k` tables.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Messages accepted into the network from honest parties.

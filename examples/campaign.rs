@@ -23,6 +23,7 @@ use byzantine_stable_matching::engine::{
     Campaign, CampaignBuilder, CampaignReport, Executor, ShardPlan,
 };
 use byzantine_stable_matching::AdversarySpec;
+use std::ffi::OsStr;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -36,29 +37,39 @@ struct Args {
 fn parse_args() -> Args {
     let mut args =
         Args { smoke: false, threads: None, shards: 3, out: PathBuf::from("target/campaign") };
-    let mut iter = std::env::args().skip(1);
+    // `args_os`, not `args`: a non-UTF-8 argument is reported and ignored, not a panic.
+    let mut iter = std::env::args_os().skip(1);
     while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--threads" => match iter.next().map(|v| (v.parse::<usize>(), v)) {
-                Some((Ok(n), _)) if n > 0 => args.threads = Some(n),
-                Some((_, v)) => eprintln!("warning: ignoring invalid --threads value: {v}"),
+        match arg.to_str() {
+            Some("--smoke") => args.smoke = true,
+            Some("--threads") => match iter.next().map(|v| (positive(&v), v)) {
+                Some((Some(n), _)) => args.threads = Some(n),
+                Some((None, v)) => {
+                    eprintln!("warning: ignoring invalid --threads value: {}", v.to_string_lossy())
+                }
                 None => eprintln!("warning: --threads expects a positive integer"),
             },
-            "--shards" => match iter.next().map(|v| (v.parse::<usize>(), v)) {
-                Some((Ok(n), _)) if n > 0 => args.shards = n,
-                Some((_, v)) => eprintln!("warning: ignoring invalid --shards value: {v}"),
+            Some("--shards") => match iter.next().map(|v| (positive(&v), v)) {
+                Some((Some(n), _)) => args.shards = n,
+                Some((None, v)) => {
+                    eprintln!("warning: ignoring invalid --shards value: {}", v.to_string_lossy())
+                }
                 None => eprintln!("warning: --shards expects a positive integer"),
             },
-            "--out" => {
+            Some("--out") => {
                 if let Some(dir) = iter.next() {
                     args.out = PathBuf::from(dir);
                 }
             }
-            other => eprintln!("warning: ignoring unrecognized argument: {other}"),
+            _ => eprintln!("warning: ignoring unrecognized argument: {}", arg.to_string_lossy()),
         }
     }
     args
+}
+
+/// A flag value that is a positive integer, or `None` (non-UTF-8 values included).
+fn positive(value: &OsStr) -> Option<usize> {
+    value.to_str()?.parse().ok().filter(|&n| n > 0)
 }
 
 fn build_campaign(smoke: bool) -> Campaign {

@@ -9,7 +9,7 @@ use byzantine_stable_matching::engine::{CampaignBuilder, CellOutcome, Executor};
 use byzantine_stable_matching::{characterize, Solvability, Topology};
 
 fn main() {
-    let k: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(6);
+    let k: usize = std::env::args_os().nth(1).and_then(|a| a.to_str()?.parse().ok()).unwrap_or(6);
     println!("byzantine stable matching solvability for k = {k} (✓ solvable, · unsolvable)\n");
     for auth in AuthMode::ALL {
         for topology in Topology::ALL {
