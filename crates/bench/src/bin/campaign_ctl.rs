@@ -446,13 +446,6 @@ fn stream_shard(
 /// uninterrupted `run --stream`. Pass the same `--smoke`/`--shard` flags as the
 /// interrupted run.
 fn resume(args: &BenchArgs) -> Result<CtlCode, CtlError> {
-    if !args.files.is_empty() {
-        return Err(CtlError::Usage(
-            "resume: file arguments are not supported (pass --out DIR of the \
-             interrupted run, plus its --smoke/--shard flags)"
-                .into(),
-        ));
-    }
     if args.metrics {
         // Telemetry (counter deltas, wall times) is measured while a cell runs; it
         // cannot be reconstructed for the cells salvaged from the interrupted
@@ -536,12 +529,11 @@ fn resume(args: &BenchArgs) -> Result<CtlCode, CtlError> {
 /// quarantined), `supervise.json` records every attempt and the quarantined
 /// ranges, and the process exits degraded (code 4) when anything was quarantined.
 fn supervise(args: &BenchArgs) -> Result<CtlCode, CtlError> {
-    if !args.files.is_empty() || args.metrics || args.shard.is_some() || args.stream {
+    if args.metrics || args.shard.is_some() || args.stream {
         return Err(CtlError::Usage(
-            "supervise: --shard, --stream, --metrics and file arguments are not \
-             supported (the supervisor shards, streams and merges itself; use \
-             --shards K plus --smoke/--scenario, --threads, --out and the \
-             supervision tuning flags)"
+            "supervise: --shard, --stream and --metrics are not supported (the \
+             supervisor shards, streams and merges itself; use --shards K plus \
+             --smoke/--scenario, --threads, --out and the supervision tuning flags)"
                 .into(),
         ));
     }
@@ -635,26 +627,22 @@ fn supervise(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     Ok(CtlCode::Success)
 }
 
-/// `bench`: run the fixed Dolev-Strong-heavy benchmark campaign and write the
-/// `BENCH_engine.json` performance snapshot (see [`bsm_engine::bench`]).
+/// `bench`: run the fixed Dolev-Strong-heavy benchmark campaign and write its
+/// `BENCH_engine.json` counter snapshot (see [`bsm_engine::bench`]).
 ///
-/// `--smoke` selects the quick CI grid; the default full grid is the one behind the
-/// tracked repo-root baseline. `--out DIR` chooses where `BENCH_engine.json` lands
-/// (default: the current directory, i.e. the repo root when run from a checkout).
+/// `--smoke` selects the quick grid; the default full grid is the one behind the
+/// tracked repo-root snapshot, which a full run reproduces byte for byte at any
+/// `--threads`. `--out DIR` chooses where `BENCH_engine.json` lands (default: the
+/// current directory, i.e. the repo root when run from a checkout).
 fn bench(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     // The benchmark campaign is fixed by design (the snapshot is only comparable
     // across runs of the same grid); silently accepting run-flavored flags would
     // ship a mislabeled baseline with exit 0.
-    if args.shard.is_some()
-        || args.stream
-        || args.metrics
-        || args.scenario.is_some()
-        || !args.files.is_empty()
-    {
+    if args.shard.is_some() || args.stream || args.metrics || args.scenario.is_some() {
         return Err(CtlError::Usage(
-            "bench: --shard, --stream, --metrics, --scenario and file arguments \
-             are not supported (the benchmark campaign is fixed and its snapshot \
-             already carries the counter deltas; use --smoke, --threads, --out)"
+            "bench: --shard, --stream, --metrics and --scenario are not supported (the \
+             benchmark campaign is fixed and its snapshot already carries the counters; \
+             use --smoke, --threads, --out)"
                 .into(),
         ));
     }
@@ -671,11 +659,8 @@ fn bench(args: &BenchArgs) -> Result<CtlCode, CtlError> {
         .and_then(|()| atomic_write(&path, snapshot.to_json()))
         .map_err(|err| format!("cannot write {}: {err}", path.display()))?;
     outln!(
-        "{} cells in {:.3}s ({:.1} scenarios/sec); {} signatures verified \
-         (+{} cache hits), {} digests computed",
+        "{} cells; {} signatures verified (+{} cache hits), {} digests computed",
         snapshot.cells,
-        snapshot.wall_seconds,
-        snapshot.scenarios_per_sec,
         snapshot.signatures_verified,
         snapshot.verify_cache_hits,
         snapshot.digests_computed
@@ -699,17 +684,11 @@ fn bench(args: &BenchArgs) -> Result<CtlCode, CtlError> {
 fn fuzz(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     // The fuzzer owns its own determinism contract; campaign-flavored flags have no
     // meaning here and silently ignoring them would mislabel the run.
-    if args.shard.is_some()
-        || args.stream
-        || args.metrics
-        || args.smoke
-        || args.scenario.is_some()
-        || !args.files.is_empty()
+    if args.shard.is_some() || args.stream || args.metrics || args.smoke || args.scenario.is_some()
     {
         return Err(CtlError::Usage(
-            "fuzz: --shard, --stream, --metrics, --smoke, --scenario and file \
-             arguments are not supported (use --budget N, --seed S, --replay FILE, \
-             --freeze, --out DIR)"
+            "fuzz: --shard, --stream, --metrics, --smoke and --scenario are not \
+             supported (use --budget N, --seed S, --replay FILE, --freeze, --out DIR)"
                 .into(),
         ));
     }
@@ -1038,6 +1017,22 @@ fn dispatch(subcommand: &str, args: &BenchArgs) -> Result<CtlCode, CtlError> {
              --stall-polls only apply to `campaign_ctl supervise`"
                 .into(),
         ));
+    }
+    // Positionals: no subcommand reads a market size, and only merge, diff and stats
+    // read paths; dropping a stray one would run something other than what was typed.
+    if let Some(k) = args.k {
+        return Err(CtlError::Usage(format!(
+            "unexpected argument {k}: no subcommand takes a market size (write a path \
+             named {k} as ./{k})"
+        )));
+    }
+    if !args.files.is_empty()
+        && matches!(subcommand, "run" | "resume" | "supervise" | "bench" | "fuzz")
+    {
+        return Err(CtlError::Usage(format!(
+            "{subcommand}: unexpected argument(s) {} (only merge, diff and stats take paths)",
+            args.files.join(", ")
+        )));
     }
     match subcommand {
         "run" => run(args),

@@ -97,8 +97,7 @@ fn main() {
             let (report, stats) = executor.run(&campaign);
             let totals = report.totals();
             // These cells are all solvable, so a failed run is a harness regression —
-            // abort loudly rather than printing a quietly reduced "verified" count
-            // (the pre-engine code panicked here via run_boundary_scenario).
+            // abort loudly rather than printing a quietly reduced "verified" count.
             if totals.failed > 0 {
                 for cell in report.cells() {
                     if let bsm_engine::CellOutcome::Failed { message } = &cell.outcome {

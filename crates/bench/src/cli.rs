@@ -3,7 +3,8 @@
 //! Every binary accepts the same small vocabulary, replacing the copy-pasted
 //! `std::env::args()` handling they used to carry individually:
 //!
-//! * a positional integer — the market size `k`,
+//! * a positional integer in `1..=`[`MAX_K`] (64) — the market size `k` (any other
+//!   integer is unrecognized, so a binary warns and keeps its default),
 //! * other positionals — file paths (e.g. shard exports for `campaign_ctl merge`),
 //! * `--no-verify` — print analytic tables only, skip the empirical runs,
 //! * `--threads N` — worker threads for the campaign engine (overrides `BSM_THREADS`),
@@ -35,6 +36,7 @@
 //! `run --stream` it finishes, so an operator (or the future coordinator daemon)
 //! replays the original invocation with only the subcommand swapped.
 
+use bsm_core::problem::MAX_K;
 use bsm_engine::supervise::ChaosSpec;
 use bsm_engine::{Executor, ShardPlan};
 use std::ffi::OsString;
@@ -45,7 +47,7 @@ use std::path::PathBuf;
 /// Parsed command-line arguments shared by the experiment binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
-    /// The positional market size, when given.
+    /// The positional market size, when given; always in `1..=MAX_K`.
     pub k: Option<usize>,
     /// `false` when `--no-verify` was passed.
     pub verify: bool,
@@ -239,6 +241,9 @@ impl BenchArgs {
                 },
                 other if other.starts_with("--") => parsed.unknown.push(other.to_string()),
                 other => match other.parse::<usize>() {
+                    Ok(k) if !(1..=MAX_K).contains(&k) => {
+                        parsed.unknown.push(format!("{other} (k must be in 1..={MAX_K})"));
+                    }
                     Ok(k) if parsed.k.is_none() => parsed.k = Some(k),
                     Ok(_) => parsed.unknown.push(other.to_string()),
                     Err(_) => parsed.files.push(other.to_string()),
@@ -329,6 +334,8 @@ mod tests {
         assert_eq!(parsed.seeds, 10);
         assert!(parsed.unknown.is_empty());
         assert_eq!(parsed.executor().thread_count(), 3);
+        assert_eq!(args(&["1"]).k, Some(1));
+        assert_eq!(args(&["64"]).k, Some(MAX_K));
     }
 
     #[test]
@@ -647,6 +654,13 @@ mod tests {
         assert_eq!(parsed.seeds, 1);
         // second positional + bad --threads + bad --seeds + unknown flag
         assert_eq!(parsed.unknown.len(), 4);
+        // An out-of-range market size is unrecognized and leaves the slot free.
+        for bad in ["0", "65", "1000"] {
+            let parsed = args(&[bad, "5"]);
+            assert_eq!(parsed.k, Some(5), "{bad}");
+            assert_eq!(parsed.unknown.len(), 1, "{bad}");
+            assert!(parsed.files.is_empty(), "{bad}");
+        }
         // warn_unknown only logs; parsing results are unchanged.
         let warned = parsed.clone().warn_unknown();
         assert_eq!(warned, parsed);

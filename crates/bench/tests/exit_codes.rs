@@ -114,6 +114,13 @@ fn usage_errors_are_2() {
     assert_eq!(code_of(&["run", "--smoke", "--shards", "2"]), 2, "supervise flag on run");
     assert_eq!(code_of(&["supervise", "--smoke"]), 2, "supervise requires --shards");
     assert_eq!(code_of(&["fuzz", "--smoke"]), 2, "fuzz requires --budget");
+    // A positional the subcommand does not read is never dropped silently.
+    assert_eq!(code_of(&["run", "--smoke", "foo"]), 2, "a path on run");
+    assert_eq!(code_of(&["run", "--smoke", "7"]), 2, "a market size on run");
+    assert_eq!(code_of(&["run", "--smoke", "0"]), 2, "an out-of-range market size");
+    assert_eq!(code_of(&["fuzz", "--budget", "2", "3"]), 2, "a market size on fuzz");
+    assert_eq!(code_of(&["bench", "--smoke", "foo"]), 2, "a path on bench");
+    assert_eq!(code_of(&["stats", "5"]), 2, "a market size on stats");
 }
 
 /// A non-UTF-8 argument is a usage error wherever it stands: as the subcommand, as a

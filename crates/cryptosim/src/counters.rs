@@ -2,10 +2,10 @@
 //!
 //! The scenario engine's performance is dominated by SHA-256 work: every digest
 //! computed and every signature verified costs a fixed number of compression rounds.
-//! These counters make that work *observable* — `campaign_ctl bench` reads them
-//! before and after a fixed campaign and reports the deltas in `BENCH_engine.json`,
-//! so an optimization that removes redundant hashing shows up as a hard counter drop
-//! even on single-core CI hardware where wall-clock is noisy.
+//! These counters make that work *observable* — `campaign_ctl bench` sums each
+//! cell's delta over a fixed campaign into `BENCH_engine.json`, so an optimization
+//! that removes redundant hashing shows up as a hard counter drop even on
+//! single-core CI hardware where wall-clock is noisy.
 //!
 //! The counters are monotone, process-wide and updated with relaxed atomics: they
 //! never participate in protocol logic or exported reports (which stay byte-identical

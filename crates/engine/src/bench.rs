@@ -2,47 +2,29 @@
 //!
 //! `campaign_ctl bench` runs a **fixed, Dolev-Strong-heavy** campaign — authenticated
 //! fully-connected settings only, so every solvable cell executes the signature-chain
-//! hot path — and writes a [`BenchSnapshot`] as JSON. The snapshot is the engine's
-//! tracked performance trajectory: the repo root carries the latest
-//! `BENCH_engine.json`, and a PR that touches the hot path re-runs the mode and
-//! reports the before/after deltas.
+//! hot path — and writes a [`BenchSnapshot`] as JSON. The snapshot holds deterministic
+//! counters only, so it is byte-identical across runs, machines and thread counts: the
+//! repo root tracks the full-mode `BENCH_engine.json`, and CI regenerates it and
+//! `cmp`s the two. Wall-clock time is measured in one place, the repository benchmark
+//! (`perfbench/`), which takes repeated samples and reports their spread.
 //!
-//! Two kinds of numbers live side by side:
+//! Two kinds of counters live side by side:
 //!
-//! * **wall-clock** (`wall_seconds`, `scenarios_per_sec`) — honest but noisy on
-//!   shared single-core CI hardware,
 //! * **work counters** (`digests_computed`, `signatures_verified`,
-//!   `verify_cache_hits`, read as before/after deltas of
-//!   [`bsm_crypto::counters`]) — deterministic for a fixed campaign, so a hot-path
-//!   optimization shows up as a hard counter drop no matter the hardware.
-//!
-//! The deterministic campaign *outputs* (`messages`, `slots`, `signatures`) are
-//! included as a cross-check: an optimization must move the work counters while
-//! leaving these — and every exported report — untouched.
+//!   `verify_cache_hits`, summed from each cell's attributed
+//!   [`bsm_crypto::counters`] delta) — a hot-path optimization shows up as a hard
+//!   counter drop,
+//! * **campaign outputs** (`signatures_issued`, `messages`, `slots`, `violations`) —
+//!   an optimization must move the work counters while leaving these, and every
+//!   exported report, untouched.
 
 use crate::campaign::{Campaign, CampaignBuilder};
 use crate::executor::Executor;
 use bsm_core::harness::AdversarySpec;
 use bsm_core::problem::AuthMode;
+use bsm_crypto::CounterSnapshot;
 use bsm_net::Topology;
-
-/// The JSON keys every snapshot carries, in output order. The CI `bench-smoke` job
-/// fails when any of them is missing from the written `BENCH_engine.json`.
-pub const REQUIRED_KEYS: [&str; 13] = [
-    "mode",
-    "threads",
-    "cells",
-    "completed",
-    "wall_seconds",
-    "scenarios_per_sec",
-    "signatures_issued",
-    "signatures_verified",
-    "verify_cache_hits",
-    "digests_computed",
-    "messages",
-    "slots",
-    "violations",
-];
+use std::convert::Infallible;
 
 /// The fixed Dolev-Strong-heavy benchmark campaign.
 ///
@@ -51,9 +33,9 @@ pub const REQUIRED_KEYS: [&str; 13] = [
 /// per cell, each of the `2k` parties runs `2k` broadcast instances of `t + 2` rounds,
 /// which is exactly the chain-verification workload the hot-path optimizations target.
 ///
-/// `quick` selects the small CI grid (12 cells); the full grid (72 cells, sizes up to
-/// `k = 14` and `t` up to 10) is the one the tracked repo-root `BENCH_engine.json` is
-/// produced from.
+/// `quick` selects a small grid (12 cells) whose snapshot a unit test pins; the full
+/// grid (72 cells, sizes up to `k = 14` and `t` up to 10) is the one the tracked
+/// repo-root `BENCH_engine.json` is produced from.
 pub fn dolev_strong_campaign(quick: bool) -> Campaign {
     let builder = CampaignBuilder::new()
         .topologies([Topology::FullyConnected])
@@ -66,26 +48,21 @@ pub fn dolev_strong_campaign(quick: bool) -> Campaign {
     }
 }
 
-/// One measured run of the fixed benchmark campaign.
-#[derive(Debug, Clone, PartialEq)]
+/// The deterministic counters of one run of the fixed benchmark campaign.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchSnapshot {
-    /// `"quick"` (CI grid) or `"full"` (the tracked baseline grid).
+    /// `"quick"` (the small grid) or `"full"` (the tracked baseline grid).
     pub mode: String,
-    /// Worker threads used.
-    pub threads: usize,
     /// Cells in the campaign.
     pub cells: usize,
     /// Cells whose protocol ran to completion.
     pub completed: usize,
-    /// Wall-clock time of the run, in seconds.
-    pub wall_seconds: f64,
-    /// Cells per wall-clock second.
-    pub scenarios_per_sec: f64,
     /// Signatures produced during the campaign (deterministic report total).
     pub signatures_issued: u64,
-    /// Full signature verifications performed (process-counter delta).
+    /// Full signature verifications performed (summed per-cell counter delta).
     pub signatures_verified: u64,
-    /// Verifications answered from a per-verifier memo (process-counter delta).
+    /// Verifications answered from a per-verifier memo (summed per-cell counter
+    /// delta).
     ///
     /// **Expected to be 0 on this campaign** — genuinely, not from a wiring gap (the
     /// memo and its counter are exercised by `crates/broadcast` tests): a
@@ -98,7 +75,7 @@ pub struct BenchSnapshot {
     /// key is kept in the snapshot as a tripwire: a nonzero value means the protocol
     /// started re-verifying chains it used to skip.
     pub verify_cache_hits: u64,
-    /// Digests computed (process-counter delta).
+    /// Digests computed (summed per-cell counter delta).
     pub digests_computed: u64,
     /// Messages delivered across completed cells (deterministic report total).
     pub messages: u64,
@@ -109,22 +86,17 @@ pub struct BenchSnapshot {
 }
 
 impl BenchSnapshot {
-    /// Renders the snapshot as a small stable-key-order JSON document (one key per
-    /// line, every [`REQUIRED_KEYS`] entry present).
+    /// Renders the snapshot as a small stable-key-order JSON document, one key per
+    /// line.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"mode\": \"{}\",\n  \"threads\": {},\n  \"cells\": {},\n  \
-             \"completed\": {},\n  \"wall_seconds\": {:.3},\n  \
-             \"scenarios_per_sec\": {:.1},\n  \"signatures_issued\": {},\n  \
-             \"signatures_verified\": {},\n  \"verify_cache_hits\": {},\n  \
-             \"digests_computed\": {},\n  \"messages\": {},\n  \"slots\": {},\n  \
-             \"violations\": {}\n}}\n",
+            "{{\n  \"mode\": \"{}\",\n  \"cells\": {},\n  \"completed\": {},\n  \
+             \"signatures_issued\": {},\n  \"signatures_verified\": {},\n  \
+             \"verify_cache_hits\": {},\n  \"digests_computed\": {},\n  \
+             \"messages\": {},\n  \"slots\": {},\n  \"violations\": {}\n}}\n",
             self.mode,
-            self.threads,
             self.cells,
             self.completed,
-            self.wall_seconds,
-            self.scenarios_per_sec,
             self.signatures_issued,
             self.signatures_verified,
             self.verify_cache_hits,
@@ -136,29 +108,29 @@ impl BenchSnapshot {
     }
 }
 
-/// Runs the fixed benchmark campaign on `executor` and snapshots throughput and
-/// crypto-work counters.
+/// Runs the fixed benchmark campaign on `executor` and snapshots its counters.
 ///
-/// The counter deltas are process-global ([`bsm_crypto::counters`]): run the bench in
-/// a process that is not concurrently hashing for other reasons (as `campaign_ctl
-/// bench` does) for exact numbers.
+/// The crypto counters sum each cell's attributed delta
+/// ([`CellTelemetry::crypto`](crate::telemetry::CellTelemetry::crypto)), so crypto
+/// work on other threads of the process never leaks in, and the snapshot is the same
+/// at every thread count.
 pub fn run(executor: &Executor, quick: bool) -> BenchSnapshot {
     let campaign = dolev_strong_campaign(quick);
-    let before = bsm_crypto::counters::snapshot();
-    let (report, stats) = executor.run(&campaign);
-    let delta = bsm_crypto::counters::snapshot() - before;
-    let totals = report.totals();
+    let mut crypto = CounterSnapshot::default();
+    let Ok((totals, _)) = executor.run_streaming_telemetry(&campaign, |_, telemetry| {
+        crypto.digests_computed += telemetry.crypto.digests_computed;
+        crypto.signatures_verified += telemetry.crypto.signatures_verified;
+        crypto.verify_cache_hits += telemetry.crypto.verify_cache_hits;
+        Ok::<(), Infallible>(())
+    });
     BenchSnapshot {
         mode: if quick { "quick".into() } else { "full".into() },
-        threads: stats.threads,
         cells: campaign.len(),
         completed: totals.completed,
-        wall_seconds: stats.elapsed.as_secs_f64(),
-        scenarios_per_sec: stats.throughput(),
         signatures_issued: totals.signatures,
-        signatures_verified: delta.signatures_verified,
-        verify_cache_hits: delta.verify_cache_hits,
-        digests_computed: delta.digests_computed,
+        signatures_verified: crypto.signatures_verified,
+        verify_cache_hits: crypto.verify_cache_hits,
+        digests_computed: crypto.digests_computed,
         messages: totals.messages,
         slots: totals.slots,
         violations: totals.violations,
@@ -182,17 +154,14 @@ mod tests {
 
     #[test]
     fn snapshot_json_carries_every_required_key() {
-        let executor = Executor::new().threads(1);
-        let snapshot = run(&executor, true);
-        assert_eq!(snapshot.cells, 12);
-        assert_eq!(snapshot.completed, 12, "every authenticated full-mesh cell is solvable");
-        assert_eq!(snapshot.violations, 0);
-        assert!(snapshot.signatures_issued > 0);
-        assert!(snapshot.signatures_verified > 0, "Dolev-Strong chains must verify");
-        assert!(snapshot.digests_computed > 0);
-        let json = snapshot.to_json();
-        for key in REQUIRED_KEYS {
-            assert!(json.contains(&format!("\"{key}\"")), "missing {key} in {json}");
-        }
+        let json = run(&Executor::new().threads(1), true).to_json();
+        assert_eq!(
+            json,
+            "{\n  \"mode\": \"quick\",\n  \"cells\": 12,\n  \"completed\": 12,\n  \
+             \"signatures_issued\": 408,\n  \"signatures_verified\": 340,\n  \
+             \"verify_cache_hits\": 0,\n  \"digests_computed\": 816,\n  \
+             \"messages\": 2904,\n  \"slots\": 48,\n  \"violations\": 0\n}\n"
+        );
+        assert_eq!(run(&Executor::new().threads(2), true).to_json(), json);
     }
 }

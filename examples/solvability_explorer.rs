@@ -2,14 +2,29 @@
 //! corruption budgets, for every topology and cryptographic assumption — then
 //! cross-checks the solvable region empirically with a parallel `bsm-engine` campaign.
 //!
-//! Run with `cargo run --example solvability_explorer -- [k]` (default k = 6).
+//! Run with `cargo run --example solvability_explorer -- [k]` (default k = 6; any
+//! argument that is not an integer in `1..=MAX_K` is reported and the default used).
 
-use byzantine_stable_matching::core::problem::{AuthMode, Setting};
+use byzantine_stable_matching::core::problem::{AuthMode, Setting, MAX_K};
 use byzantine_stable_matching::engine::{CampaignBuilder, CellOutcome, Executor};
 use byzantine_stable_matching::{characterize, Solvability, Topology};
 
+const DEFAULT_K: usize = 6;
+
 fn main() {
-    let k: usize = std::env::args_os().nth(1).and_then(|a| a.to_str()?.parse().ok()).unwrap_or(6);
+    let k = match std::env::args_os().nth(1) {
+        None => DEFAULT_K,
+        Some(arg) => match arg.to_str().and_then(|a| a.parse::<usize>().ok()) {
+            Some(k) if (1..=MAX_K).contains(&k) => k,
+            _ => {
+                eprintln!(
+                    "warning: ignoring argument {arg:?} (k must be an integer in \
+                     1..={MAX_K}); using k = {DEFAULT_K}"
+                );
+                DEFAULT_K
+            }
+        },
+    };
     println!("byzantine stable matching solvability for k = {k} (✓ solvable, · unsolvable)\n");
     for auth in AuthMode::ALL {
         for topology in Topology::ALL {
