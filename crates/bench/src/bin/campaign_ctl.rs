@@ -137,6 +137,7 @@
 
 use bsm_bench::cli::BenchArgs;
 use bsm_bench::exit::{CtlCode, CtlError};
+use bsm_bench::{errln, outln};
 use bsm_core::harness::AdversarySpec;
 use bsm_core::script::{Script, Verdict};
 use bsm_engine::export::{
@@ -159,16 +160,6 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
-
-/// `println!` and `eprintln!` that ignore write errors: a closed stdout or stderr
-/// (`campaign_ctl … | head`) must not panic a command into exit 101. The artifacts
-/// and the exit code are the product; these lines are commentary.
-macro_rules! outln {
-    ($($arg:tt)*) => {{ let _ = writeln!(std::io::stdout(), $($arg)*); }};
-}
-macro_rules! errln {
-    ($($arg:tt)*) => {{ let _ = writeln!(std::io::stderr(), $($arg)*); }};
-}
 
 /// The campaign to run, plus the canonical scenario text when one was loaded from
 /// `--scenario FILE` (embedded in every report artifact as its scenario tag).

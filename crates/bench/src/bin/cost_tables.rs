@@ -8,20 +8,20 @@
 //!
 //! Usage: `cost_tables [--threads N]`
 
-use bsm_bench::{row, separator, BenchArgs};
+use bsm_bench::{outln, row, separator, BenchArgs};
 use bsm_core::harness::AdversarySpec;
 use bsm_core::problem::AuthMode;
 use bsm_engine::{Campaign, CellRecord, Executor};
 use bsm_net::Topology;
 
 fn table(title: &str, rows: Vec<Vec<String>>, header: &[&str]) {
-    println!("## {title}\n");
-    println!("{}", row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>()));
-    println!("{}", separator(header.len()));
+    outln!("## {title}\n");
+    outln!("{}", row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>()));
+    outln!("{}", separator(header.len()));
     for r in rows {
-        println!("{}", row(&r));
+        outln!("{}", row(&r));
     }
-    println!();
+    outln!();
 }
 
 /// Renders one completed campaign cell as a cost-table row.

@@ -7,7 +7,7 @@
 //!
 //! Usage: `impossibility_attacks [--threads N]`
 
-use bsm_bench::BenchArgs;
+use bsm_bench::{outln, BenchArgs};
 use bsm_core::attacks::{
     full_side_partition_attack, relay_denial_attack, split_brain_attack, Attack,
 };
@@ -67,8 +67,8 @@ fn main() {
         Box::new(|| full_side_partition_attack(Topology::Bipartite)),
     ];
     let sections = args.executor().map(jobs, |job| report(job()));
-    println!("# E3–E5 — lower-bound constructions as executable attacks\n");
+    outln!("# E3–E5 — lower-bound constructions as executable attacks\n");
     for section in sections {
-        println!("{section}");
+        outln!("{section}");
     }
 }

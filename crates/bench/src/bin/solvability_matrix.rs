@@ -11,7 +11,7 @@
 //!
 //! Usage: `solvability_matrix [k] [--no-verify] [--threads N] [--seeds N]`
 
-use bsm_bench::BenchArgs;
+use bsm_bench::{errln, outln, BenchArgs};
 use bsm_core::harness::AdversarySpec;
 use bsm_core::problem::{AuthMode, Setting};
 use bsm_core::solvability::{characterize, Solvability};
@@ -40,17 +40,17 @@ fn main() {
     let executor = args.executor();
     // The thread count and throughput are wall-clock context, not results: stderr,
     // so stdout stays byte-identical across runs and machines.
-    eprintln!(
+    errln!(
         "[{} engine threads, {} seed(s) per boundary cell]",
         executor.thread_count(),
         args.seeds
     );
-    println!("# E1 — solvability matrix and empirical verification (k = {k})\n");
+    outln!("# E1 — solvability matrix and empirical verification (k = {k})\n");
 
     for auth in AuthMode::ALL {
         for topology in Topology::ALL {
-            println!("## {auth}, {topology}\n");
-            println!("rows tL = 0..{k}, columns tR = 0..{k}; ✓ solvable / · unsolvable\n");
+            outln!("## {auth}, {topology}\n");
+            outln!("rows tL = 0..{k}, columns tR = 0..{k}; ✓ solvable / · unsolvable\n");
             for t_l in 0..=k {
                 let mut line = format!("tL={t_l:>2} ");
                 for t_r in 0..=k {
@@ -60,9 +60,9 @@ fn main() {
                         Solvability::Unsolvable(_) => " ·",
                     });
                 }
-                println!("{line}");
+                outln!("{line}");
             }
-            println!();
+            outln!();
 
             if !args.verify {
                 continue;
@@ -101,21 +101,22 @@ fn main() {
             if totals.failed > 0 {
                 for cell in report.cells() {
                     if let bsm_engine::CellOutcome::Failed { message } = &cell.outcome {
-                        eprintln!("boundary run failed at {}: {message}", cell.spec);
+                        errln!("boundary run failed at {}: {message}", cell.spec);
                     }
                 }
                 std::process::exit(1);
             }
-            println!(
+            outln!(
                 "verified {} boundary runs (crash / lying / garbage adversaries): \
                  {} property violations\n",
-                totals.completed, totals.violations
+                totals.completed,
+                totals.violations
             );
             // Wall-clock throughput goes to stderr so stdout stays byte-identical
             // across runs (the repo's determinism convention).
-            eprintln!("[{auth}, {topology}: {stats}]");
+            errln!("[{auth}, {topology}: {stats}]");
         }
     }
-    println!("Every solvable boundary cell ran clean; see `impossibility_attacks` for the");
-    println!("matching lower-bound demonstrations (E3–E5).");
+    outln!("Every solvable boundary cell ran clean; see `impossibility_attacks` for the");
+    outln!("matching lower-bound demonstrations (E3–E5).");
 }

@@ -3,36 +3,34 @@
 //!
 //! Usage: `topology_figure [k]`
 
-use bsm_bench::BenchArgs;
+use bsm_bench::{outln, BenchArgs};
 use bsm_net::{PartyId, PartySet, Topology};
 
 fn main() {
     let k = BenchArgs::parse().warn_unknown().k_or(3);
     let parties: Vec<PartyId> = PartySet::new(k).iter().collect();
-    println!("# E2 — Fig. 1: communication topologies (k = {k})\n");
+    outln!("# E2 — Fig. 1: communication topologies (k = {k})\n");
     for topology in Topology::ALL {
-        println!("## {topology} ({} channels)\n", topology.channel_count(k));
-        print!("     ");
-        for p in &parties {
-            print!("{p:>4}");
-        }
-        println!();
+        outln!("## {topology} ({} channels)\n", topology.channel_count(k));
+        let header: String = parties.iter().map(|p| format!("{p:>4}")).collect();
+        outln!("     {header}");
         for a in &parties {
-            print!("{a:>4} ");
-            for b in &parties {
-                let cell = if a == b {
-                    "  · "
-                } else if topology.connects(*a, *b) {
-                    "  ■ "
-                } else {
-                    "  . "
-                };
-                print!("{cell}");
-            }
-            println!();
+            let cells: String = parties
+                .iter()
+                .map(|b| {
+                    if a == b {
+                        "  · "
+                    } else if topology.connects(*a, *b) {
+                        "  ■ "
+                    } else {
+                        "  . "
+                    }
+                })
+                .collect();
+            outln!("{a:>4} {cells}");
         }
-        println!();
+        outln!();
     }
-    println!("■ = bidirectional authenticated channel, . = no channel, · = self");
-    println!("The matching is always across the two sides, regardless of the topology.");
+    outln!("■ = bidirectional authenticated channel, . = no channel, · = self");
+    outln!("The matching is always across the two sides, regardless of the topology.");
 }

@@ -268,10 +268,15 @@ impl BenchArgs {
         }
     }
 
-    /// Warns on stderr about unrecognized arguments; returns `self` for chaining.
+    /// Warns on stderr about every argument an experiment binary ignores: the
+    /// unrecognized ones and the non-numeric positionals, which only `campaign_ctl`
+    /// reads (as [`BenchArgs::files`]). Returns `self` for chaining.
     pub fn warn_unknown(self) -> Self {
         for arg in &self.unknown {
-            eprintln!("warning: ignoring unrecognized argument: {arg}");
+            crate::errln!("warning: ignoring unrecognized argument: {arg}");
+        }
+        for file in &self.files {
+            crate::errln!("warning: ignoring positional argument: {file}");
         }
         self
     }

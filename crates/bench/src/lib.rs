@@ -11,6 +11,26 @@ pub mod exit;
 pub use cli::BenchArgs;
 pub use exit::{CtlCode, CtlError};
 
+/// `println!` that ignores write errors: a closed stdout (`solvability_matrix | head`)
+/// must not panic a binary into exit 101. A reader that stops reading has seen what it
+/// wanted; the artifacts and the exit code are the product.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+
+/// `eprintln!` that ignores write errors, for the same reason as [`outln!`].
+#[macro_export]
+macro_rules! errln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 /// Formats a markdown-style table row.
 pub fn row(cells: &[String]) -> String {
     format!("| {} |", cells.join(" | "))

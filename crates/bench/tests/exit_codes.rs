@@ -2,7 +2,8 @@
 //!
 //! `crates/bench/src/exit.rs` documents the vocabulary — 0 success, 1 internal,
 //! 2 usage, 3 findings, 4 degraded — and scripts and CI gates branch on it, so
-//! every code is pinned here against the real binary.
+//! every code is pinned here against the real binary. The experiment binaries have
+//! no failure codes to pin; they exit 0 on a closed pipe and on an ignored argument.
 
 use bsm_engine::{CampaignBuilder, Executor};
 use std::path::{Path, PathBuf};
@@ -73,6 +74,43 @@ fn a_closed_stdout_or_stderr_is_not_an_error() {
     assert_eq!(code_without_readers(&merge), Some(0));
     assert!(merged.join("report.json").exists(), "merge left no report.json");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each experiment binary with a short invocation that still prints every table.
+const EXPERIMENTS: [(&str, &[&str]); 4] = [
+    (env!("CARGO_BIN_EXE_solvability_matrix"), &["2"]),
+    (env!("CARGO_BIN_EXE_cost_tables"), &[]),
+    (env!("CARGO_BIN_EXE_impossibility_attacks"), &[]),
+    (env!("CARGO_BIN_EXE_topology_figure"), &[]),
+];
+
+#[test]
+fn experiment_binaries_survive_a_closed_stdout_or_stderr() {
+    for (bin, args) in EXPERIMENTS {
+        // A stray positional makes the binary write a warning to the closed stderr too.
+        let status = Command::new(bin)
+            .args(args)
+            .arg("foo")
+            .stdout(closed_pipe())
+            .stderr(closed_pipe())
+            .status()
+            .expect("the experiment binary spawns");
+        assert_eq!(status.code(), Some(0), "{bin} {args:?} foo");
+    }
+}
+
+#[test]
+fn experiment_binaries_warn_about_a_stray_positional() {
+    for (bin, args) in EXPERIMENTS {
+        let output = Command::new(bin)
+            .args(args)
+            .args(["foo", "--no-verify"])
+            .output()
+            .expect("the experiment binary spawns");
+        assert_eq!(output.status.code(), Some(0), "{bin} {args:?} foo --no-verify");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("warning: ignoring positional argument: foo"), "{bin}: {stderr}");
+    }
 }
 
 #[test]

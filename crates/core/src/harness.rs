@@ -14,14 +14,23 @@ use bsm_crypto::{KeyId, Pki, SigningKey};
 use bsm_matching::generators::uniform_profile;
 use bsm_matching::{PreferenceProfile, Side};
 use bsm_net::{
-    Adversary, CorruptionBudget, FaultSchedule, FaultSpec, Metrics, PartyId, PartySet,
+    Adversary, CorruptionBudget, FaultSchedule, FaultSpec, Metrics, NetBuffers, PartyId, PartySet,
     PassiveAdversary, SilentProcess, SimError, SyncNetwork, Topology,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
+
+thread_local! {
+    /// The emptied message buffers of the last network this thread ran. Every run takes
+    /// them and puts them back, so a thread that runs cell after cell (a campaign
+    /// worker, the fuzzer, the attacks) keeps the queue capacity of its largest cell
+    /// instead of allocating a Dolev–Strong round-1 burst afresh for each cell.
+    static NET_BUFFERS: Cell<NetBuffers<WireMsg>> = Cell::new(NetBuffers::default());
+}
 
 /// The byzantine behaviour installed for the corrupted parties.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -275,10 +284,11 @@ impl Scenario {
             slots_per_round * (total_rounds + 4) + 8 + self.faults.slot_slack(total_rounds + 4)
         });
 
-        let mut net: SyncNetwork<WireMsg, MatchDecision> = SyncNetwork::new(
+        let mut net: SyncNetwork<WireMsg, MatchDecision> = SyncNetwork::with_buffers(
             self.setting.k(),
             self.setting.topology(),
             CorruptionBudget::new(self.setting.t_l(), self.setting.t_r()),
+            NET_BUFFERS.take(),
         );
         for party in env.parties.iter() {
             if self.corrupted.contains(&party) {
@@ -295,7 +305,8 @@ impl Scenario {
             net.set_fault_injector(Box::new(FaultSchedule::new(self.faults, self.seed)));
         }
 
-        let outcome = net.run(max_slots)?;
+        let (outcome, buffers) = net.run_keeping_buffers(max_slots)?;
+        NET_BUFFERS.set(buffers);
         let signatures = env.directory.pki().signatures_issued() - signatures_before;
         let instance = BsmInstance::new(self.profile.clone(), outcome.corrupted.clone());
         let violations = check_bsm(&instance, &outcome.outputs);
@@ -722,6 +733,42 @@ mod tests {
             drop((honest, puppets));
             assert_eq!(Arc::strong_count(&env.directory), 1);
         }
+    }
+
+    /// The capacity of this thread's kept message buffers.
+    fn kept_capacity() -> usize {
+        let buffers = NET_BUFFERS.take();
+        let capacity = buffers.capacity();
+        NET_BUFFERS.set(buffers);
+        capacity
+    }
+
+    /// A cell runs on the buffers the thread's previous cell left, and grows none of
+    /// them when it is the same cell again; a smaller cell in between loses none.
+    #[test]
+    fn a_thread_reuses_its_message_buffers_across_cells() {
+        let cell = |k| {
+            let setting = setting(k, Topology::FullyConnected, AuthMode::Authenticated, 2, 2);
+            Scenario::builder(setting)
+                .seed(6)
+                .corrupt_left([0, 1])
+                .corrupt_right([1])
+                .adversary(AdversarySpec::Lying)
+                .build()
+                .unwrap()
+        };
+        let scenario = cell(10);
+        let first = scenario.run().unwrap();
+        let capacity = kept_capacity();
+        assert!(capacity > 0, "the run left no buffers behind");
+        let second = scenario.run().unwrap();
+        assert_eq!(kept_capacity(), capacity, "the same cell grew or lost a buffer");
+        assert_eq!(first.outputs, second.outputs);
+        assert_eq!(first.metrics, second.metrics);
+        assert_eq!((first.slots, first.signatures), (second.slots, second.signatures));
+        assert_eq!(first.violations, second.violations);
+        cell(3).run().unwrap();
+        assert_eq!(kept_capacity(), capacity, "a smaller cell changed the buffers");
     }
 
     #[test]

@@ -165,18 +165,20 @@ impl Executor {
             // results accumulate toward O(items).
             let (tx, rx) = mpsc::sync_channel::<(usize, R)>(workers.max(1) * 2);
             let (queue, job) = (&queue, &job);
-            for _ in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    // The guard drops with this statement: the job runs unlocked.
-                    let next = queue.lock().expect("no worker panics holding the queue").next();
-                    let Some((idx, item)) = next else { break };
-                    // A send error means the receiver gave up (emit failure): stop.
-                    if tx.send((idx, job(item))).is_err() {
-                        break;
-                    }
-                });
-            }
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let tx = tx.clone();
+                    scope.spawn(move || loop {
+                        // The guard drops with this statement: the job runs unlocked.
+                        let next = queue.lock().expect("no worker panics holding the queue").next();
+                        let Some((idx, item)) = next else { break };
+                        // A send error means the receiver gave up (emit failure): stop.
+                        if tx.send((idx, job(item))).is_err() {
+                            break;
+                        }
+                    })
+                })
+                .collect();
             drop(tx);
             // `next` is the index the input order emits next.
             let mut pending: BTreeMap<usize, R> = BTreeMap::new();
@@ -192,7 +194,16 @@ impl Executor {
                 }
             }
             // On failure the receiver is dropped here; workers exit on their next
-            // send, and the scope joins them.
+            // send. Each worker is joined by hand because the scope's own join
+            // returns once the workers' closures return, before their thread-local
+            // destructors have run. Those free the harness's kept network buffers,
+            // megabytes per worker, which would otherwise overlap the caller's next
+            // step.
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
         });
         if let Some(err) = failure {
             return Err(err);
@@ -296,6 +307,33 @@ mod tests {
         let executor = Executor::new().threads(4);
         let doubled = executor.map((0..100usize).collect(), |n| n * 2);
         assert_eq!(doubled, (0..100usize).map(|n| n * 2).collect::<Vec<_>>());
+    }
+
+    /// A run returns only after its workers have exited, thread-local destructors
+    /// included: the harness keeps megabytes of network buffers in one.
+    #[test]
+    fn workers_have_exited_when_a_run_returns() {
+        use std::cell::Cell;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static CREATED: AtomicUsize = AtomicUsize::new(0);
+        static DROPPED: AtomicUsize = AtomicUsize::new(0);
+        struct Tracked;
+        impl Drop for Tracked {
+            fn drop(&mut self) {
+                // Slow, so that a run returning before its workers exit sees it undone.
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                DROPPED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static KEPT: Cell<Option<Tracked>> = const { Cell::new(None) };
+        }
+        let executor = Executor::new().threads(2);
+        executor.map((0..8).collect(), |_: usize| {
+            CREATED.fetch_add(1, Ordering::SeqCst);
+            KEPT.set(Some(Tracked));
+        });
+        assert_eq!(DROPPED.load(Ordering::SeqCst), CREATED.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use metrics::{FanoutSummary, Metrics, RoleFanout};
 pub use party::{PartyId, PartySet};
 pub use process::{Process, SilentProcess};
 pub use round::{RoundDriver, RoundProtocol};
-pub use sim::{RunOutcome, SimError, SyncNetwork};
+pub use sim::{NetBuffers, RunOutcome, SimError, SyncNetwork};
 pub use time::Time;
 pub use topology::Topology;
 

@@ -79,6 +79,65 @@ impl<O> RunOutcome<O> {
     }
 }
 
+/// The emptied message buffers of a finished [`SyncNetwork`]: its in-flight queues and
+/// inboxes (by [`PartyId::dense`] index), its lent inboxes and its send buffer.
+///
+/// [`SyncNetwork::run_keeping_buffers`] hands them back and [`SyncNetwork::with_buffers`]
+/// builds the next network on them, so a caller that runs network after network keeps
+/// the buffers' capacity instead of allocating (and page-faulting in) every queue anew
+/// for each run. Reuse is positional: queue `i` of one network becomes queue `i` of the
+/// next, so a run of the same shape grows no buffer. A network with fewer parties than
+/// the donor holds the surplus queues and inboxes unused and hands them back too. Lent
+/// inboxes keep their buffers but not their parties.
+pub struct NetBuffers<M> {
+    in_flight: Vec<Vec<Envelope<M>>>,
+    inboxes: Vec<Vec<Envelope<M>>>,
+    /// Lent-inbox buffers not lent to any party; the next one to lend is the last.
+    lent: Vec<Vec<Envelope<M>>>,
+    sends: Vec<Outgoing<M>>,
+}
+
+impl<M> NetBuffers<M> {
+    /// How many messages the buffers hold without allocating, summed over all of them.
+    pub fn capacity(&self) -> usize {
+        let envelopes = self.in_flight.iter().chain(&self.inboxes).chain(&self.lent);
+        envelopes.map(Vec::capacity).sum::<usize>() + self.sends.capacity()
+    }
+}
+
+impl<M> Default for NetBuffers<M> {
+    fn default() -> Self {
+        Self { in_flight: Vec::new(), inboxes: Vec::new(), lent: Vec::new(), sends: Vec::new() }
+    }
+}
+
+impl<M> fmt::Debug for NetBuffers<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NetBuffers")
+            .field("queues", &self.in_flight.len())
+            .field("inboxes", &self.inboxes.len())
+            .field("lent", &self.lent.len())
+            .field("capacity", &self.capacity())
+            .finish()
+    }
+}
+
+/// Splits the first `n` buffers off `pool`, adding empty ones if it has fewer, and
+/// leaves the rest in `pool`.
+fn take_front<T>(pool: &mut Vec<Vec<T>>, n: usize) -> Vec<Vec<T>> {
+    let surplus = pool.split_off(n.min(pool.len()));
+    let mut front = std::mem::replace(pool, surplus);
+    front.resize_with(n, Vec::new);
+    front
+}
+
+/// Empties `front` and puts `surplus` back behind it: the inverse of [`take_front`].
+fn put_back<T>(mut front: Vec<Vec<T>>, mut surplus: Vec<Vec<T>>) -> Vec<Vec<T>> {
+    front.iter_mut().for_each(Vec::clear);
+    front.append(&mut surplus);
+    front
+}
+
 /// A deterministic synchronous network of `2k` parties running [`Process`] state
 /// machines under an adaptive byzantine adversary and a message fault injector.
 ///
@@ -113,6 +172,9 @@ pub struct SyncNetwork<M, O> {
     lent: BTreeMap<PartyId, Vec<Envelope<M>>>,
     /// One process's sends, reused across processes and slots.
     sends: Vec<Outgoing<M>>,
+    /// Buffers held but not in use: a larger donor's queues and inboxes beyond `2k`,
+    /// and lent-inbox buffers no party has been lent yet.
+    spare: NetBuffers<M>,
 }
 
 impl<M, O> fmt::Debug for SyncNetwork<M, O> {
@@ -135,21 +197,39 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
     ///
     /// Panics if `k == 0`.
     pub fn new(k: usize, topology: Topology, budget: CorruptionBudget) -> Self {
+        Self::with_buffers(k, topology, budget, NetBuffers::default())
+    }
+
+    /// Creates an empty network for a market of size `k` on the buffers a finished
+    /// network handed back (see [`SyncNetwork::run_keeping_buffers`]). It behaves
+    /// exactly like [`SyncNetwork::new`]; only the buffers' capacity carries over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
+    pub fn with_buffers(
+        k: usize,
+        topology: Topology,
+        budget: CorruptionBudget,
+        mut buffers: NetBuffers<M>,
+    ) -> Self {
+        let parties = PartySet::new(k);
         Self {
-            parties: PartySet::new(k),
+            parties,
             topology,
             budget,
             processes: BTreeMap::new(),
             corrupted: BTreeSet::new(),
             adversary: Box::new(PassiveAdversary),
             injector: Box::new(NoFaults),
-            in_flight: vec![Vec::new(); 2 * k],
+            in_flight: take_front(&mut buffers.in_flight, parties.n()),
             outputs: BTreeMap::new(),
             now: Time::ZERO,
             metrics: Metrics::default(),
-            inboxes: vec![Vec::new(); 2 * k],
+            inboxes: take_front(&mut buffers.inboxes, parties.n()),
             lent: BTreeMap::new(),
-            sends: Vec::new(),
+            sends: std::mem::take(&mut buffers.sends),
+            spare: buffers,
         }
     }
 
@@ -312,7 +392,8 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
         // 4. The adversary acts with the corrupted parties' inboxes, lent to it by
         // swapping each buffer into `lent`; it may drain them.
         for &party in &self.corrupted {
-            let lent = self.lent.entry(party).or_default();
+            let spare = &mut self.spare.lent;
+            let lent = self.lent.entry(party).or_insert_with(|| spare.pop().unwrap_or_default());
             std::mem::swap(lent, &mut self.inboxes[party.dense(k)]);
         }
         let byzantine_sends = self.adversary.act(
@@ -357,7 +438,22 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
     /// # Errors
     ///
     /// Returns [`SimError::MissingProcess`] if some party has no registered process.
-    pub fn run(mut self, max_slots: u64) -> Result<RunOutcome<O>, SimError> {
+    pub fn run(self, max_slots: u64) -> Result<RunOutcome<O>, SimError> {
+        self.run_keeping_buffers(max_slots).map(|(outcome, _)| outcome)
+    }
+
+    /// Runs like [`SyncNetwork::run`] and also hands back the network's message
+    /// buffers, emptied, for [`SyncNetwork::with_buffers`] to build the next network
+    /// on. Messages still in flight at the end are dropped, as `run` drops them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::MissingProcess`] if some party has no registered process;
+    /// the buffers are then dropped with the network.
+    pub fn run_keeping_buffers(
+        mut self,
+        max_slots: u64,
+    ) -> Result<(RunOutcome<O>, NetBuffers<M>), SimError> {
         for party in self.parties.iter() {
             if !self.processes.contains_key(&party) {
                 return Err(SimError::MissingProcess { party });
@@ -375,13 +471,26 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
         let mut outputs = self.outputs;
         let corrupted = self.corrupted;
         outputs.retain(|party, _| !corrupted.contains(party));
-        Ok(RunOutcome {
+        let outcome = RunOutcome {
             outputs,
             corrupted,
             all_honest_decided,
             slots: executed,
             metrics: self.metrics,
-        })
+        };
+        // Queue `i` goes back as queue `i`, ahead of any surplus; the lent buffers go
+        // on top of the spare ones in reverse party order, so the first party lent an
+        // inbox next time gets the first party's buffer of this run.
+        let mut buffers = self.spare;
+        buffers.in_flight = put_back(self.in_flight, buffers.in_flight);
+        buffers.inboxes = put_back(self.inboxes, buffers.inboxes);
+        buffers.lent.extend(self.lent.into_values().rev().map(|mut inbox| {
+            inbox.clear();
+            inbox
+        }));
+        buffers.sends = self.sends;
+        buffers.sends.clear();
+        Ok((outcome, buffers))
     }
 }
 
@@ -719,30 +828,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn inboxes_are_ordered_by_sender_then_send_slot_then_emission() {
-        let k = 3;
+    /// Runs [`RecordingProcess`]es for `k` parties on a network built from `buffers`,
+    /// with `corrupt` corrupted and speaking through a [`DescendingAdversary`], under
+    /// `jitter=2`, for `slots` slots. Returns the outcome, every inbox handed out in
+    /// order, and the network's buffers.
+    fn recording_run(
+        k: usize,
+        corrupt: &[PartyId],
+        slots: u64,
+        buffers: NetBuffers<u32>,
+    ) -> (RunOutcome<()>, Vec<Vec<Envelope<u32>>>, NetBuffers<u32>) {
         let log = InboxLog::default();
-        let mut net: SyncNetwork<u32, ()> =
-            SyncNetwork::new(k, Topology::FullyConnected, CorruptionBudget::new(1, 1));
+        let budget = CorruptionBudget::new(corrupt.len(), corrupt.len());
+        let mut net = SyncNetwork::with_buffers(k, Topology::FullyConnected, budget, buffers);
         let parties = net.parties();
         for id in parties.iter() {
             let process = RecordingProcess { id, parties, emitted: 0, log: log.clone() };
             net.register(Box::new(process)).unwrap();
         }
-        net.corrupt(PartyId::left(0)).unwrap();
-        net.corrupt(PartyId::right(2)).unwrap();
+        for &party in corrupt {
+            net.corrupt(party).unwrap();
+        }
         net.set_adversary(Box::new(DescendingAdversary {
             emitted: BTreeMap::new(),
             log: log.clone(),
         }));
         let spec: crate::FaultSpec = "jitter=2".parse().unwrap();
         net.set_fault_injector(Box::new(crate::FaultSchedule::new(spec, 3)));
-        let outcome = net.run(12).unwrap();
+        let (outcome, buffers) = net.run_keeping_buffers(slots).unwrap();
         assert!(outcome.metrics.delayed_by_faults > 0, "jitter must delay some messages");
         assert_eq!(outcome.metrics.dropped_by_faults, 0);
+        let log = log.take();
+        (outcome, log, buffers)
+    }
 
-        let log = log.borrow();
+    #[test]
+    fn inboxes_are_ordered_by_sender_then_send_slot_then_emission() {
+        let corrupt = [PartyId::left(0), PartyId::right(2)];
+        let (outcome, log, _) = recording_run(3, &corrupt, 12, NetBuffers::default());
         let delivered: usize = log.iter().map(Vec::len).sum();
         assert_eq!(delivered as u64, outcome.metrics.delivered_messages);
         let mut mixed_slots = false;
@@ -759,6 +882,31 @@ mod tests {
             }
         }
         assert!(mixed_slots, "jitter should mix send slots of one sender in an inbox");
+    }
+
+    /// A network built on a finished network's buffers runs exactly like a fresh one,
+    /// even when the donor had more parties, other corrupted parties, and delayed
+    /// messages still in flight when it stopped; and it keeps the donor's capacity.
+    #[test]
+    fn a_network_on_reused_buffers_runs_like_a_fresh_one() {
+        let donor = [PartyId::left(1), PartyId::left(3), PartyId::right(0)];
+        let (finished, _, buffers) = recording_run(4, &donor, 5, NetBuffers::default());
+        let metrics = &finished.metrics;
+        let in_flight = metrics.total_messages() - metrics.delivered_messages;
+        assert!(in_flight > 0, "the donor must stop with messages in flight");
+        let donated = buffers.capacity();
+        assert!(donated > 0);
+
+        let corrupt = [PartyId::left(0), PartyId::right(2)];
+        let (fresh, fresh_log, _) = recording_run(3, &corrupt, 12, NetBuffers::default());
+        let (reused, reused_log, kept) = recording_run(3, &corrupt, 12, buffers);
+        assert_eq!(reused.outputs, fresh.outputs);
+        assert_eq!(reused.corrupted, fresh.corrupted);
+        assert_eq!(reused.all_honest_decided, fresh.all_honest_decided);
+        assert_eq!(reused.slots, fresh.slots);
+        assert_eq!(reused.metrics, fresh.metrics);
+        assert_eq!(reused_log, fresh_log, "the inboxes differ from a fresh network's");
+        assert!(kept.capacity() >= donated, "{kept:?} lost capacity of {donated}");
     }
 
     #[test]
