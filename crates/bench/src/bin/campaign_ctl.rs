@@ -18,8 +18,9 @@
 //!
 //! `run` executes the standard campaign grid (`--smoke`: the small CI grid; default:
 //! the full ~1080-cell sweep — the same grids as `examples/campaign.rs`) and writes
-//! `report.json` + `report.csv` (plus the `progress.json` heartbeat) to `--out`. All
-//! flags come from [`bsm_bench::cli`].
+//! `report.json` + `report.csv` (plus the `progress.json` heartbeat) to `--out`. What
+//! each subcommand reads is its row in [`bsm_bench::cli::COMMANDS`]; any other
+//! argument is a usage error.
 //!
 //! # Scenario files (`--scenario`)
 //!
@@ -135,7 +136,7 @@
 //! campaign_ctl fuzz --replay crates/core/tests/fuzz_regressions/some_attack.toml
 //! ```
 
-use bsm_bench::cli::BenchArgs;
+use bsm_bench::cli::{BenchArgs, Row, COMMANDS};
 use bsm_bench::exit::{CtlCode, CtlError};
 use bsm_bench::{errln, outln};
 use bsm_core::harness::AdversarySpec;
@@ -437,17 +438,6 @@ fn stream_shard(
 /// uninterrupted `run --stream`. Pass the same `--smoke`/`--shard` flags as the
 /// interrupted run.
 fn resume(args: &BenchArgs) -> Result<CtlCode, CtlError> {
-    if args.metrics {
-        // Telemetry (counter deltas, wall times) is measured while a cell runs; it
-        // cannot be reconstructed for the cells salvaged from the interrupted
-        // export, so a resumed sidecar would silently cover only the fresh tail.
-        return Err(CtlError::Usage(
-            "resume: --metrics is not supported (per-cell telemetry cannot be \
-             reconstructed for salvaged cells; re-run with `run --stream --metrics` \
-             for a complete sidecar)"
-                .into(),
-        ));
-    }
     let out = args.out.clone().ok_or_else(|| {
         CtlError::Usage(
             "resume: --out DIR is required (the directory of the interrupted run)".into(),
@@ -520,14 +510,6 @@ fn resume(args: &BenchArgs) -> Result<CtlCode, CtlError> {
 /// quarantined), `supervise.json` records every attempt and the quarantined
 /// ranges, and the process exits degraded (code 4) when anything was quarantined.
 fn supervise(args: &BenchArgs) -> Result<CtlCode, CtlError> {
-    if args.metrics || args.shard.is_some() || args.stream {
-        return Err(CtlError::Usage(
-            "supervise: --shard, --stream and --metrics are not supported (the \
-             supervisor shards, streams and merges itself; use --shards K plus \
-             --smoke/--scenario, --threads, --out and the supervision tuning flags)"
-                .into(),
-        ));
-    }
     let shards = args.shards.ok_or_else(|| {
         CtlError::Usage(
             "supervise: --shards K is required (worker subprocesses, one per shard)".into(),
@@ -626,17 +608,6 @@ fn supervise(args: &BenchArgs) -> Result<CtlCode, CtlError> {
 /// `--threads`. `--out DIR` chooses where `BENCH_engine.json` lands (default: the
 /// current directory, i.e. the repo root when run from a checkout).
 fn bench(args: &BenchArgs) -> Result<CtlCode, CtlError> {
-    // The benchmark campaign is fixed by design (the snapshot is only comparable
-    // across runs of the same grid); silently accepting run-flavored flags would
-    // ship a mislabeled baseline with exit 0.
-    if args.shard.is_some() || args.stream || args.metrics || args.scenario.is_some() {
-        return Err(CtlError::Usage(
-            "bench: --shard, --stream, --metrics and --scenario are not supported (the \
-             benchmark campaign is fixed and its snapshot already carries the counters; \
-             use --smoke, --threads, --out)"
-                .into(),
-        ));
-    }
     let executor = args.executor();
     errln!(
         "running {} benchmark campaign on {} thread(s)",
@@ -673,16 +644,6 @@ fn bench(args: &BenchArgs) -> Result<CtlCode, CtlError> {
 /// Returns [`CtlCode::Findings`] — exit 3 — when the search found violations or a
 /// replayed verdict did not reproduce.
 fn fuzz(args: &BenchArgs) -> Result<CtlCode, CtlError> {
-    // The fuzzer owns its own determinism contract; campaign-flavored flags have no
-    // meaning here and silently ignoring them would mislabel the run.
-    if args.shard.is_some() || args.stream || args.metrics || args.smoke || args.scenario.is_some()
-    {
-        return Err(CtlError::Usage(
-            "fuzz: --shard, --stream, --metrics, --smoke and --scenario are not \
-             supported (use --budget N, --seed S, --replay FILE, --freeze, --out DIR)"
-                .into(),
-        ));
-    }
     if let Some(path) = &args.replay {
         if args.budget.is_some() || args.seed.is_some() {
             return Err(CtlError::Usage(
@@ -792,13 +753,6 @@ fn merge(args: &BenchArgs) -> Result<CtlCode, CtlError> {
             "merge: no shard exports given (pass report.json or report.jsonl paths)".into(),
         ));
     }
-    if args.metrics {
-        return Err(CtlError::Usage(
-            "merge: --metrics is not supported (sidecars are per-run; run \
-             `campaign_ctl stats` on each shard's metrics.jsonl instead)"
-                .into(),
-        ));
-    }
     let out = args.out.clone().unwrap_or_else(|| PathBuf::from("target/campaign_ctl/merged"));
     let totals = merge_reports(&args.files, &out)?;
     outln!("merged {} shard(s): {totals}", args.files.len());
@@ -876,13 +830,6 @@ fn merge_reports(files: &[impl AsRef<Path>], out: &Path) -> Result<Totals, Strin
 
 /// Returns [`CtlCode::Findings`] when the reports differ in any cell.
 fn diff(args: &BenchArgs) -> Result<CtlCode, CtlError> {
-    if args.metrics {
-        return Err(CtlError::Usage(
-            "diff: --metrics is not supported (diff compares deterministic \
-             report cells; telemetry sidecars carry timing and are not diffable)"
-                .into(),
-        ));
-    }
     let [left, right] = args.files.as_slice() else {
         return Err(CtlError::Usage(format!(
             "diff: expected exactly two report.json paths, got {}",
@@ -936,11 +883,15 @@ fn stats(args: &BenchArgs) -> Result<CtlCode, CtlError> {
         let progress = parse_progress(&text)
             .map_err(|err| format!("cannot parse {}: {err}", progress_path.display()))?;
         let last = progress.last.map_or_else(|| "none".to_string(), |spec| spec.to_string());
-        // The liveness verdict the supervisor automates: a finished shard is
-        // complete, a beating pid is running, a dead pid with cells left means
+        // The liveness verdict the supervisor automates: a shard that published
+        // its report is complete (the heartbeat's count reaches the total before
+        // the footer and the rename), a beating pid is running, a dead pid means
         // the run died and `resume` (or `supervise`) can finish it. Old
         // pre-supervision heartbeats parse with pid 0 — liveness unknown.
-        let verdict = if progress.done >= progress.total && progress.total > 0 {
+        let published =
+            ["report.jsonl", "report.json"].iter().any(|name| target.join(name).exists())
+                && !target.join("report.jsonl.partial").exists();
+        let verdict = if published {
             "complete"
         } else {
             match pid_alive(progress.pid) {
@@ -976,74 +927,37 @@ fn stats(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     Ok(CtlCode::Success)
 }
 
-/// Routes a parsed invocation to its subcommand, with the cross-cutting usage
-/// gates applied first.
-fn dispatch(subcommand: &str, args: &BenchArgs) -> Result<CtlCode, CtlError> {
-    // Strict CLI: a mistyped flag (e.g. `--shard 4/3`) must not silently fall back to
-    // an unsharded full run — in a CI or fleet context that wastes the whole campaign
-    // and can ship a wrong artifact with exit 0.
+/// Parses `raw` against the subcommand's row and runs the subcommand.
+fn dispatch(subcommand: &str, raw: Vec<OsString>) -> Result<CtlCode, CtlError> {
+    let Some(row) = Row::of(&format!("campaign_ctl {subcommand}")) else {
+        let usage: Vec<String> = COMMANDS
+            .iter()
+            .filter(|row| row.command.starts_with("campaign_ctl "))
+            .map(|row| format!("{} {}", row.command, row.usage))
+            .collect();
+        return Err(CtlError::Usage(format!(
+            "unknown subcommand {subcommand:?}; usage:\n  {}",
+            usage.join("\n  ")
+        )));
+    };
+    // Strict CLI: an argument the subcommand does not read (a mistyped `--shard 4/3`,
+    // a fuzz flag on `run`) must not silently fall back to some other run; in a CI or
+    // fleet context that wastes the whole campaign and can ship a wrong artifact with
+    // exit 0.
+    let args = BenchArgs::from_args(row, raw);
     if !args.unknown.is_empty() {
         return Err(CtlError::Usage(format!("invalid argument(s): {}", args.unknown.join(", "))));
     }
-    // Subcommand-specific flags on the wrong subcommand mean the user mixed up
-    // invocations; silently ignoring them could run a different experiment than
-    // intended.
-    if subcommand != "fuzz"
-        && (args.budget.is_some() || args.seed.is_some() || args.replay.is_some() || args.freeze)
-    {
-        return Err(CtlError::Usage(
-            "--budget, --seed, --replay and --freeze only apply to `campaign_ctl fuzz`".into(),
-        ));
-    }
-    if subcommand != "supervise"
-        && (args.shards.is_some()
-            || args.chaos.is_some()
-            || args.max_attempts.is_some()
-            || args.backoff_ms.is_some()
-            || args.poll_ms.is_some()
-            || args.stall_polls.is_some())
-    {
-        return Err(CtlError::Usage(
-            "--shards, --chaos, --max-attempts, --backoff-ms, --poll-ms and \
-             --stall-polls only apply to `campaign_ctl supervise`"
-                .into(),
-        ));
-    }
-    // Positionals: no subcommand reads a market size, and only merge, diff and stats
-    // read paths; dropping a stray one would run something other than what was typed.
-    if let Some(k) = args.k {
-        return Err(CtlError::Usage(format!(
-            "unexpected argument {k}: no subcommand takes a market size (write a path \
-             named {k} as ./{k})"
-        )));
-    }
-    if !args.files.is_empty()
-        && matches!(subcommand, "run" | "resume" | "supervise" | "bench" | "fuzz")
-    {
-        return Err(CtlError::Usage(format!(
-            "{subcommand}: unexpected argument(s) {} (only merge, diff and stats take paths)",
-            args.files.join(", ")
-        )));
-    }
     match subcommand {
-        "run" => run(args),
-        "resume" => resume(args),
-        "supervise" => supervise(args),
-        "bench" => bench(args),
-        "merge" => merge(args),
-        "diff" => diff(args),
-        "stats" => stats(args),
-        "fuzz" => fuzz(args),
-        other => Err(CtlError::Usage(format!(
-            "unknown subcommand {other:?}; usage: campaign_ctl \
-             <run|resume|supervise|bench|merge|diff|stats|fuzz> [--smoke] [--scenario FILE] \
-             [--stream] [--metrics] [--shard I/K] [--threads N] [--out DIR] \
-             [--shards K] [--chaos SPEC] [--max-attempts N] [--backoff-ms MS] \
-             [--poll-ms MS] [--stall-polls N] \
-             [--budget N] [--seed S] [--replay FILE] [--freeze] \
-             [report.json|report.jsonl|metrics.jsonl ...] (merge accepts --stream; \
-             every merge streams)"
-        ))),
+        "run" => run(&args),
+        "resume" => resume(&args),
+        "supervise" => supervise(&args),
+        "bench" => bench(&args),
+        "merge" => merge(&args),
+        "diff" => diff(&args),
+        "stats" => stats(&args),
+        "fuzz" => fuzz(&args),
+        other => unreachable!("campaign_ctl {other} has a row but no handler"),
     }
 }
 
@@ -1052,8 +966,7 @@ fn main() -> ExitCode {
     // A non-UTF-8 subcommand renders lossily and matches no subcommand: exit 2.
     let subcommand =
         if raw.is_empty() { String::new() } else { raw.remove(0).to_string_lossy().into_owned() };
-    let args = BenchArgs::from_args(raw);
-    match dispatch(&subcommand, &args) {
+    match dispatch(&subcommand, raw) {
         Ok(code) => code.into(),
         Err(err) => {
             errln!("campaign_ctl: {}", err.message());

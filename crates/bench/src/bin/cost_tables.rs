@@ -50,7 +50,7 @@ fn run(executor: &Executor, specs: Vec<bsm_engine::ScenarioSpec>) -> Vec<CellRec
 }
 
 fn main() {
-    let args = BenchArgs::parse().warn_unknown();
+    let args = BenchArgs::parse("cost_tables").warn_unknown();
     let executor = args.executor();
     let header = ["k", "tL", "tR", "plan", "slots", "messages", "signatures", "violations"];
     let spec = |k: usize, topology, auth, t_l, t_r, adversary, seed| bsm_engine::ScenarioSpec {

@@ -58,7 +58,7 @@ fn report(attack: Attack) -> String {
 }
 
 fn main() {
-    let args = BenchArgs::parse().warn_unknown();
+    let args = BenchArgs::parse("impossibility_attacks").warn_unknown();
     let jobs: Vec<Box<dyn Fn() -> Attack + Send + Sync>> = vec![
         Box::new(split_brain_attack),
         Box::new(|| relay_denial_attack(Topology::Bipartite)),

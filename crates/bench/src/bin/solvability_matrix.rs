@@ -35,7 +35,7 @@ fn is_solvable_boundary(
 }
 
 fn main() {
-    let args = BenchArgs::parse().warn_unknown();
+    let args = BenchArgs::parse("solvability_matrix").warn_unknown();
     let k = args.k_or(4);
     let executor = args.executor();
     // The thread count and throughput are wall-clock context, not results: stderr,

@@ -7,7 +7,7 @@ use bsm_bench::{outln, BenchArgs};
 use bsm_net::{PartyId, PartySet, Topology};
 
 fn main() {
-    let k = BenchArgs::parse().warn_unknown().k_or(3);
+    let k = BenchArgs::parse("topology_figure").warn_unknown().k_or(3);
     let parties: Vec<PartyId> = PartySet::new(k).iter().collect();
     outln!("# E2 — Fig. 1: communication topologies (k = {k})\n");
     for topology in Topology::ALL {

@@ -1,50 +1,92 @@
-//! Shared, engine-aware argument parsing for the experiment binaries.
+//! Argument parsing for the experiment binaries and `campaign_ctl`.
 //!
-//! Every binary accepts the same small vocabulary, replacing the copy-pasted
-//! `std::env::args()` handling they used to carry individually:
+//! [`COMMANDS`] is the one place that says what each command reads. A row names a
+//! command as typed (`topology_figure`, `campaign_ctl run`) and its usage: each flag
+//! it reads, with its value's name, and its positionals, `[k]` (a market size) and
+//! `[PATH...]` (paths). [`BenchArgs::from_args`] parses against one row; an argument
+//! outside it sets nothing and is filed in [`BenchArgs::unknown`] under its own name,
+//! with the row's usage. `campaign_ctl` exits 2 on any such argument, and the
+//! experiment binaries warn and go on.
 //!
-//! * a positional integer in `1..=`[`MAX_K`] (64) — the market size `k` (any other
-//!   integer is unrecognized, so a binary warns and keeps its default),
-//! * other positionals — file paths (e.g. shard exports for `campaign_ctl merge`),
-//! * `--no-verify` — print analytic tables only, skip the empirical runs,
-//! * `--threads N` — worker threads for the campaign engine (overrides `BSM_THREADS`),
-//! * `--seeds N` — seeds per grid cell for seed-sweeping experiments,
-//! * `--shard I/K` — run only shard `I` of `K` of the campaign (1-based),
-//! * `--out DIR` — output directory for exported artifacts,
-//! * `--smoke` — the small CI grid instead of the full sweep,
-//! * `--scenario FILE` — load the campaign from a declarative scenario file
-//!   (see `docs/SCENARIOS.md`); mutually exclusive with `--smoke`,
-//! * `--stream` — `run` keeps its shard stream, `report.jsonl` (see `campaign_ctl`),
-//! * `--metrics` — write the per-cell telemetry sidecar (`metrics.jsonl`) next to
-//!   the report artifacts; never changes a report byte (see `campaign_ctl stats`),
-//! * `--budget N` — fuzzing case budget for `campaign_ctl fuzz`,
-//! * `--seed S` — master seed for `campaign_ctl fuzz` (default 0),
-//! * `--replay FILE` — replay one frozen adversary script instead of searching,
-//! * `--freeze` — write found (or replayed) scripts as canonical regression files
-//!   (see `docs/FUZZING.md`),
-//! * `--shards K` — worker-subprocess count for `campaign_ctl supervise`,
-//! * `--max-attempts N` / `--backoff-ms MS` / `--poll-ms MS` / `--stall-polls N`
-//!   — supervision tuning: bounded attempts per shard, exponential-backoff base,
-//!   heartbeat poll interval, and the no-advance poll count that declares a
-//!   worker stalled,
-//! * `--chaos SPEC` — deterministic crash injection for the chaos tests:
-//!   comma-separated `SHARD:ATTEMPT:MODE` entries (see
-//!   [`bsm_engine::supervise::ChaosSpec`]).
-//!
-//! The vocabulary is deliberately shared across subcommands: `campaign_ctl resume`
-//! takes the *same* `--smoke`/`--shard`/`--threads`/`--out` flags as the interrupted
-//! `run --stream` it finishes, so an operator (or the future coordinator daemon)
-//! replays the original invocation with only the subcommand swapped.
+//! A flag's value is consumed with the flag, inside the row or not, so it never turns
+//! into a positional. A positional integer is a market size whatever the row (one
+//! outside `1..=`[`MAX_K`] is unrecognized), so `campaign_ctl stats 5` is refused
+//! rather than read as a path named `5`.
 
 use bsm_core::problem::MAX_K;
 use bsm_engine::supervise::ChaosSpec;
 use bsm_engine::{Executor, ShardPlan};
 use std::ffi::OsString;
-use std::fmt;
 use std::iter::Peekable;
 use std::path::PathBuf;
 
-/// Parsed command-line arguments shared by the experiment binaries.
+/// One row of [`COMMANDS`]: a command as typed and its usage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row {
+    /// A binary's name, or `campaign_ctl` and a subcommand.
+    pub command: &'static str,
+    /// Every argument the command reads, each in brackets: `[k]` (a market size),
+    /// `[PATH...]` (paths), or a flag and the name of its value.
+    pub usage: &'static str,
+}
+
+/// What each command reads; no other code decides it.
+pub const COMMANDS: [Row; 12] = [
+    Row { command: "solvability_matrix", usage: "[k] [--threads N] [--seeds N] [--no-verify]" },
+    Row { command: "cost_tables", usage: "[--threads N]" },
+    Row { command: "impossibility_attacks", usage: "[--threads N]" },
+    Row { command: "topology_figure", usage: "[k]" },
+    Row {
+        command: "campaign_ctl run",
+        usage: "[--smoke] [--scenario FILE] [--stream] [--metrics] [--shard I/K] \
+                [--threads N] [--out DIR]",
+    },
+    // `run --stream`'s flags, so an interrupted invocation is replayed with only the
+    // subcommand swapped; not `--metrics`, since telemetry cannot be rebuilt for
+    // salvaged cells. A resumed run always leaves its stream.
+    Row {
+        command: "campaign_ctl resume",
+        usage: "[--smoke] [--scenario FILE] [--stream] [--shard I/K] [--threads N] [--out DIR]",
+    },
+    // No `--shard`, `--stream` or `--metrics`: the supervisor shards, streams and
+    // merges itself.
+    Row {
+        command: "campaign_ctl supervise",
+        usage: "[--smoke] [--scenario FILE] [--threads N] [--out DIR] [--shards K] \
+                [--chaos SPEC] [--max-attempts N] [--backoff-ms MS] [--poll-ms MS] \
+                [--stall-polls N]",
+    },
+    // A fixed campaign, so that its snapshot stays comparable across runs.
+    Row { command: "campaign_ctl bench", usage: "[--smoke] [--threads N] [--out DIR]" },
+    // Every merge streams; `--stream` selects nothing, but scripts pass it.
+    Row { command: "campaign_ctl merge", usage: "[PATH...] [--out DIR] [--stream]" },
+    Row { command: "campaign_ctl diff", usage: "[PATH...]" },
+    Row { command: "campaign_ctl stats", usage: "[PATH...]" },
+    Row {
+        command: "campaign_ctl fuzz",
+        usage: "[--budget N] [--seed S] [--replay FILE] [--freeze] [--out DIR]",
+    },
+];
+
+/// A positional market size in a [`Row::usage`].
+const K: &str = "k";
+/// Positional paths in a [`Row::usage`].
+const PATHS: &str = "PATH...";
+
+impl Row {
+    /// The row of `command`, as typed.
+    pub fn of(command: &str) -> Option<Row> {
+        COMMANDS.into_iter().find(|row| row.command == command)
+    }
+
+    /// Whether the usage lists `arg`: a flag, `k` or `PATH...`.
+    fn takes(&self, arg: &str) -> bool {
+        self.usage.split('[').skip(1).any(|entry| entry.split([' ', ']']).next() == Some(arg))
+    }
+}
+
+/// One command's parsed arguments: the fields its [`Row`] lists are set, the rest
+/// keep their defaults.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
     /// The positional market size, when given; always in `1..=MAX_K`.
@@ -96,10 +138,11 @@ pub struct BenchArgs {
     /// No-advance polls before a worker is declared stalled, from
     /// `--stall-polls` (`campaign_ctl supervise`).
     pub stall_polls: Option<u32>,
-    /// Non-numeric positional arguments, in order (file paths for subcommands that
-    /// consume exports, e.g. `campaign_ctl merge`/`diff`).
+    /// Non-numeric positional arguments, in order (paths, for a row with
+    /// `[PATH...]`).
     pub files: Vec<String>,
-    /// Arguments that were not recognized (reported, then ignored).
+    /// Arguments that were not understood or are outside the row, each starting with
+    /// the argument itself.
     pub unknown: Vec<String>,
 }
 
@@ -133,16 +176,23 @@ impl Default for BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses the process arguments (skipping the binary name).
-    pub fn parse() -> Self {
-        Self::from_args(std::env::args_os().skip(1))
+    /// Parses the process arguments (skipping the binary name) against the row of
+    /// `command`.
+    ///
+    /// # Panics
+    ///
+    /// When [`COMMANDS`] has no row for `command`.
+    pub fn parse(command: &str) -> Self {
+        let row = Row::of(command).unwrap_or_else(|| panic!("{command} has no row in COMMANDS"));
+        Self::from_args(row, std::env::args_os().skip(1))
     }
 
-    /// Parses an explicit argument list (testable core of [`BenchArgs::parse`]).
+    /// Parses an explicit argument list against `row` (testable core of
+    /// [`BenchArgs::parse`]).
     ///
     /// An argument that is not valid UTF-8 is never taken as a flag's value: it lands
     /// in [`BenchArgs::unknown`], rendered lossily.
-    pub fn from_args<S: Into<OsString>>(args: impl IntoIterator<Item = S>) -> Self {
+    pub fn from_args<S: Into<OsString>>(row: Row, args: impl IntoIterator<Item = S>) -> Self {
         let mut parsed = Self::default();
         let mut iter = args
             .into_iter()
@@ -173,6 +223,7 @@ impl BenchArgs {
                     continue;
                 }
             };
+            let before = parsed.clone();
             match arg.as_str() {
                 "--no-verify" => parsed.verify = false,
                 "--threads" => match value(&mut iter).and_then(|v| v.parse::<usize>().ok()) {
@@ -239,7 +290,8 @@ impl BenchArgs {
                     Some(n) if n > 0 => parsed.stall_polls = Some(n),
                     _ => parsed.unknown.push("--stall-polls (expects a positive integer)".into()),
                 },
-                other if other.starts_with("--") => parsed.unknown.push(other.to_string()),
+                // A flag no row lists: the row check below files it.
+                other if other.starts_with("--") => {}
                 other => match other.parse::<usize>() {
                     Ok(k) if !(1..=MAX_K).contains(&k) => {
                         parsed.unknown.push(format!("{other} (k must be in 1..={MAX_K})"));
@@ -248,6 +300,17 @@ impl BenchArgs {
                     Ok(_) => parsed.unknown.push(other.to_string()),
                     Err(_) => parsed.files.push(other.to_string()),
                 },
+            }
+            // After the arm, which has consumed the flag's value: an argument outside
+            // the row undoes whatever the arm did, and is filed once.
+            let entry = match arg.parse::<usize>() {
+                _ if arg.starts_with("--") => arg.as_str(),
+                Ok(_) => K,
+                Err(_) => PATHS,
+            };
+            if !row.takes(entry) {
+                parsed = before;
+                parsed.unknown.push(format!("{arg} ({} takes {})", row.command, row.usage));
             }
         }
         parsed
@@ -268,48 +331,14 @@ impl BenchArgs {
         }
     }
 
-    /// Warns on stderr about every argument an experiment binary ignores: the
-    /// unrecognized ones and the non-numeric positionals, which only `campaign_ctl`
-    /// reads (as [`BenchArgs::files`]). Returns `self` for chaining.
+    /// Warns on stderr about every argument an experiment binary ignores, the
+    /// entries of [`BenchArgs::unknown`]. Returns `self` for chaining.
     pub fn warn_unknown(self) -> Self {
         for arg in &self.unknown {
-            crate::errln!("warning: ignoring unrecognized argument: {arg}");
-        }
-        for file in &self.files {
-            crate::errln!("warning: ignoring positional argument: {file}");
+            let kind = if arg.starts_with("--") { "flag" } else { "positional argument" };
+            crate::errln!("warning: ignoring {kind}: {arg}");
         }
         self
-    }
-}
-
-impl fmt::Display for BenchArgs {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "k={:?} verify={} threads={:?} seeds={} shard={} smoke={} scenario={:?} stream={} \
-             metrics={} budget={:?} seed={:?} replay={:?} freeze={} shards={:?} chaos={} \
-             max_attempts={:?} backoff_ms={:?} poll_ms={:?} stall_polls={:?} files={}",
-            self.k,
-            self.verify,
-            self.threads,
-            self.seeds,
-            self.shard.map_or_else(|| "none".to_string(), |p| p.to_string()),
-            self.smoke,
-            self.scenario,
-            self.stream,
-            self.metrics,
-            self.budget,
-            self.seed,
-            self.replay,
-            self.freeze,
-            self.shards,
-            self.chaos.as_ref().map_or_else(|| "none".to_string(), |c| c.to_string()),
-            self.max_attempts,
-            self.backoff_ms,
-            self.poll_ms,
-            self.stall_polls,
-            self.files.len()
-        )
     }
 }
 
@@ -317,8 +346,15 @@ impl fmt::Display for BenchArgs {
 mod tests {
     use super::*;
 
+    /// A row that takes every argument of every row.
+    fn every_argument() -> Row {
+        static USAGE: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        let usage = USAGE.get_or_init(|| COMMANDS.map(|row| row.usage).join(" "));
+        Row { command: "every command", usage }
+    }
+
     fn args(list: &[&str]) -> BenchArgs {
-        BenchArgs::from_args(list.iter().map(|s| s.to_string()))
+        BenchArgs::from_args(every_argument(), list.iter().map(|s| s.to_string()))
     }
 
     #[test]
@@ -371,9 +407,6 @@ mod tests {
         assert_eq!(parsed.files, vec!["a.json".to_string(), "b.json".to_string()]);
         assert!(parsed.unknown.is_empty());
         assert!(parsed.metrics);
-        assert!(parsed.to_string().contains("shard=2/3"));
-        assert!(parsed.to_string().contains("stream=true"));
-        assert!(parsed.to_string().contains("metrics=true"));
         assert!(!args(&[]).stream, "--stream must be off by default");
         assert!(!args(&[]).metrics, "--metrics must be off by default");
     }
@@ -386,7 +419,6 @@ mod tests {
             Some(std::path::Path::new("examples/scenarios/partition_heal.toml"))
         );
         assert!(parsed.unknown.is_empty());
-        assert!(parsed.to_string().contains("partition_heal.toml"));
         assert_eq!(args(&["--scenario"]).unknown.len(), 1);
         assert_eq!(args(&["--scenario", "--smoke"]).scenario, None);
     }
@@ -421,7 +453,6 @@ mod tests {
         assert_eq!(parsed.seed, Some(1));
         assert!(parsed.freeze);
         assert!(parsed.unknown.is_empty());
-        assert!(parsed.to_string().contains("budget=Some(200)"));
         let replay = args(&["--replay", "crates/core/tests/fuzz_regressions/x.toml"]);
         assert_eq!(
             replay.replay.as_deref(),
@@ -466,8 +497,6 @@ mod tests {
         assert_eq!(parsed.poll_ms, Some(25));
         assert_eq!(parsed.stall_polls, Some(8));
         assert!(parsed.unknown.is_empty());
-        assert!(parsed.to_string().contains("shards=Some(3)"));
-        assert!(parsed.to_string().contains("chaos=2:1:torn7,3:1:early"));
         let defaults = args(&[]);
         assert_eq!(defaults.shards, None);
         assert_eq!(defaults.chaos, None);
@@ -492,14 +521,15 @@ mod tests {
     fn non_utf8_arguments_are_unknown_and_never_values() {
         use std::os::unix::ffi::OsStringExt;
         let bad = || OsString::from_vec(b"/tmp/x\xff".to_vec());
-        let parsed = BenchArgs::from_args([OsString::from("--out"), bad(), "--smoke".into()]);
+        let argv = [OsString::from("--out"), bad(), "--smoke".into()];
+        let parsed = BenchArgs::from_args(every_argument(), argv);
         assert_eq!(parsed.out, None);
         assert!(parsed.smoke);
         assert_eq!(
             parsed.unknown,
             ["--out (expects a directory)", "/tmp/x\u{FFFD} (not valid UTF-8)"],
         );
-        let parsed = BenchArgs::from_args([bad()]);
+        let parsed = BenchArgs::from_args(every_argument(), [bad()]);
         assert!(parsed.files.is_empty());
         assert_eq!(parsed.unknown.len(), 1);
     }
@@ -626,8 +656,9 @@ mod tests {
                     _ => tokens[i] = HOSTILE[rng.random_range(0..HOSTILE.len())].to_string(),
                 }
             }
-            let parsed = std::panic::catch_unwind(|| BenchArgs::from_args(tokens.clone()))
-                .unwrap_or_else(|_| panic!("from_args panicked on {tokens:?}"));
+            let parsed =
+                std::panic::catch_unwind(|| BenchArgs::from_args(every_argument(), tokens.clone()))
+                    .unwrap_or_else(|_| panic!("from_args panicked on {tokens:?}"));
             for flag in VALUE_FLAGS {
                 let (mut bad, mut good) = (0, 0);
                 for (i, token) in tokens.iter().enumerate() {
@@ -669,6 +700,49 @@ mod tests {
         // warn_unknown only logs; parsing results are unchanged.
         let warned = parsed.clone().warn_unknown();
         assert_eq!(warned, parsed);
-        assert!(!parsed.to_string().is_empty());
+    }
+
+    /// Every argument of the table, each run against every row: inside the row it
+    /// parses cleanly; outside it is filed once under its own name with the row's
+    /// usage, sets nothing, and its value is not taken as `k` or as a path.
+    #[test]
+    fn each_row_files_every_argument_outside_it_under_its_own_name() {
+        let every = every_argument();
+        let arguments: std::collections::BTreeSet<&str> = every
+            .usage
+            .split('[')
+            .skip(1)
+            .map(|entry| entry.trim_end_matches([']', ' ']))
+            .collect();
+        assert_eq!(arguments.len(), 2 + 19, "k, PATH... and 19 flags: {arguments:?}");
+        for row in COMMANDS {
+            assert_eq!(Row::of(row.command), Some(row));
+            for argument in &arguments {
+                // The flag, with a well-formed value if it takes one, or a sample
+                // positional.
+                let tokens: Vec<&str> = match argument.split_once(' ') {
+                    Some((flag, "I/K")) => vec![flag, "2/3"],
+                    Some((flag, "SPEC")) => vec![flag, "1:1:early"],
+                    Some((flag, "FILE" | "DIR")) => vec![flag, "x"],
+                    Some((flag, _)) => vec![flag, "2"],
+                    None if *argument == K => vec!["5"],
+                    None if *argument == PATHS => vec!["a.json"],
+                    None => vec![argument],
+                };
+                let parsed = BenchArgs::from_args(row, tokens.clone());
+                if row.takes(argument.split(' ').next().unwrap()) {
+                    assert!(
+                        parsed.unknown.is_empty(),
+                        "{} {tokens:?}: {:?}",
+                        row.command,
+                        parsed.unknown
+                    );
+                } else {
+                    let filed = format!("{} ({} takes {})", tokens[0], row.command, row.usage);
+                    let expected = BenchArgs { unknown: vec![filed], ..BenchArgs::default() };
+                    assert_eq!(parsed, expected, "{} {tokens:?}", row.command);
+                }
+            }
+        }
     }
 }

@@ -101,16 +101,27 @@ fn experiment_binaries_survive_a_closed_stdout_or_stderr() {
 
 #[test]
 fn experiment_binaries_warn_about_a_stray_positional() {
+    let stderr_of = |bin: &str, args: &[&str]| {
+        let output = Command::new(bin).args(args).output().expect("the experiment binary spawns");
+        assert_eq!(output.status.code(), Some(0), "{bin} {args:?}");
+        String::from_utf8_lossy(&output.stderr).into_owned()
+    };
     for (bin, args) in EXPERIMENTS {
-        let output = Command::new(bin)
-            .args(args)
-            .args(["foo", "--no-verify"])
-            .output()
-            .expect("the experiment binary spawns");
-        assert_eq!(output.status.code(), Some(0), "{bin} {args:?} foo --no-verify");
-        let stderr = String::from_utf8_lossy(&output.stderr);
+        // `--smoke` is outside every experiment binary's row in `bsm_bench::cli::COMMANDS`.
+        let stderr = stderr_of(bin, &[args, &["foo", "--no-verify", "--smoke"]].concat());
         assert!(stderr.contains("warning: ignoring positional argument: foo"), "{bin}: {stderr}");
+        assert!(stderr.contains("warning: ignoring flag: --smoke ("), "{bin}: {stderr}");
     }
+    let stderr = stderr_of(env!("CARGO_BIN_EXE_cost_tables"), &["5"]);
+    assert!(stderr.contains("warning: ignoring positional argument: 5 ("), "{stderr}");
+    // A flag's value goes with it: `--out DIR` is ignored whole, and nothing is written.
+    let dir = scratch("stray");
+    let out = dir.join("ignored");
+    let args = ["--smoke", "--out", out.to_str().unwrap(), "--budget", "9"];
+    let stderr = stderr_of(env!("CARGO_BIN_EXE_topology_figure"), &args);
+    assert_eq!(stderr.matches("warning: ignoring flag: ").count(), 3, "{stderr}");
+    assert!(!out.exists(), "topology_figure wrote {}", out.display());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -119,13 +130,38 @@ fn stats_on_a_run_without_a_sidecar_is_a_liveness_check() {
     let run = dir.join("run");
     let out = run.to_str().unwrap();
     assert_eq!(code_of(&["run", "--smoke", "--stream", "--shard", "3/3", "--out", out]), 0);
-    let stats = Command::new(env!("CARGO_BIN_EXE_campaign_ctl"))
-        .args(["stats", out])
-        .output()
-        .expect("campaign_ctl spawns");
-    assert_eq!(stats.status.code(), Some(0), "{}", String::from_utf8_lossy(&stats.stderr));
-    let printed = String::from_utf8_lossy(&stats.stdout);
+    let stats = |out: &str| {
+        let stats = Command::new(env!("CARGO_BIN_EXE_campaign_ctl"))
+            .args(["stats", out])
+            .output()
+            .expect("campaign_ctl spawns");
+        assert_eq!(stats.status.code(), Some(0), "{}", String::from_utf8_lossy(&stats.stderr));
+        String::from_utf8_lossy(&stats.stdout).into_owned()
+    };
+    let printed = stats(out);
     assert!(printed.starts_with("heartbeat: 24/24"), "{printed}");
+    assert!(printed.contains(": complete]"), "{printed}");
+    // Shard 1/34 of the full grid holds 32 cells, one heartbeat interval: the beat
+    // reads 32/32 before the footer, and this worker dies before its rename.
+    let died = dir.join("died");
+    let status = Command::new(env!("CARGO_BIN_EXE_campaign_ctl"))
+        .args(["run", "--stream", "--shard", "1/34", "--out", died.to_str().unwrap()])
+        .env("BSM_CRASH_AFTER_CELLS", "finish")
+        .output()
+        .expect("campaign_ctl spawns")
+        .status;
+    assert!(!status.success(), "the injected crash did not fire");
+    assert!(died.join("report.jsonl.partial").exists());
+    let printed = stats(died.to_str().unwrap());
+    assert!(printed.starts_with("heartbeat: 32/32"), "{printed}");
+    assert!(printed.contains(": worker dead; `campaign_ctl resume` finishes it]"), "{printed}");
+    // A published empty shard is complete, though its heartbeat reads 0/0.
+    let empty_shard = dir.join("empty-shard");
+    let out = empty_shard.to_str().unwrap();
+    assert_eq!(code_of(&["run", "--smoke", "--stream", "--shard", "80/80", "--out", out]), 0);
+    let printed = stats(out);
+    assert!(printed.starts_with("heartbeat: 0/0"), "{printed}");
+    assert!(printed.contains(": complete]"), "{printed}");
     // Neither a heartbeat nor a sidecar: nothing to report.
     let empty = dir.join("empty");
     std::fs::create_dir_all(&empty).unwrap();
@@ -159,6 +195,26 @@ fn usage_errors_are_2() {
     assert_eq!(code_of(&["fuzz", "--budget", "2", "3"]), 2, "a market size on fuzz");
     assert_eq!(code_of(&["bench", "--smoke", "foo"]), 2, "a path on bench");
     assert_eq!(code_of(&["stats", "5"]), 2, "a market size on stats");
+    // Every flag outside the subcommand's row in `bsm_bench::cli::COMMANDS` is
+    // refused before any work starts, whatever the other arguments.
+    let dir = scratch("usage");
+    let report = dir.join("a.json");
+    write_report(&report, 0);
+    let (a, out) = (report.to_str().unwrap(), dir.join("out"));
+    let out = out.to_str().unwrap();
+    for args in [
+        &["run", "--smoke", "--seeds", "9", "--out", out][..],
+        &["run", "--smoke", "--no-verify", "--out", out],
+        &["merge", "--shard", "1/2", a, "--out", out],
+        &["merge", "--scenario", "missing.toml", a, "--out", out],
+        &["diff", "--out", out, a, a],
+        &["fuzz", "--budget", "2", "--threads", "2", "--out", out],
+        &["bench", "--smoke", "--no-verify", "--out", out],
+    ] {
+        assert_eq!(code_of(args), 2, "{args:?}");
+    }
+    assert!(!dir.join("out").exists(), "a refused invocation wrote its --out");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A non-UTF-8 argument is a usage error wherever it stands: as the subcommand, as a

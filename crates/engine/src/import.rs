@@ -428,6 +428,35 @@ pub(crate) fn boolean(fields: &[(String, Value)], name: &str) -> Result<bool, Im
     }
 }
 
+/// An optional string field: `None` when the object has no such key.
+fn optional_string(fields: &[(String, Value)], name: &str) -> Result<Option<String>, ImportError> {
+    match fields.iter().any(|(key, _)| key == name) {
+        true => string(fields, name).map(|text| Some(text.to_owned())),
+        false => Ok(None),
+    }
+}
+
+/// Rejects a key of `fields` outside `keys`, naming it. Call it once every required
+/// key has been read: the parser rejects duplicate keys, so the object then holds
+/// exactly `keys` when it holds as many, and only a count that differs is searched.
+pub(crate) fn no_stray_key(
+    fields: &[(String, Value)],
+    keys: &[&[&str]],
+    what: &str,
+) -> Result<(), ImportError> {
+    if fields.len() == keys.iter().map(|group| group.len()).sum::<usize>() {
+        return Ok(());
+    }
+    match fields.iter().find(|(key, _)| !keys.iter().any(|group| group.contains(&key.as_str()))) {
+        Some((key, _)) => Err(schema(format!("{what}: unexpected key {key:?}"))),
+        None => Ok(()),
+    }
+}
+
+/// The grid-coordinate keys [`parse_spec`] reads.
+pub(crate) const SPEC_KEYS: [&str; 8] =
+    ["k", "topology", "auth", "t_l", "t_r", "adversary", "faults", "seed"];
+
 /// A string field read through its type's `FromStr` (the axis names, fault specs).
 fn named<T: FromStr>(fields: &[(String, Value)], name: &str) -> Result<T, ImportError>
 where
@@ -454,28 +483,43 @@ pub(crate) fn parse_spec(fields: &[(String, Value)]) -> Result<ScenarioSpec, Imp
 fn parse_cell(value: &Value) -> Result<CellRecord, ImportError> {
     let fields = as_object(value, "cell")?;
     let spec = parse_spec(fields)?;
-    let outcome = match string(fields, "status")? {
-        "completed" => CellOutcome::Completed(CellStats {
-            plan: named(fields, "plan")?,
-            all_honest_decided: boolean(fields, "all_honest_decided")?,
-            violations: usize_field(fields, "violations")?,
-            slots: number(fields, "slots")?,
-            messages: number(fields, "messages")?,
-            signatures: number(fields, "signatures")?,
-        }),
-        "unsolvable" => CellOutcome::Unsolvable {
-            theorem: string(fields, "theorem")?.to_string(),
-            reason: string(fields, "reason")?.to_string(),
-        },
-        "failed" => CellOutcome::Failed { message: string(fields, "message")?.to_string() },
+    let (outcome, keys): (_, &[&str]) = match string(fields, "status")? {
+        "completed" => (
+            CellOutcome::Completed(CellStats {
+                plan: named(fields, "plan")?,
+                all_honest_decided: boolean(fields, "all_honest_decided")?,
+                violations: usize_field(fields, "violations")?,
+                slots: number(fields, "slots")?,
+                messages: number(fields, "messages")?,
+                signatures: number(fields, "signatures")?,
+            }),
+            &["plan", "all_honest_decided", "violations", "slots", "messages", "signatures"],
+        ),
+        "unsolvable" => (
+            CellOutcome::Unsolvable {
+                theorem: string(fields, "theorem")?.to_string(),
+                reason: string(fields, "reason")?.to_string(),
+            },
+            &["theorem", "reason"],
+        ),
+        "failed" => {
+            (CellOutcome::Failed { message: string(fields, "message")?.to_string() }, &["message"])
+        }
         other => return Err(schema(format!("unknown cell status {other:?}"))),
     };
+    no_stray_key(fields, &[&SPEC_KEYS, &["status"], keys], "cell")?;
     Ok(CellRecord { spec, outcome })
 }
 
+/// The keys of a `totals` object: its cell counts, then its summed costs.
+const TOTALS_KEYS: [&[&str]; 2] = [
+    &["scenarios", "completed", "solved_clean", "unsolvable", "failed", "violations"],
+    &["slots", "messages", "signatures"],
+];
+
 /// Parses a `totals` object's fields into a [`Totals`].
 fn parse_totals(fields: &[(String, Value)]) -> Result<Totals, ImportError> {
-    Ok(Totals {
+    let totals = Totals {
         scenarios: usize_field(fields, "scenarios")?,
         completed: usize_field(fields, "completed")?,
         solved_clean: usize_field(fields, "solved_clean")?,
@@ -485,7 +529,9 @@ fn parse_totals(fields: &[(String, Value)]) -> Result<Totals, ImportError> {
         slots: number(fields, "slots")?,
         messages: number(fields, "messages")?,
         signatures: number(fields, "signatures")?,
-    })
+    };
+    no_stray_key(fields, &TOTALS_KEYS, "totals")?;
+    Ok(totals)
 }
 
 /// Verifies the document's `totals` object against the totals recomputed from the
@@ -508,8 +554,8 @@ fn verify_totals(fields: &[(String, Value)], recomputed: Totals) -> Result<(), I
 /// # Errors
 ///
 /// [`ImportError::Syntax`] for malformed JSON, [`ImportError::Schema`] for well-formed
-/// JSON that does not match the export layout (unknown axis names, missing fields,
-/// totals inconsistent with the cells).
+/// JSON that does not match the export layout (unknown axis names, a missing or
+/// unexpected key, totals inconsistent with the cells).
 pub fn from_json(json: &str) -> Result<CampaignReport, ImportError> {
     let document = Parser::new(json).parse_document()?;
     let root = as_object(&document, "document root")?;
@@ -518,18 +564,13 @@ pub fn from_json(json: &str) -> Result<CampaignReport, ImportError> {
     let mut report = CampaignReport::new(cells);
     // Reports exported from a declarative scenario file carry the canonical
     // scenario text as an optional root key; scenario-less documents omit it.
-    if let Some((_, value)) = root.iter().find(|(key, _)| key == "scenario") {
-        match value {
-            Value::String(text) => report = report.with_scenario(text.clone()),
-            other => {
-                return Err(schema(format!(
-                    "scenario: expected string, found {}",
-                    other.type_name()
-                )))
-            }
-        }
-    }
+    let scenario = optional_string(root, "scenario")?;
     verify_totals(as_object(field(root, "totals")?, "totals")?, report.totals())?;
+    let tag: &[&str] = if scenario.is_some() { &["scenario"] } else { &[] };
+    no_stray_key(root, &[&["totals", "cells"], tag], "document root")?;
+    if let Some(text) = scenario {
+        report = report.with_scenario(text);
+    }
     Ok(report)
 }
 
@@ -550,26 +591,16 @@ enum StreamLine {
 /// exports produced from a declarative scenario file).
 fn parse_stream_line(text: &str) -> Result<StreamLine, ImportError> {
     let value = Parser::new(text).parse_document()?;
-    match as_object(&value, "stream line")? {
-        [(key, totals_value)] if key == "totals" => {
-            let totals_fields = as_object(totals_value, "totals")?;
-            Ok(StreamLine::Footer(parse_totals(totals_fields)?, None))
-        }
-        [(key, totals_value), (tag, tag_value)] if key == "totals" && tag == "scenario" => {
-            let totals_fields = as_object(totals_value, "totals")?;
-            let scenario = match tag_value {
-                Value::String(text) => text.clone(),
-                other => {
-                    return Err(schema(format!(
-                        "scenario: expected string, found {}",
-                        other.type_name()
-                    )))
-                }
-            };
-            Ok(StreamLine::Footer(parse_totals(totals_fields)?, Some(scenario)))
-        }
-        _ => Ok(StreamLine::Cell(parse_cell(&value)?)),
+    let fields = as_object(&value, "stream line")?;
+    // The writer puts `totals` first in a footer, and a cell has none.
+    if fields.first().is_none_or(|(key, _)| key != "totals") {
+        return Ok(StreamLine::Cell(parse_cell(&value)?));
     }
+    let totals = parse_totals(as_object(field(fields, "totals")?, "totals")?)?;
+    let scenario = optional_string(fields, "scenario")?;
+    let tag: &[&str] = if scenario.is_some() { &["scenario"] } else { &[] };
+    no_stray_key(fields, &[&["totals"], tag], "footer")?;
+    Ok(StreamLine::Footer(totals, scenario))
 }
 
 /// A lazy cell iterator over a streamed shard export — the inverse of
@@ -917,6 +948,17 @@ mod tests {
                    \"message\": \"x\"}]}";
         let err = from_json(doc).unwrap_err();
         assert!(err.to_string().contains("unknown topology"), "{err}");
+        // A key the writer never writes, in the root, a cell or the totals.
+        let campaign = CampaignBuilder::new().sizes([2]).build();
+        let json = to_json(&Executor::new().threads(1).run(&campaign).0);
+        for (tampered, what) in [
+            (json.replacen("{\n", "{\n  \"bogus\": 7,\n", 1), "document root"),
+            (json.replacen("{\"k\": ", "{\"bogus\": 7, \"k\": ", 1), "cell"),
+            (json.replacen("\"totals\": {", "\"totals\": {\"bogus\": 7, ", 1), "totals"),
+        ] {
+            let err = from_json(&tampered).unwrap_err();
+            assert_eq!(err, schema(format!("{what}: unexpected key \"bogus\"")), "{tampered}");
+        }
     }
 
     #[test]
@@ -1030,6 +1072,22 @@ mod tests {
             let err =
                 StreamingCells::new(bad.as_bytes()).collect::<Result<Vec<_>, _>>().unwrap_err();
             assert!(matches!(err, ImportError::Stream { .. }), "{bad:?}: {err}");
+        }
+
+        // A key the writer never writes, in a cell line, the footer or its totals.
+        let footer_at = text.trim_end().rfind('\n').unwrap() + 1;
+        let (cells, footer) = text.split_at(footer_at);
+        let footer = footer.trim_end().strip_suffix('}').unwrap();
+        for (tampered, what) in [
+            (text.replacen("{\"k\": ", "{\"bogus\": 7, \"k\": ", 1), "cell"),
+            (format!("{cells}{footer}, \"bogus\": 7}}\n"), "footer"),
+            (text.replacen("{\"totals\": {", "{\"totals\": {\"bogus\": 7, ", 1), "totals"),
+        ] {
+            let err = StreamingCells::new(tampered.as_bytes())
+                .collect::<Result<Vec<_>, _>>()
+                .unwrap_err();
+            let named = format!("{what}: unexpected key \"bogus\"");
+            assert!(err.to_string().contains(&named), "{tampered}: {err}");
         }
     }
 

@@ -36,7 +36,8 @@
 use crate::export::{check_order, spec_fields_json, StreamError};
 use crate::grid::ScenarioSpec;
 use crate::import::{
-    as_object, field, number, parse_spec, schema, string, usize_field, ImportError, Parser,
+    as_object, field, no_stray_key, number, parse_spec, schema, string, usize_field, ImportError,
+    Parser, SPEC_KEYS,
 };
 use bsm_crypto::CounterSnapshot;
 use bsm_net::{FanoutSummary, RoleFanout};
@@ -150,13 +151,22 @@ impl CellTelemetry {
     }
 }
 
+/// The keys of a sidecar line: grid coordinates; status, timing and crypto counters;
+/// message accounting; fan-out.
+const TELEMETRY_KEYS: [&[&str]; 4] = [
+    &SPEC_KEYS,
+    &["status", "timing", "digests", "verified", "cache_hits"],
+    &["messages", "delivered", "dropped", "delayed", "rejected", "slots"],
+    &["honest_senders", "honest_sent", "honest_max", "byz_senders", "byz_sent", "byz_max"],
+];
+
 /// Parses one `metrics.jsonl` line back into a [`CellTelemetry`].
 ///
 /// # Errors
 ///
 /// [`ImportError::Syntax`] for malformed JSON, [`ImportError::Schema`] when the line
-/// does not match the sidecar schema (unknown status, missing fields, a `timing`
-/// object without `wall_nanos`).
+/// does not match the sidecar schema (unknown status, a missing or unexpected key, a
+/// `timing` object without `wall_nanos`).
 pub fn parse_telemetry_line(text: &str) -> Result<CellTelemetry, ImportError> {
     let value = Parser::new(text).parse_document()?;
     let fields = as_object(&value, "telemetry line")?;
@@ -168,7 +178,7 @@ pub fn parse_telemetry_line(text: &str) -> Result<CellTelemetry, ImportError> {
         other => return Err(schema(format!("unknown telemetry status {other:?}"))),
     };
     let timing = as_object(field(fields, "timing")?, "timing")?;
-    Ok(CellTelemetry {
+    let telemetry = CellTelemetry {
         spec,
         status,
         crypto: CounterSnapshot {
@@ -195,7 +205,10 @@ pub fn parse_telemetry_line(text: &str) -> Result<CellTelemetry, ImportError> {
             },
         },
         wall_nanos: number(timing, "wall_nanos")?,
-    })
+    };
+    no_stray_key(fields, &TELEMETRY_KEYS, "telemetry line")?;
+    no_stray_key(timing, &[&["wall_nanos"]], "timing")?;
+    Ok(telemetry)
 }
 
 /// The `metrics.jsonl` sidecar writer: one [`CellTelemetry::to_json`] line per cell,
@@ -873,6 +886,15 @@ mod tests {
             &telemetry(0).deterministic_json(),
         ] {
             assert!(parse_telemetry_line(bad).is_err(), "{bad:?} should not parse");
+        }
+        // A key the writer never writes, in the line or its timing object.
+        let line = telemetry(0).to_json();
+        for (tampered, what) in [
+            (line.replacen("{\"k\": ", "{\"bogus\": 7, \"k\": ", 1), "telemetry line"),
+            (line.replace("{\"wall_nanos\"", "{\"bogus\": 7, \"wall_nanos\""), "timing"),
+        ] {
+            let err = parse_telemetry_line(&tampered).unwrap_err();
+            assert_eq!(err, schema(format!("{what}: unexpected key \"bogus\"")), "{tampered}");
         }
     }
 
