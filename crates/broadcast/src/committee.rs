@@ -1,6 +1,6 @@
 use crate::phase_king::{KingMsg, PhaseKing};
 use crate::value::{plurality, Value};
-use bsm_net::{Outgoing, PartyId, RoundProtocol};
+use bsm_net::{PartyId, RoundProtocol};
 use std::collections::BTreeMap;
 
 /// A committee: an ordered set of parties running an agreement protocol among
@@ -59,12 +59,6 @@ impl Committee {
     /// `len - t`: the minimum number of honest members, used as the quorum size.
     pub fn quorum(&self) -> usize {
         self.len() - self.t
-    }
-
-    /// Returns `true` if the committee satisfies the phase-king resilience condition
-    /// `t < len/3`.
-    pub fn satisfies_third(&self) -> bool {
-        3 * self.t < self.len()
     }
 
     /// Returns `true` if `party` is a member.
@@ -187,21 +181,20 @@ impl<V: Value> CommitteeBroadcast<V> {
     fn decision_round(&self) -> u64 {
         self.report_round() + 1
     }
+}
 
-    /// Executes logical round `round` over borrowed messages.
-    ///
-    /// This is [`RoundProtocol::round`] for callers that hold the messages inside some
-    /// larger structure (a multiplexed inbox, say) and would otherwise have to clone
-    /// each one into a `(PartyId, CommitteeMsg)` slice first. The iterator is walked
-    /// twice, hence `Clone`.
-    pub fn round_borrowed<'m, I>(&mut self, round: u64, inbox: I) -> Vec<Outgoing<CommitteeMsg<V>>>
-    where
-        I: Iterator<Item = (PartyId, &'m CommitteeMsg<V>)> + Clone,
-        V: 'm,
-    {
+impl<V: Value> RoundProtocol for CommitteeBroadcast<V> {
+    type Msg = CommitteeMsg<V>;
+    type Output = V;
+
+    fn round<'m>(
+        &mut self,
+        round: u64,
+        inbox: impl Iterator<Item = (PartyId, &'m CommitteeMsg<V>)> + Clone,
+        out: &mut impl FnMut(PartyId, CommitteeMsg<V>),
+    ) {
         let me = self.config.me;
         let is_committee_member = self.config.committee.contains(me);
-        let mut out = Vec::new();
 
         // Collect whatever this round's inbox holds for later stages.
         for (from, msg) in inbox.clone() {
@@ -226,10 +219,10 @@ impl<V: Value> CommitteeBroadcast<V> {
             if me == self.config.sender {
                 let value = self.received_input.clone().expect("sender holds its input");
                 for member in self.config.committee.others(me) {
-                    out.push(Outgoing::new(member, CommitteeMsg::Input(value.clone())));
+                    out(member, CommitteeMsg::Input(value.clone()));
                 }
             }
-            return out;
+            return;
         }
 
         let king_rounds = PhaseKing::<V>::total_rounds(&self.config.committee);
@@ -241,18 +234,14 @@ impl<V: Value> CommitteeBroadcast<V> {
                         self.received_input.clone().unwrap_or_else(|| self.config.default.clone());
                     self.king = Some(PhaseKing::new(self.config.committee.clone(), me, input));
                 }
-                let king_inbox: Vec<(PartyId, KingMsg<V>)> = inbox
-                    .filter_map(|(from, msg)| match msg {
-                        CommitteeMsg::King(km) => Some((from, km.clone())),
-                        _ => None,
-                    })
-                    .collect();
+                let king_inbox = inbox.filter_map(|(from, msg)| match msg {
+                    CommitteeMsg::King(km) => Some((from, km)),
+                    _ => None,
+                });
                 let king = self.king.as_mut().expect("king instance was created at its round 0");
-                for outgoing in king.round(king_round, &king_inbox) {
-                    out.push(Outgoing::new(outgoing.to, CommitteeMsg::King(outgoing.payload)));
-                }
+                king.round(king_round, king_inbox, &mut |to, km| out(to, CommitteeMsg::King(km)));
             }
-            return out;
+            return;
         }
 
         if round == self.report_round() {
@@ -263,13 +252,13 @@ impl<V: Value> CommitteeBroadcast<V> {
                     .and_then(|k| k.output())
                     .unwrap_or_else(|| self.config.default.clone());
                 self.reports.insert(me, agreed.clone());
-                for party in self.config.all_parties.clone() {
+                for &party in &self.config.all_parties {
                     if party != me {
-                        out.push(Outgoing::new(party, CommitteeMsg::Report(agreed.clone())));
+                        out(party, CommitteeMsg::Report(agreed.clone()));
                     }
                 }
             }
-            return out;
+            return;
         }
 
         if round == self.decision_round() && self.output.is_none() {
@@ -278,20 +267,6 @@ impl<V: Value> CommitteeBroadcast<V> {
                 .unwrap_or_else(|| self.config.default.clone());
             self.output = Some(decision);
         }
-        out
-    }
-}
-
-impl<V: Value> RoundProtocol for CommitteeBroadcast<V> {
-    type Msg = CommitteeMsg<V>;
-    type Output = V;
-
-    fn round(
-        &mut self,
-        round: u64,
-        inbox: &[(PartyId, CommitteeMsg<V>)],
-    ) -> Vec<Outgoing<CommitteeMsg<V>>> {
-        self.round_borrowed(round, inbox.iter().map(|(from, msg)| (*from, msg)))
     }
 
     fn output(&self) -> Option<V> {
@@ -313,15 +288,11 @@ mod tests {
         assert!(!committee.is_empty());
         assert_eq!(committee.t(), 1);
         assert_eq!(committee.quorum(), 2);
-        assert!(!committee.satisfies_third());
         assert!(committee.contains(PartyId::left(1)));
         assert!(!committee.contains(PartyId::right(0)));
         assert_eq!(committee.king_of_phase(0), PartyId::left(0));
         assert_eq!(committee.king_of_phase(1), PartyId::left(1));
         assert_eq!(committee.others(PartyId::left(1)).count(), 2);
-
-        let big = Committee::new((0..7).map(PartyId::left).collect(), 2);
-        assert!(big.satisfies_third());
     }
 
     #[test]

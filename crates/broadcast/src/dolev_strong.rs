@@ -2,7 +2,7 @@ use crate::value::Value;
 use bsm_crypto::{
     Digest, DigestWriter, Digestible, KeyId, Pki, SigChain, Signature, SigningKey, Verifier,
 };
-use bsm_net::{Outgoing, PartyId, RoundProtocol};
+use bsm_net::{PartyId, RoundProtocol};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -283,44 +283,46 @@ impl<V: Value + Digestible> DolevStrong<V> {
         true
     }
 
+    /// Sends `msg` to every other participant, in participant order.
+    fn send_to_others(
+        &self,
+        msg: &DolevStrongMsg<V>,
+        out: &mut impl FnMut(PartyId, DolevStrongMsg<V>),
+    ) {
+        for &p in self.directory.participants() {
+            if p != self.role.me {
+                out(p, msg.clone());
+            }
+        }
+    }
+
     /// Signs `msg` onto its chain and sends the extended message to every other
-    /// participant, appending to `out`.
-    fn relay(&mut self, msg: &DolevStrongMsg<V>, out: &mut Vec<Outgoing<DolevStrongMsg<V>>>) {
+    /// participant.
+    fn relay(&mut self, msg: &DolevStrongMsg<V>, out: &mut impl FnMut(PartyId, DolevStrongMsg<V>)) {
         let my_key = self.signing_key.id();
         if msg.chain.contains_signer(my_key) {
             return;
         }
         let digest = self.digest_of(&msg.value);
         let chain = msg.chain.extended(self.signing_key.sign(digest));
-        let extended = DolevStrongMsg { value: msg.value.clone(), chain };
-        let me = self.role.me;
-        out.extend(
-            self.directory
-                .participants()
-                .iter()
-                .filter(|&&p| p != me)
-                .map(|&p| Outgoing::new(p, extended.clone())),
-        );
+        self.send_to_others(&DolevStrongMsg { value: msg.value.clone(), chain }, out);
     }
+}
 
-    /// Executes logical round `round` over borrowed messages.
-    ///
-    /// This is [`RoundProtocol::round`] for callers that hold the messages inside some
-    /// larger structure (a multiplexed inbox, say) and would otherwise have to clone
-    /// each one into a `(PartyId, DolevStrongMsg)` slice first.
-    pub fn round_borrowed<'m>(
+impl<V: Value + Digestible> RoundProtocol for DolevStrong<V> {
+    type Msg = DolevStrongMsg<V>;
+    type Output = V;
+
+    fn round<'m>(
         &mut self,
         round: u64,
-        inbox: impl IntoIterator<Item = (PartyId, &'m DolevStrongMsg<V>)>,
-    ) -> Vec<Outgoing<DolevStrongMsg<V>>>
-    where
-        V: 'm,
-    {
+        inbox: impl Iterator<Item = (PartyId, &'m DolevStrongMsg<V>)> + Clone,
+        out: &mut impl FnMut(PartyId, DolevStrongMsg<V>),
+    ) {
         if self.output.is_some() {
-            return Vec::new();
+            return;
         }
         let t = self.role.t as u64;
-        let mut out = Vec::new();
 
         if round == 0 {
             if self.role.me == self.role.sender {
@@ -328,14 +330,9 @@ impl<V: Value + Digestible> DolevStrong<V> {
                 let digest = self.digest_of(&value);
                 let chain = SigChain::single(self.signing_key.sign(digest));
                 self.extracted.insert(value.clone());
-                let msg = DolevStrongMsg { value, chain };
-                for &p in self.directory.participants() {
-                    if p != self.role.me {
-                        out.push(Outgoing::new(p, msg.clone()));
-                    }
-                }
+                self.send_to_others(&DolevStrongMsg { value, chain }, out);
             }
-            return out;
+            return;
         }
 
         if round <= t + 1 {
@@ -351,7 +348,7 @@ impl<V: Value + Digestible> DolevStrong<V> {
                 }
                 self.extracted.insert(msg.value.clone());
                 if round <= t {
-                    self.relay(msg, &mut out);
+                    self.relay(msg, out);
                 }
             }
         }
@@ -364,20 +361,6 @@ impl<V: Value + Digestible> DolevStrong<V> {
             };
             self.output = Some(decision);
         }
-        out
-    }
-}
-
-impl<V: Value + Digestible> RoundProtocol for DolevStrong<V> {
-    type Msg = DolevStrongMsg<V>;
-    type Output = V;
-
-    fn round(
-        &mut self,
-        round: u64,
-        inbox: &[(PartyId, DolevStrongMsg<V>)],
-    ) -> Vec<Outgoing<DolevStrongMsg<V>>> {
-        self.round_borrowed(round, inbox.iter().map(|(from, msg)| (*from, msg)))
     }
 
     fn output(&self) -> Option<V> {
@@ -388,6 +371,7 @@ impl<V: Value + Digestible> RoundProtocol for DolevStrong<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_round;
 
     fn setup(
         n: u32,
@@ -444,7 +428,7 @@ mod tests {
         for round in 0..total {
             let inboxes = std::mem::replace(&mut pending, vec![Vec::new(); n as usize]);
             for (idx, instance) in instances.iter_mut().enumerate() {
-                for msg in instance.round(round, &inboxes[idx]) {
+                for msg in run_round(instance, round, &inboxes[idx]) {
                     let to = participants.iter().position(|&p| p == msg.to).unwrap();
                     pending[to].push((participants[idx], msg.payload));
                 }
@@ -474,7 +458,7 @@ mod tests {
         let total = DolevStrong::<u64>::total_rounds(2);
         for round in 0..total {
             for instance in instances.iter_mut() {
-                instance.round(round, &[]);
+                run_round(instance, round, &[]);
             }
         }
         assert!(instances.iter().all(|i| i.output() == Some(u64::MAX)));
@@ -492,11 +476,11 @@ mod tests {
         let bogus_value = 13u64;
         let digest = DolevStrong::<u64>::instance_digest(&config, &bogus_value);
         let bogus = DolevStrongMsg { value: bogus_value, chain: vec![byz_key.sign(digest)].into() };
-        receiver.round(0, &[]);
-        receiver.round(1, &[(PartyId::left(2), bogus)]);
+        run_round(&mut receiver, 0, &[]);
+        run_round(&mut receiver, 1, &[(PartyId::left(2), bogus)]);
         let total = DolevStrong::<u64>::total_rounds(1);
         for round in 2..total {
-            receiver.round(round, &[]);
+            run_round(&mut receiver, round, &[]);
         }
         assert_eq!(receiver.output(), Some(u64::MAX), "the forged value must not be extracted");
     }
@@ -525,12 +509,12 @@ mod tests {
         // Second chain: the same valid prefix alone — its re-verification must be the
         // memo hit.
         let valid = DolevStrongMsg { value, chain: vec![good].into() };
-        receiver.round(0, &[]);
+        run_round(&mut receiver, 0, &[]);
         let before = bsm_crypto::counters::thread_snapshot();
-        receiver.round(1, &[(PartyId::left(2), broken), (PartyId::left(2), valid)]);
+        run_round(&mut receiver, 1, &[(PartyId::left(2), broken), (PartyId::left(2), valid)]);
         let delta = bsm_crypto::counters::thread_snapshot() - before;
         assert!(delta.verify_cache_hits >= 1, "re-verified prefix must hit the memo: {delta:?}");
-        receiver.round(2, &[]);
+        run_round(&mut receiver, 2, &[]);
         assert_eq!(receiver.output(), Some(value), "the valid chain must still extract");
     }
 
@@ -543,10 +527,10 @@ mod tests {
         let sender_link = pki.signing_key(config.key_of[&config.sender].0).unwrap().sign(digest);
         let extra_link = pki.signing_key(extra.0).unwrap().sign(digest);
         let msg = DolevStrongMsg { value, chain: vec![sender_link, extra_link].into() };
-        receiver.round(0, &[]);
-        receiver.round(1, &[(PartyId::left(2), msg)]);
+        run_round(&mut receiver, 0, &[]);
+        run_round(&mut receiver, 1, &[(PartyId::left(2), msg)]);
         for round in 2..DolevStrong::<u64>::total_rounds(config.t) {
-            receiver.round(round, &[]);
+            run_round(&mut receiver, round, &[]);
         }
         receiver.output().expect("terminates")
     }
@@ -586,12 +570,12 @@ mod tests {
         // Round 2 requires two distinct signatures; a duplicated sender signature is not
         // enough.
         let msg = DolevStrongMsg { value, chain: vec![sig, sig].into() };
-        receiver.round(0, &[]);
-        receiver.round(1, &[]);
-        receiver.round(2, &[(PartyId::left(2), msg)]);
+        run_round(&mut receiver, 0, &[]);
+        run_round(&mut receiver, 1, &[]);
+        run_round(&mut receiver, 2, &[(PartyId::left(2), msg)]);
         let total = DolevStrong::<u64>::total_rounds(2);
         for round in 3..total {
-            receiver.round(round, &[]);
+            run_round(&mut receiver, round, &[]);
         }
         assert_eq!(receiver.output(), Some(u64::MAX));
     }
@@ -608,9 +592,9 @@ mod tests {
         let msg = DolevStrongMsg { value, chain: vec![sender_key.sign(digest)].into() };
         // A single-signature chain delivered at round 2 (it should have been extended by
         // a relay) is too short and must be ignored.
-        receiver.round(0, &[]);
-        receiver.round(1, &[]);
-        receiver.round(2, &[(PartyId::left(2), msg)]);
+        run_round(&mut receiver, 0, &[]);
+        run_round(&mut receiver, 1, &[]);
+        run_round(&mut receiver, 2, &[(PartyId::left(2), msg)]);
         assert_eq!(receiver.output(), Some(u64::MAX));
     }
 

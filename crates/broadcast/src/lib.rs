@@ -44,3 +44,17 @@ pub use phase_king::{KingMsg, KingMsgKind, PhaseKing};
 pub use pi_ba::{BaMsg, OmissionTolerantBa};
 pub use pi_bb::{BbMsg, OmissionTolerantBb};
 pub use value::Value;
+
+/// Runs `protocol`'s round `round` over an owned inbox and collects what it sends, for
+/// the unit tests' lock-step drivers, which deliver round by round without a network.
+#[cfg(test)]
+pub(crate) fn run_round<P: bsm_net::RoundProtocol>(
+    protocol: &mut P,
+    round: u64,
+    inbox: &[(bsm_net::PartyId, P::Msg)],
+) -> Vec<bsm_net::Outgoing<P::Msg>> {
+    let mut out = Vec::new();
+    let inbox = inbox.iter().map(|(from, msg)| (*from, msg));
+    protocol.round(round, inbox, &mut |to, msg| out.push(bsm_net::Outgoing::new(to, msg)));
+    out
+}

@@ -1,6 +1,6 @@
 use crate::committee::Committee;
 use crate::value::Value;
-use bsm_net::{Outgoing, PartyId, RoundProtocol};
+use bsm_net::{PartyId, RoundProtocol};
 use std::collections::BTreeMap;
 
 /// The kind of a phase-king message.
@@ -85,26 +85,16 @@ impl<V: Value> PhaseKing<V> {
         3 * (committee.t() as u64 + 1) + 1
     }
 
-    /// The committee this instance runs in.
-    pub fn committee(&self) -> &Committee {
-        &self.committee
-    }
-
-    /// The current estimate (mainly useful in tests and for `ΠBA`'s confirmation round).
-    pub fn current_value(&self) -> &V {
-        &self.v
-    }
-
     /// Collects at most one message of the expected kind per distinct committee sender.
-    fn tally<'a>(
+    fn tally<'m>(
         &self,
-        inbox: &'a [(PartyId, KingMsg<V>)],
+        inbox: impl Iterator<Item = (PartyId, &'m KingMsg<V>)>,
         phase: u64,
         expect_value: bool,
-    ) -> BTreeMap<PartyId, &'a V> {
+    ) -> BTreeMap<PartyId, &'m V> {
         let mut per_sender: BTreeMap<PartyId, &V> = BTreeMap::new();
         for (from, msg) in inbox {
-            if msg.phase != phase || !self.committee.contains(*from) {
+            if msg.phase != phase || !self.committee.contains(from) {
                 continue;
             }
             let value = match (&msg.kind, expect_value) {
@@ -112,7 +102,7 @@ impl<V: Value> PhaseKing<V> {
                 (KingMsgKind::Propose(v), false) => v,
                 _ => continue,
             };
-            per_sender.entry(*from).or_insert(value);
+            per_sender.entry(from).or_insert(value);
         }
         per_sender
     }
@@ -129,7 +119,11 @@ impl<V: Value> PhaseKing<V> {
     }
 
     /// Adopts the king's value if the previous phase's proposal round was inconclusive.
-    fn maybe_adopt_king(&mut self, finished_phase: u64, inbox: &[(PartyId, KingMsg<V>)]) {
+    fn maybe_adopt_king<'m>(
+        &mut self,
+        finished_phase: u64,
+        inbox: impl Iterator<Item = (PartyId, &'m KingMsg<V>)>,
+    ) {
         if self.last_max_propose >= self.committee.quorum() {
             return;
         }
@@ -139,7 +133,7 @@ impl<V: Value> PhaseKing<V> {
             return;
         }
         for (from, msg) in inbox {
-            if *from == king && msg.phase == finished_phase {
+            if from == king && msg.phase == finished_phase {
                 if let KingMsgKind::King(value) = &msg.kind {
                     self.v = value.clone();
                     return;
@@ -153,23 +147,26 @@ impl<V: Value> RoundProtocol for PhaseKing<V> {
     type Msg = KingMsg<V>;
     type Output = V;
 
-    fn round(&mut self, round: u64, inbox: &[(PartyId, KingMsg<V>)]) -> Vec<Outgoing<KingMsg<V>>> {
+    fn round<'m>(
+        &mut self,
+        round: u64,
+        inbox: impl Iterator<Item = (PartyId, &'m KingMsg<V>)> + Clone,
+        out: &mut impl FnMut(PartyId, KingMsg<V>),
+    ) {
         let phases = self.committee.t() as u64 + 1;
         let total = 3 * phases;
         if round > total || self.output.is_some() {
-            return Vec::new();
+            return;
         }
         if round == total {
             // Final adoption of the last phase's king value, then decide.
             self.maybe_adopt_king(phases - 1, inbox);
             self.output = Some(self.v.clone());
-            return Vec::new();
+            return;
         }
 
         let phase = round / 3;
-        let sub = round % 3;
-        let mut out = Vec::new();
-        match sub {
+        match round % 3 {
             0 => {
                 if phase > 0 {
                     self.maybe_adopt_king(phase - 1, inbox);
@@ -177,10 +174,7 @@ impl<V: Value> RoundProtocol for PhaseKing<V> {
                 self.my_propose = None;
                 self.last_max_propose = 0;
                 for peer in self.committee.others(self.me) {
-                    out.push(Outgoing::new(
-                        peer,
-                        KingMsg { phase, kind: KingMsgKind::Value(self.v.clone()) },
-                    ));
+                    out(peer, KingMsg { phase, kind: KingMsgKind::Value(self.v.clone()) });
                 }
             }
             1 => {
@@ -192,10 +186,7 @@ impl<V: Value> RoundProtocol for PhaseKing<V> {
                     let value = value.clone();
                     self.my_propose = Some(value.clone());
                     for peer in self.committee.others(self.me) {
-                        out.push(Outgoing::new(
-                            peer,
-                            KingMsg { phase, kind: KingMsgKind::Propose(value.clone()) },
-                        ));
+                        out(peer, KingMsg { phase, kind: KingMsgKind::Propose(value.clone()) });
                     }
                 }
             }
@@ -215,16 +206,12 @@ impl<V: Value> RoundProtocol for PhaseKing<V> {
                 }
                 if self.committee.king_of_phase(phase) == self.me {
                     for peer in self.committee.others(self.me) {
-                        out.push(Outgoing::new(
-                            peer,
-                            KingMsg { phase, kind: KingMsgKind::King(self.v.clone()) },
-                        ));
+                        out(peer, KingMsg { phase, kind: KingMsgKind::King(self.v.clone()) });
                     }
                 }
             }
             _ => unreachable!("sub-round is a residue mod 3"),
         }
-        out
     }
 
     fn output(&self) -> Option<V> {
@@ -235,6 +222,7 @@ impl<V: Value> RoundProtocol for PhaseKing<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_round;
 
     fn committee(k: u32, t: usize) -> Committee {
         Committee::new((0..k).map(PartyId::left).collect(), t)
@@ -254,7 +242,7 @@ mod tests {
         for round in 0..total {
             let inboxes = std::mem::replace(&mut pending, vec![Vec::new(); k as usize]);
             for (idx, instance) in instances.iter_mut().enumerate() {
-                let out = instance.round(round, &inboxes[idx]);
+                let out = run_round(instance, round, &inboxes[idx]);
                 for msg in out {
                     let to_idx = committee
                         .members()
@@ -304,12 +292,10 @@ mod tests {
         let c = committee(1, 0);
         let mut instance = PhaseKing::new(c.clone(), PartyId::left(0), 3u32);
         for round in 0..PhaseKing::<u32>::total_rounds(&c) {
-            instance.round(round, &[]);
+            run_round(&mut instance, round, &[]);
         }
         assert_eq!(instance.output(), Some(3));
-        assert!(instance.round(100, &[]).is_empty());
-        assert_eq!(instance.current_value(), &3);
-        assert_eq!(instance.committee().len(), 1);
+        assert!(run_round(&mut instance, 100, &[]).is_empty());
     }
 
     #[test]
@@ -323,7 +309,7 @@ mod tests {
         let c = committee(4, 1);
         let mut instance = PhaseKing::new(c.clone(), PartyId::left(0), 1u32);
         // Round 0: sends its value.
-        let out = instance.round(0, &[]);
+        let out = run_round(&mut instance, 0, &[]);
         assert_eq!(out.len(), 3);
         // Round 1: a non-member and a wrong-phase message try to sway the quorum
         // towards 9; they are ignored, so no proposal for 9 can form.
@@ -332,7 +318,7 @@ mod tests {
             (PartyId::left(1), KingMsg { phase: 5, kind: KingMsgKind::Value(9) }),
             (PartyId::left(2), KingMsg { phase: 0, kind: KingMsgKind::Value(9) }),
         ];
-        let out = instance.round(1, &bogus);
+        let out = run_round(&mut instance, 1, &bogus);
         // Quorum is 3: only one valid vote for 9 (from L2) plus own vote for 1 → no proposal.
         assert!(out.is_empty());
     }
@@ -341,13 +327,13 @@ mod tests {
     fn duplicate_votes_from_one_sender_count_once() {
         let c = committee(4, 1);
         let mut instance = PhaseKing::new(c.clone(), PartyId::left(0), 1u32);
-        instance.round(0, &[]);
+        run_round(&mut instance, 0, &[]);
         // L1 spams three votes for 9; still only one vote, quorum (3) not reached for 9.
         let spam = vec![
             (PartyId::left(1), KingMsg { phase: 0, kind: KingMsgKind::Value(9) }),
             (PartyId::left(1), KingMsg { phase: 0, kind: KingMsgKind::Value(9) }),
             (PartyId::left(1), KingMsg { phase: 0, kind: KingMsgKind::Value(9) }),
         ];
-        assert!(instance.round(1, &spam).is_empty());
+        assert!(run_round(&mut instance, 1, &spam).is_empty());
     }
 }

@@ -1,7 +1,7 @@
 use crate::committee::Committee;
 use crate::phase_king::{KingMsg, PhaseKing};
 use crate::value::Value;
-use bsm_net::{Outgoing, PartyId, RoundProtocol};
+use bsm_net::{PartyId, RoundProtocol};
 use std::collections::BTreeMap;
 
 /// Messages of the omission-tolerant byzantine agreement protocol `ΠBA`.
@@ -46,9 +46,6 @@ pub struct OmissionTolerantBa<V> {
     y: Option<V>,
     finals: BTreeMap<PartyId, V>,
     output: Option<Option<V>>,
-    /// Reusable demux buffer for the inner phase-king inbox (cleared every round; the
-    /// allocation is paid once per instance instead of once per round).
-    king_scratch: Vec<(PartyId, KingMsg<V>)>,
 }
 
 impl<V: Value> OmissionTolerantBa<V> {
@@ -59,15 +56,7 @@ impl<V: Value> OmissionTolerantBa<V> {
     /// Panics if `me` is not a committee member.
     pub fn new(committee: Committee, me: PartyId, input: V) -> Self {
         let king = PhaseKing::new(committee.clone(), me, input);
-        Self {
-            committee,
-            me,
-            king,
-            y: None,
-            finals: BTreeMap::new(),
-            output: None,
-            king_scratch: Vec::new(),
-        }
+        Self { committee, me, king, y: None, finals: BTreeMap::new(), output: None }
     }
 
     /// Number of round invocations until the output is available:
@@ -75,53 +64,47 @@ impl<V: Value> OmissionTolerantBa<V> {
     pub fn total_rounds(committee: &Committee) -> u64 {
         PhaseKing::<V>::total_rounds(committee) + 1
     }
-
-    /// The committee this instance runs in.
-    pub fn committee(&self) -> &Committee {
-        &self.committee
-    }
 }
 
 impl<V: Value> RoundProtocol for OmissionTolerantBa<V> {
     type Msg = BaMsg<V>;
     type Output = Option<V>;
 
-    fn round(&mut self, round: u64, inbox: &[(PartyId, BaMsg<V>)]) -> Vec<Outgoing<BaMsg<V>>> {
+    fn round<'m>(
+        &mut self,
+        round: u64,
+        inbox: impl Iterator<Item = (PartyId, &'m BaMsg<V>)> + Clone,
+        out: &mut impl FnMut(PartyId, BaMsg<V>),
+    ) {
         if self.output.is_some() {
-            return Vec::new();
+            return;
         }
         // Record confirmations whenever they arrive (they are only sent in the second to
         // last round, but a byzantine party may send them early; extras are harmless
         // because each sender is counted once).
-        for (from, msg) in inbox {
+        for (from, msg) in inbox.clone() {
             if let BaMsg::Final(v) = msg {
-                if self.committee.contains(*from) {
-                    self.finals.entry(*from).or_insert_with(|| v.clone());
+                if self.committee.contains(from) {
+                    self.finals.entry(from).or_insert_with(|| v.clone());
                 }
             }
         }
 
         let king_rounds = PhaseKing::<V>::total_rounds(&self.committee);
-        let mut out = Vec::new();
         if round < king_rounds {
-            let mut king_inbox = std::mem::take(&mut self.king_scratch);
-            king_inbox.clear();
-            king_inbox.extend(inbox.iter().filter_map(|(from, msg)| match msg {
-                BaMsg::King(km) => Some((*from, km.clone())),
-                _ => None,
-            }));
-            for outgoing in self.king.round(round, &king_inbox) {
-                out.push(Outgoing::new(outgoing.to, BaMsg::King(outgoing.payload)));
-            }
-            self.king_scratch = king_inbox;
+            let king_inbox = inbox.filter_map(|(from, msg)| match msg {
+                BaMsg::King(km) => Some((from, km)),
+                BaMsg::Final(_) => None,
+            });
+            self.king.round(round, king_inbox, &mut |to, km| out(to, BaMsg::King(km)));
             if round == king_rounds - 1 {
                 let y = self.king.output().expect("phase king decided at its final round");
                 self.y = Some(y.clone());
                 for peer in self.committee.others(self.me) {
-                    out.push(Outgoing::new(peer, BaMsg::Final(y.clone())));
+                    out(peer, BaMsg::Final(y.clone()));
                 }
             }
-            return out;
+            return;
         }
 
         if round == king_rounds {
@@ -138,7 +121,6 @@ impl<V: Value> RoundProtocol for OmissionTolerantBa<V> {
                 counts.into_iter().find(|(_, count)| *count >= quorum).map(|(v, _)| v.clone());
             self.output = Some(decided);
         }
-        out
     }
 
     fn output(&self) -> Option<Option<V>> {
@@ -149,6 +131,7 @@ impl<V: Value> RoundProtocol for OmissionTolerantBa<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_round;
 
     fn committee(k: u32, t: usize) -> Committee {
         Committee::new((0..k).map(PartyId::left).collect(), t)
@@ -172,7 +155,7 @@ mod tests {
         for round in 0..total {
             let inboxes = std::mem::replace(&mut pending, vec![Vec::new(); members.len()]);
             for (idx, instance) in instances.iter_mut().enumerate() {
-                for msg in instance.round(round, &inboxes[idx]) {
+                for msg in run_round(instance, round, &inboxes[idx]) {
                     if drop(members[idx], msg.to) {
                         continue;
                     }
@@ -236,11 +219,10 @@ mod tests {
     fn accessors_and_idempotent_rounds() {
         let c = committee(1, 0);
         let mut ba = OmissionTolerantBa::new(c.clone(), PartyId::left(0), 9u32);
-        assert_eq!(ba.committee().len(), 1);
         for round in 0..OmissionTolerantBa::<u32>::total_rounds(&c) {
-            ba.round(round, &[]);
+            run_round(&mut ba, round, &[]);
         }
         assert_eq!(ba.output(), Some(Some(9)));
-        assert!(ba.round(99, &[]).is_empty());
+        assert!(run_round(&mut ba, 99, &[]).is_empty());
     }
 }

@@ -1,7 +1,7 @@
 use crate::committee::Committee;
 use crate::pi_ba::{BaMsg, OmissionTolerantBa};
 use crate::value::Value;
-use bsm_net::{Outgoing, PartyId, RoundProtocol};
+use bsm_net::{PartyId, RoundProtocol};
 
 /// Messages of the omission-tolerant byzantine broadcast protocol `ΠBB`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,8 +45,6 @@ pub struct OmissionTolerantBb<V> {
     received: Option<V>,
     ba: Option<OmissionTolerantBa<V>>,
     output: Option<Option<V>>,
-    /// Reusable demux buffer for the inner `ΠBA` inbox (cleared every round).
-    ba_scratch: Vec<(PartyId, BaMsg<V>)>,
 }
 
 impl<V: Value> OmissionTolerantBb<V> {
@@ -72,27 +70,12 @@ impl<V: Value> OmissionTolerantBb<V> {
         if me == sender {
             assert!(input.is_some(), "the sender must hold an input value");
         }
-        Self {
-            committee,
-            me,
-            sender,
-            default,
-            input,
-            received: None,
-            ba: None,
-            output: None,
-            ba_scratch: Vec::new(),
-        }
+        Self { committee, me, sender, default, input, received: None, ba: None, output: None }
     }
 
     /// Number of round invocations until the output is available.
     pub fn total_rounds(committee: &Committee) -> u64 {
         1 + OmissionTolerantBa::<V>::total_rounds(committee)
-    }
-
-    /// The designated sender of this instance.
-    pub fn sender(&self) -> PartyId {
-        self.sender
     }
 }
 
@@ -100,30 +83,34 @@ impl<V: Value> RoundProtocol for OmissionTolerantBb<V> {
     type Msg = BbMsg<V>;
     type Output = Option<V>;
 
-    fn round(&mut self, round: u64, inbox: &[(PartyId, BbMsg<V>)]) -> Vec<Outgoing<BbMsg<V>>> {
+    fn round<'m>(
+        &mut self,
+        round: u64,
+        inbox: impl Iterator<Item = (PartyId, &'m BbMsg<V>)> + Clone,
+        out: &mut impl FnMut(PartyId, BbMsg<V>),
+    ) {
         if self.output.is_some() {
-            return Vec::new();
+            return;
         }
         // Record the sender's value whenever it arrives (only the designated sender's
         // first value counts).
-        for (from, msg) in inbox {
+        for (from, msg) in inbox.clone() {
             if let BbMsg::Send(v) = msg {
-                if *from == self.sender && self.received.is_none() {
+                if from == self.sender && self.received.is_none() {
                     self.received = Some(v.clone());
                 }
             }
         }
 
-        let mut out = Vec::new();
         if round == 0 {
             if self.me == self.sender {
                 let value = self.input.clone().expect("sender holds an input");
                 self.received = Some(value.clone());
                 for peer in self.committee.others(self.me) {
-                    out.push(Outgoing::new(peer, BbMsg::Send(value.clone())));
+                    out(peer, BbMsg::Send(value.clone()));
                 }
             }
-            return out;
+            return;
         }
 
         let ba_round = round - 1;
@@ -132,21 +119,15 @@ impl<V: Value> RoundProtocol for OmissionTolerantBb<V> {
             self.ba = Some(OmissionTolerantBa::new(self.committee.clone(), self.me, input));
         }
         if let Some(ba) = self.ba.as_mut() {
-            let mut ba_inbox = std::mem::take(&mut self.ba_scratch);
-            ba_inbox.clear();
-            ba_inbox.extend(inbox.iter().filter_map(|(from, msg)| match msg {
-                BbMsg::Ba(inner) => Some((*from, inner.clone())),
-                _ => None,
-            }));
-            for outgoing in ba.round(ba_round, &ba_inbox) {
-                out.push(Outgoing::new(outgoing.to, BbMsg::Ba(outgoing.payload)));
-            }
-            self.ba_scratch = ba_inbox;
+            let ba_inbox = inbox.filter_map(|(from, msg)| match msg {
+                BbMsg::Ba(inner) => Some((from, inner)),
+                BbMsg::Send(_) => None,
+            });
+            ba.round(ba_round, ba_inbox, &mut |to, inner| out(to, BbMsg::Ba(inner)));
             if let Some(decision) = ba.output() {
                 self.output = Some(decision);
             }
         }
-        out
     }
 
     fn output(&self) -> Option<Option<V>> {
@@ -157,6 +138,7 @@ impl<V: Value> RoundProtocol for OmissionTolerantBb<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_round;
 
     fn committee(k: u32, t: usize) -> Committee {
         Committee::new((0..k).map(PartyId::left).collect(), t)
@@ -186,7 +168,7 @@ mod tests {
         for round in 0..total {
             let inboxes = std::mem::replace(&mut pending, vec![Vec::new(); members.len()]);
             for (idx, instance) in instances.iter_mut().enumerate() {
-                for msg in instance.round(round, &inboxes[idx]) {
+                for msg in run_round(instance, round, &inboxes[idx]) {
                     if drop(members[idx], msg.to) {
                         continue;
                     }
@@ -257,12 +239,5 @@ mod tests {
     fn sender_without_input_panics() {
         let c = committee(2, 0);
         let _ = OmissionTolerantBb::new(c, PartyId::left(0), PartyId::left(0), None, 0u32);
-    }
-
-    #[test]
-    fn sender_accessor() {
-        let c = committee(2, 0);
-        let bb = OmissionTolerantBb::new(c, PartyId::left(1), PartyId::left(0), None, 0u32);
-        assert_eq!(bb.sender(), PartyId::left(0));
     }
 }

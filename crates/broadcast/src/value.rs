@@ -1,11 +1,12 @@
 /// The bound a broadcast/agreement value must satisfy.
 ///
 /// The paper broadcasts whole preference lists; the protocols here only need values to
-/// be cloneable, comparable (for deterministic tie-breaking) and printable. The bound is
-/// expressed as a blanket-implemented trait alias so signatures stay short.
-pub trait Value: Clone + Eq + Ord + std::fmt::Debug {}
+/// be cloneable, comparable (for deterministic tie-breaking) and printable, and to own
+/// their data (`'static`), since a [`bsm_net::RoundProtocol`] message must. The bound
+/// is expressed as a blanket-implemented trait alias so signatures stay short.
+pub trait Value: Clone + Eq + Ord + std::fmt::Debug + 'static {}
 
-impl<T: Clone + Eq + Ord + std::fmt::Debug> Value for T {}
+impl<T: Clone + Eq + Ord + std::fmt::Debug + 'static> Value for T {}
 
 /// Returns the value with the highest multiplicity in `votes`, breaking ties towards the
 /// smaller value (by `Ord`) so every honest party breaks ties identically.

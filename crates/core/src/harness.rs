@@ -5,7 +5,7 @@ use crate::problem::{AuthMode, BsmInstance, MatchDecision, Setting, SettingError
 use crate::properties::{check_bsm, Outputs, PropertyViolation};
 use crate::protocols::{BipartiteAuthBsm, BroadcastBsm, BroadcastFlavor};
 use crate::relay::{RelayEngine, RelayMode};
-use crate::runtime::{BsmProtocol, PartyRuntime};
+use crate::runtime::PartyRuntime;
 use crate::solvability::{characterize, Impossibility, ProtocolPlan, Solvability};
 use crate::strategies::{BsmPuppetAdversary, GarbageAdversary};
 use crate::wire::{dense_key_index, PrefVec, WireMsg};
@@ -15,7 +15,7 @@ use bsm_matching::generators::uniform_profile;
 use bsm_matching::{PreferenceProfile, Side};
 use bsm_net::{
     Adversary, CorruptionBudget, FaultSchedule, FaultSpec, Metrics, NetBuffers, PartyId, PartySet,
-    PassiveAdversary, SilentProcess, SimError, SyncNetwork, Topology,
+    PassiveAdversary, Process, SilentProcess, SimError, SyncNetwork, Topology,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -294,7 +294,7 @@ impl Scenario {
             if self.corrupted.contains(&party) {
                 net.register(Box::new(SilentProcess::new(party)))?;
             } else {
-                net.register(Box::new(env.build_runtime(party, plan, &self.profile)))?;
+                net.register(env.build_runtime(party, plan, &self.profile))?;
             }
         }
         for &party in &self.corrupted {
@@ -335,8 +335,7 @@ impl Scenario {
                 let mut puppets = BsmPuppetAdversary::new();
                 let lying_profile = uniform_profile(self.setting.k(), &mut rng);
                 for &party in &self.corrupted {
-                    let runtime = env.build_runtime(party, plan, &lying_profile);
-                    puppets.add_puppet(party, Box::new(runtime));
+                    puppets.add_puppet(party, env.build_runtime(party, plan, &lying_profile));
                 }
                 Box::new(puppets)
             }
@@ -532,44 +531,32 @@ impl ScenarioEnv {
         }
     }
 
-    pub(crate) fn build_protocol(
-        &self,
-        me: PartyId,
-        plan: ProtocolPlan,
-        profile: &PreferenceProfile,
-    ) -> BsmProtocol {
-        let k = self.setting.k();
-        let my_pref = Self::preference_of(profile, me);
-        match plan {
-            ProtocolPlan::DolevStrongBsm => {
-                Box::new(BroadcastBsm::new(me, k, my_pref, self.ds_flavor(me)))
-            }
-            ProtocolPlan::CommitteeBroadcastBsm { committee_side } => Box::new(BroadcastBsm::new(
-                me,
-                k,
-                my_pref,
-                BroadcastFlavor::Committee { committee: self.committee(committee_side) },
-            )),
-            ProtocolPlan::BipartiteAuthLocal { committee_side } => Box::new(BipartiteAuthBsm::new(
-                me,
-                k,
-                committee_side,
-                self.setting.t_of(committee_side),
-                my_pref,
-            )),
-        }
-    }
-
+    /// Builds honest party `me`'s stack for `plan`: its relay engine, and on top of
+    /// it the plan's protocol on `me`'s list in `profile`.
     pub(crate) fn build_runtime(
         &self,
         me: PartyId,
         plan: ProtocolPlan,
         profile: &PreferenceProfile,
-    ) -> PartyRuntime {
+    ) -> Box<dyn Process<WireMsg, MatchDecision> + Send> {
         let mode = self.relay_mode();
         let signing_key = matches!(mode, RelayMode::Signed { .. }).then(|| self.signing_key(me));
         let relay = RelayEngine::new(me, self.parties, self.setting.topology(), mode, signing_key);
-        PartyRuntime::new(me, relay, self.build_protocol(me, plan, profile), self.slots_per_round())
+        let spr = self.slots_per_round();
+        let k = self.setting.k();
+        let my_pref = Self::preference_of(profile, me);
+        let flavor = match plan {
+            ProtocolPlan::DolevStrongBsm => self.ds_flavor(me),
+            ProtocolPlan::CommitteeBroadcastBsm { committee_side } => {
+                BroadcastFlavor::Committee { committee: self.committee(committee_side) }
+            }
+            ProtocolPlan::BipartiteAuthLocal { committee_side } => {
+                let t = self.setting.t_of(committee_side);
+                let protocol = BipartiteAuthBsm::new(me, k, committee_side, t, my_pref);
+                return Box::new(PartyRuntime::new(me, relay, protocol, spr));
+            }
+        };
+        Box::new(PartyRuntime::new(me, relay, BroadcastBsm::new(me, k, my_pref, flavor), spr))
     }
 }
 
@@ -720,7 +707,7 @@ mod tests {
                 .unwrap();
             let env = scenario.env();
             let plan = ProtocolPlan::DolevStrongBsm;
-            let honest: Vec<PartyRuntime> = env
+            let honest: Vec<_> = env
                 .parties
                 .iter()
                 .filter(|party| !scenario.corrupted().contains(party))

@@ -18,8 +18,8 @@
 //! * [`protocols`] — the two constructive protocol families: the broadcast-based
 //!   reduction of Lemma 1 (over Dolev–Strong or committee broadcast) and the
 //!   bipartite-authenticated protocol `ΠbSM` of Lemma 9,
-//! * [`strategies`] — reusable byzantine strategies (crash, preference lying, garbage
-//!   spam, puppet simulation of honest code on chosen inputs),
+//! * [`strategies`] — reusable byzantine strategies (preference lying and any other
+//!   puppet simulation of honest code on chosen inputs, garbage spam),
 //! * [`script`] — data-valued adversary scripts: serializable action lists a fuzzer
 //!   can generate, mutate, shrink and replay, interpreted by a
 //!   [`script::ScriptedAdversary`] that provably subsumes the built-in strategies,

@@ -14,7 +14,7 @@ use crate::wire::{default_pref_vec, pref_to_vec, vec_to_pref, PrefVec, ProtoBody
 use bsm_broadcast::{Committee, OmissionTolerantBa, OmissionTolerantBb};
 use bsm_matching::gale_shapley::gale_shapley_left;
 use bsm_matching::{PreferenceList, PreferenceProfile, Side};
-use bsm_net::{Outgoing, PartyId, RoundProtocol};
+use bsm_net::{PartyId, RoundProtocol};
 use std::collections::BTreeMap;
 
 /// The `ΠbSM` protocol state for one party (committee member or other side).
@@ -106,14 +106,14 @@ impl BipartiteAuthBsm {
         Self::other_decision_round(committee) + 1
     }
 
-    fn committee_round(
+    fn committee_round<'m>(
         &mut self,
         round: u64,
-        inbox: &[(PartyId, ProtoMsg)],
-    ) -> Vec<Outgoing<ProtoMsg>> {
-        let mut out = Vec::new();
+        inbox: impl Iterator<Item = (PartyId, &'m ProtoMsg)> + Clone,
+        out: &mut impl FnMut(PartyId, ProtoMsg),
+    ) {
         // Record announcements from the other side (any round; first per sender).
-        for (from, msg) in inbox {
+        for (from, msg) in inbox.clone() {
             if from.side == self.other_side() {
                 if let ProtoBody::PrefAnnounce(list) = &msg.body {
                     self.announced.entry(from.index).or_insert_with(|| list.clone());
@@ -123,7 +123,7 @@ impl BipartiteAuthBsm {
 
         if round == 0 {
             // Start one ΠBB per committee member.
-            for member in self.committee.members().to_vec() {
+            for &member in self.committee.members() {
                 let input = if member == self.me { Some(pref_to_vec(&self.my_pref)) } else { None };
                 let bb = OmissionTolerantBb::new(
                     self.committee.clone(),
@@ -147,47 +147,34 @@ impl BipartiteAuthBsm {
 
         // Step ΠBB instances at `round`, ΠBA instances at `round - 1`.
         for (&instance, bb) in self.bb.iter_mut() {
-            let typed: Vec<(PartyId, bsm_broadcast::BbMsg<PrefVec>)> = inbox
-                .iter()
-                .filter_map(|(from, msg)| match (&msg.body, msg.instance == instance) {
-                    (ProtoBody::Bb(m), true) => Some((*from, m.clone())),
-                    _ => None,
-                })
-                .collect();
-            for outgoing in bb.round(round, &typed) {
-                out.push(Outgoing::new(
-                    outgoing.to,
-                    ProtoMsg { instance, body: ProtoBody::Bb(outgoing.payload) },
-                ));
-            }
+            let typed = inbox.clone().filter_map(move |(from, msg)| match &msg.body {
+                ProtoBody::Bb(m) if msg.instance == instance => Some((from, m)),
+                _ => None,
+            });
+            bb.round(round, typed, &mut |to, m| {
+                out(to, ProtoMsg { instance, body: ProtoBody::Bb(m) });
+            });
         }
         if round >= 1 {
             for (&instance, ba) in self.ba.iter_mut() {
-                let typed: Vec<(PartyId, bsm_broadcast::BaMsg<PrefVec>)> = inbox
-                    .iter()
-                    .filter_map(|(from, msg)| match (&msg.body, msg.instance == instance) {
-                        (ProtoBody::Ba(m), true) => Some((*from, m.clone())),
-                        _ => None,
-                    })
-                    .collect();
-                for outgoing in ba.round(round - 1, &typed) {
-                    out.push(Outgoing::new(
-                        outgoing.to,
-                        ProtoMsg { instance, body: ProtoBody::Ba(outgoing.payload) },
-                    ));
-                }
+                let typed = inbox.clone().filter_map(move |(from, msg)| match &msg.body {
+                    ProtoBody::Ba(m) if msg.instance == instance => Some((from, m)),
+                    _ => None,
+                });
+                ba.round(round - 1, typed, &mut |to, m| {
+                    out(to, ProtoMsg { instance, body: ProtoBody::Ba(m) });
+                });
             }
         }
 
         if round == Self::committee_decision_round(&self.committee) && self.decision.is_none() {
-            out.extend(self.decide_and_suggest());
+            self.decide_and_suggest(out);
         }
-        out
     }
 
-    /// Collects the sub-protocol outputs, runs `AG-S`, decides, and produces the
+    /// Collects the sub-protocol outputs, runs `AG-S`, decides, and sends the
     /// suggestions for the other side (steps 5–10 of the committee-side code).
-    fn decide_and_suggest(&mut self) -> Vec<Outgoing<ProtoMsg>> {
+    fn decide_and_suggest(&mut self, out: &mut impl FnMut(PartyId, ProtoMsg)) {
         let mut committee_lists: Vec<PreferenceList> = Vec::with_capacity(self.k);
         let mut other_lists: Vec<PreferenceList> = Vec::with_capacity(self.k);
         for index in 0..self.k as u32 {
@@ -197,7 +184,7 @@ impl BipartiteAuthBsm {
                 // Some agreement returned ⊥ (only possible when the entire other side is
                 // byzantine and caused omissions): decide to match nobody.
                 self.decision = Some(None);
-                return Vec::new();
+                return;
             };
             committee_lists.push(
                 vec_to_pref(self.k, &bb_value).unwrap_or_else(|| PreferenceList::identity(self.k)),
@@ -220,42 +207,37 @@ impl BipartiteAuthBsm {
         self.decision = Some(my_partner);
 
         // Tell every other-side party whom to match with according to M.
-        let mut out = Vec::new();
         for index in 0..self.k as u32 {
             let other_party = PartyId { side: self.other_side(), index };
             let suggested = match self.other_side() {
                 Side::Right => matching.left_of(index as usize),
                 Side::Left => matching.right_of(index as usize),
             };
-            out.push(Outgoing::new(
+            out(
                 other_party,
                 ProtoMsg { instance: 0, body: ProtoBody::Suggest(suggested.map(|i| i as u64)) },
-            ));
+            );
         }
-        out
     }
 
-    fn other_round(
+    fn other_round<'m>(
         &mut self,
         round: u64,
-        inbox: &[(PartyId, ProtoMsg)],
-    ) -> Vec<Outgoing<ProtoMsg>> {
+        inbox: impl Iterator<Item = (PartyId, &'m ProtoMsg)>,
+        out: &mut impl FnMut(PartyId, ProtoMsg),
+    ) {
         // Record suggestions from committee members whenever they arrive.
         for (from, msg) in inbox {
             if from.side == self.committee_side {
                 if let ProtoBody::Suggest(partner) = &msg.body {
-                    self.suggestions.entry(*from).or_insert(*partner);
+                    self.suggestions.entry(from).or_insert(*partner);
                 }
             }
         }
-        let mut out = Vec::new();
         if round == 0 {
             let list = pref_to_vec(&self.my_pref);
-            for member in self.committee.members() {
-                out.push(Outgoing::new(
-                    *member,
-                    ProtoMsg { instance: 0, body: ProtoBody::PrefAnnounce(list.clone()) },
-                ));
+            for &member in self.committee.members() {
+                out(member, ProtoMsg { instance: 0, body: ProtoBody::PrefAnnounce(list.clone()) });
             }
         }
         if round >= Self::other_decision_round(&self.committee) && self.decision.is_none() {
@@ -277,7 +259,6 @@ impl BipartiteAuthBsm {
             });
             self.decision = Some(decision);
         }
-        out
     }
 }
 
@@ -285,11 +266,16 @@ impl RoundProtocol for BipartiteAuthBsm {
     type Msg = ProtoMsg;
     type Output = MatchDecision;
 
-    fn round(&mut self, round: u64, inbox: &[(PartyId, ProtoMsg)]) -> Vec<Outgoing<ProtoMsg>> {
+    fn round<'m>(
+        &mut self,
+        round: u64,
+        inbox: impl Iterator<Item = (PartyId, &'m ProtoMsg)> + Clone,
+        out: &mut impl FnMut(PartyId, ProtoMsg),
+    ) {
         if self.is_committee_member() {
-            self.committee_round(round, inbox)
+            self.committee_round(round, inbox, out);
         } else {
-            self.other_round(round, inbox)
+            self.other_round(round, inbox, out);
         }
     }
 
@@ -332,11 +318,10 @@ mod tests {
         for round in 0..total {
             let inboxes = std::mem::take(&mut pending);
             for &p in &parties {
-                let inbox = inboxes.get(&p).cloned().unwrap_or_default();
-                let out = protocols.get_mut(&p).unwrap().round(round, &inbox);
-                for msg in out {
-                    pending.entry(msg.to).or_default().push((p, msg.payload));
-                }
+                let inbox = inboxes.get(&p).into_iter().flatten().map(|(from, msg)| (*from, msg));
+                protocols.get_mut(&p).unwrap().round(round, inbox, &mut |to, msg| {
+                    pending.entry(to).or_default().push((p, msg));
+                });
             }
         }
         protocols.iter().map(|(&p, proto)| (p, proto.output().unwrap_or(None))).collect()

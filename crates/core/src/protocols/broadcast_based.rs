@@ -20,7 +20,7 @@ use bsm_broadcast::{
 use bsm_crypto::SigningKey;
 use bsm_matching::gale_shapley::gale_shapley_left;
 use bsm_matching::{PreferenceList, PreferenceProfile, Side};
-use bsm_net::{Outgoing, PartyId, PartySet, RoundProtocol};
+use bsm_net::{PartyId, PartySet, RoundProtocol};
 use std::sync::Arc;
 
 /// Which broadcast primitive carries the preference lists.
@@ -65,7 +65,6 @@ impl InstanceState {
 pub struct BroadcastBsm {
     me: PartyId,
     k: usize,
-    my_pref: PreferenceList,
     /// One broadcast per party, indexed by the instance id (the sender's dense index).
     instances: Vec<InstanceState>,
     decision: Option<MatchDecision>,
@@ -130,12 +129,7 @@ impl BroadcastBsm {
             };
             instances.push(state);
         }
-        Self { me, k, my_pref, instances, decision: None }
-    }
-
-    /// The preference list this party contributed as its input.
-    pub fn input(&self) -> &PreferenceList {
-        &self.my_pref
+        Self { me, k, instances, decision: None }
     }
 
     /// Number of logical rounds until every instance has produced its output.
@@ -196,44 +190,41 @@ impl RoundProtocol for BroadcastBsm {
     type Msg = ProtoMsg;
     type Output = MatchDecision;
 
-    fn round(&mut self, round: u64, inbox: &[(PartyId, ProtoMsg)]) -> Vec<Outgoing<ProtoMsg>> {
+    fn round<'m>(
+        &mut self,
+        round: u64,
+        inbox: impl Iterator<Item = (PartyId, &'m ProtoMsg)> + Clone,
+        out: &mut impl FnMut(PartyId, ProtoMsg),
+    ) {
         if self.decision.is_some() {
-            return Vec::new();
+            return;
         }
-        // Demultiplex by borrowing: each instance reads its own messages, in inbox
-        // order, straight out of the inbox instead of from per-instance clones.
-        let mut out = Vec::new();
+        // Each instance reads its own messages, in inbox order, straight out of the
+        // inbox, and its sends are tagged with its instance id on the way out.
         for (instance, state) in (0u32..).zip(self.instances.iter_mut()) {
-            let incoming = inbox.iter().filter(move |(_, msg)| msg.instance == instance);
+            let incoming = inbox.clone().filter(move |(_, msg)| msg.instance == instance);
             match state {
                 InstanceState::Ds(protocol) => {
                     let typed = incoming.filter_map(|(from, msg)| match &msg.body {
-                        ProtoBody::Ds(m) => Some((*from, m)),
+                        ProtoBody::Ds(m) => Some((from, m)),
                         _ => None,
                     });
-                    out.extend(protocol.round_borrowed(round, typed).into_iter().map(|sent| {
-                        Outgoing::new(
-                            sent.to,
-                            ProtoMsg { instance, body: ProtoBody::Ds(sent.payload) },
-                        )
-                    }));
+                    protocol.round(round, typed, &mut |to, m| {
+                        out(to, ProtoMsg { instance, body: ProtoBody::Ds(m) });
+                    });
                 }
                 InstanceState::Cb(protocol) => {
                     let typed = incoming.filter_map(|(from, msg)| match &msg.body {
-                        ProtoBody::Cb(m) => Some((*from, m)),
+                        ProtoBody::Cb(m) => Some((from, m)),
                         _ => None,
                     });
-                    out.extend(protocol.round_borrowed(round, typed).into_iter().map(|sent| {
-                        Outgoing::new(
-                            sent.to,
-                            ProtoMsg { instance, body: ProtoBody::Cb(sent.payload) },
-                        )
-                    }));
+                    protocol.round(round, typed, &mut |to, m| {
+                        out(to, ProtoMsg { instance, body: ProtoBody::Cb(m) });
+                    });
                 }
             }
         }
         self.try_decide();
-        out
     }
 
     fn output(&self) -> Option<MatchDecision> {
@@ -273,11 +264,10 @@ mod tests {
         for round in 0..total {
             let inboxes = std::mem::take(&mut pending);
             for &p in &parties {
-                let inbox = inboxes.get(&p).cloned().unwrap_or_default();
-                let out = protocols.get_mut(&p).unwrap().round(round, &inbox);
-                for msg in out {
-                    pending.entry(msg.to).or_default().push((p, msg.payload));
-                }
+                let inbox = inboxes.get(&p).into_iter().flatten().map(|(from, msg)| (*from, msg));
+                protocols.get_mut(&p).unwrap().round(round, inbox, &mut |to, msg| {
+                    pending.entry(to).or_default().push((p, msg));
+                });
             }
         }
         protocols.iter().map(|(&p, proto)| (p, proto.output().unwrap_or(None))).collect()

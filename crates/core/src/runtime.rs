@@ -5,28 +5,25 @@ use crate::relay::RelayEngine;
 use crate::wire::{ProtoMsg, WireMsg};
 use bsm_net::{Envelope, Outgoing, PartyId, Process, RoundProtocol, Time};
 
-/// The round-protocol object a [`PartyRuntime`] drives.
-pub type BsmProtocol = Box<dyn RoundProtocol<Msg = ProtoMsg, Output = MatchDecision> + Send>;
-
-/// One honest party's full protocol stack.
+/// One honest party's full protocol stack: the bSM protocol `P` over a [`RelayEngine`].
 ///
 /// The runtime performs three jobs every slot:
 ///
 /// 1. feed incoming wire messages through the [`RelayEngine`] (accepting payloads,
 ///    performing relay duty for the disconnected side),
-/// 2. at every logical round boundary (`slots_per_round` slots), hand the buffered
-///    payloads to the bSM protocol and wrap its outgoing messages back through the relay
-///    engine,
+/// 2. at every logical round boundary (`slots_per_round` slots), lend the buffered
+///    payloads to the bSM protocol, whose every send goes straight through
+///    [`RelayEngine::send`] onto the network's send buffer,
 /// 3. expose the protocol's decision as the party's output.
-pub struct PartyRuntime {
+pub struct PartyRuntime<P> {
     id: PartyId,
     relay: RelayEngine,
-    protocol: BsmProtocol,
+    protocol: P,
     slots_per_round: u64,
     buffer: Vec<(PartyId, ProtoMsg)>,
 }
 
-impl std::fmt::Debug for PartyRuntime {
+impl<P> std::fmt::Debug for PartyRuntime<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PartyRuntime")
             .field("id", &self.id)
@@ -36,7 +33,7 @@ impl std::fmt::Debug for PartyRuntime {
     }
 }
 
-impl PartyRuntime {
+impl<P> PartyRuntime<P> {
     /// Builds the runtime for party `id`.
     ///
     /// `slots_per_round` is 1 when every required channel is direct and 2 when any
@@ -45,23 +42,16 @@ impl PartyRuntime {
     /// # Panics
     ///
     /// Panics if `slots_per_round == 0`.
-    pub fn new(
-        id: PartyId,
-        relay: RelayEngine,
-        protocol: BsmProtocol,
-        slots_per_round: u64,
-    ) -> Self {
+    pub fn new(id: PartyId, relay: RelayEngine, protocol: P, slots_per_round: u64) -> Self {
         assert!(slots_per_round > 0, "a round must span at least one slot");
         Self { id, relay, protocol, slots_per_round, buffer: Vec::new() }
     }
-
-    /// The configured round length in slots.
-    pub fn slots_per_round(&self) -> u64 {
-        self.slots_per_round
-    }
 }
 
-impl Process<WireMsg, MatchDecision> for PartyRuntime {
+impl<P> Process<WireMsg, MatchDecision> for PartyRuntime<P>
+where
+    P: RoundProtocol<Msg = ProtoMsg, Output = MatchDecision>,
+{
     fn id(&self) -> PartyId {
         self.id
     }
@@ -83,9 +73,8 @@ impl Process<WireMsg, MatchDecision> for PartyRuntime {
         }
         if now.slot().is_multiple_of(self.slots_per_round) {
             let round = now.slot() / self.slots_per_round;
-            for outgoing in self.protocol.round(round, &self.buffer) {
-                self.relay.send(outgoing.to, outgoing.payload, now, out);
-            }
+            let accepted = self.buffer.iter().map(|(from, msg)| (*from, msg));
+            self.protocol.round(round, accepted, &mut |to, msg| self.relay.send(to, msg, now, out));
             // Cleared, not taken: the buffer keeps its capacity for the next round.
             self.buffer.clear();
         }
@@ -115,22 +104,20 @@ mod tests {
         type Msg = ProtoMsg;
         type Output = MatchDecision;
 
-        fn round(&mut self, round: u64, inbox: &[(PartyId, ProtoMsg)]) -> Vec<Outgoing<ProtoMsg>> {
-            if let Some((from, _)) = inbox.first() {
-                self.decision = Some(Some(*from));
+        fn round<'m>(
+            &mut self,
+            round: u64,
+            mut inbox: impl Iterator<Item = (PartyId, &'m ProtoMsg)> + Clone,
+            out: &mut impl FnMut(PartyId, ProtoMsg),
+        ) {
+            if let Some((from, _)) = inbox.next() {
+                self.decision = Some(Some(from));
             } else if round >= 3 {
                 self.decision = Some(None);
             }
             if round == 0 {
-                vec![Outgoing::new(
-                    self.peer,
-                    ProtoMsg {
-                        instance: 0,
-                        body: ProtoBody::Suggest(Some(u64::from(self.me.index))),
-                    },
-                )]
-            } else {
-                Vec::new()
+                let index = u64::from(self.me.index);
+                out(self.peer, ProtoMsg { instance: 0, body: ProtoBody::Suggest(Some(index)) });
             }
         }
 
@@ -139,9 +126,14 @@ mod tests {
         }
     }
 
-    fn runtime(me: PartyId, peer: PartyId, topology: Topology, spr: u64) -> PartyRuntime {
+    fn runtime(
+        me: PartyId,
+        peer: PartyId,
+        topology: Topology,
+        spr: u64,
+    ) -> PartyRuntime<ToyProtocol> {
         let relay = RelayEngine::new(me, PartySet::new(2), topology, RelayMode::Majority, None);
-        PartyRuntime::new(me, relay, Box::new(ToyProtocol { me, peer, decision: None }), spr)
+        PartyRuntime::new(me, relay, ToyProtocol { me, peer, decision: None }, spr)
     }
 
     #[test]
@@ -149,7 +141,6 @@ mod tests {
         let me = PartyId::left(0);
         let peer = PartyId::right(0);
         let mut rt = runtime(me, peer, Topology::FullyConnected, 1);
-        assert_eq!(rt.slots_per_round(), 1);
         let out = rt.step(Time(0), &mut vec![]);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].payload, WireMsg::Direct(_)));

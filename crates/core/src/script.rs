@@ -557,10 +557,7 @@ impl ScriptedAdversary {
         match mode {
             Mode::Honest => {
                 for &party in scenario.corrupted() {
-                    puppets.add_puppet(
-                        party,
-                        Box::new(env.build_runtime(party, plan, scenario.profile())),
-                    );
+                    puppets.add_puppet(party, env.build_runtime(party, plan, scenario.profile()));
                 }
             }
             // Silence from slot 0 is the crash fault: no puppets at all, so not even
@@ -569,10 +566,7 @@ impl ScriptedAdversary {
             Mode::Silence(from) => {
                 silence_from = Some(from);
                 for &party in scenario.corrupted() {
-                    puppets.add_puppet(
-                        party,
-                        Box::new(env.build_runtime(party, plan, scenario.profile())),
-                    );
+                    puppets.add_puppet(party, env.build_runtime(party, plan, scenario.profile()));
                 }
             }
             Mode::Lie(seed) => {
@@ -580,10 +574,7 @@ impl ScriptedAdversary {
                 let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x11e5));
                 let lying_profile = uniform_profile(k, &mut rng);
                 for &party in scenario.corrupted() {
-                    puppets.add_puppet(
-                        party,
-                        Box::new(env.build_runtime(party, plan, &lying_profile)),
-                    );
+                    puppets.add_puppet(party, env.build_runtime(party, plan, &lying_profile));
                 }
             }
             Mode::Garbage(seed, per_slot) => {

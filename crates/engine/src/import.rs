@@ -587,13 +587,17 @@ enum StreamLine {
 }
 
 /// Parses one line of a streamed shard export: either a cell object or the
-/// `{"totals": {...}}` footer (with an optional trailing `"scenario"` tag for
-/// exports produced from a declarative scenario file).
+/// `{"totals": {...}}` footer (with an optional `"scenario"` tag, in either key
+/// order, for exports produced from a declarative scenario file).
 fn parse_stream_line(text: &str) -> Result<StreamLine, ImportError> {
     let value = Parser::new(text).parse_document()?;
     let fields = as_object(&value, "stream line")?;
-    // The writer puts `totals` first in a footer, and a cell has none.
-    if fields.first().is_none_or(|(key, _)| key != "totals") {
+    // The footer is the line with a `totals` key, wherever that key sits. A cell has
+    // none, and the writer starts every cell with `k`, so a cell line in writer order
+    // is told apart without a scan of its keys.
+    let footer = fields.first().is_some_and(|(key, _)| key != "k")
+        && fields.iter().any(|(key, _)| key == "totals");
+    if !footer {
         return Ok(StreamLine::Cell(parse_cell(&value)?));
     }
     let totals = parse_totals(as_object(field(fields, "totals")?, "totals")?)?;
@@ -1117,13 +1121,26 @@ mod tests {
         }
         exporter.finish().unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let mut stream = StreamingCells::new(text.as_bytes());
-        let cells: Vec<CellRecord> = (&mut stream).collect::<Result<_, _>>().unwrap();
-        assert_eq!(cells, report.cells());
-        assert_eq!(stream.scenario(), Some(tag));
-        let (totals, scenario) = footer_meta(text.as_bytes()).unwrap();
-        assert_eq!(totals, report.totals());
-        assert_eq!(scenario.as_deref(), Some(tag));
+        // The same footer with its keys the other way round is still the footer.
+        let footer_at = text.trim_end().rfind('\n').unwrap() + 1;
+        let (cell_lines, footer) = text.split_at(footer_at);
+        let footer = footer.trim_end().strip_prefix('{').unwrap().strip_suffix('}').unwrap();
+        let (totals_key, scenario_key) = footer.split_once(", \"scenario\": ").unwrap();
+        let reordered = format!("{cell_lines}{{\"scenario\": {scenario_key}, {totals_key}}}\n");
+        assert_ne!(reordered, text);
+        for text in [&text, &reordered] {
+            let mut stream = StreamingCells::new(text.as_bytes());
+            let cells: Vec<CellRecord> = (&mut stream).collect::<Result<_, _>>().unwrap();
+            assert_eq!(cells, report.cells(), "{text}");
+            assert!(stream.finished());
+            assert_eq!(stream.scenario(), Some(tag));
+            let (totals, scenario) = footer_meta(text.as_bytes()).unwrap();
+            assert_eq!(totals, report.totals());
+            assert_eq!(scenario.as_deref(), Some(tag));
+            let salvaged = StreamingCells::salvage(text.as_bytes()).unwrap();
+            assert!(salvaged.complete, "{:?}", salvaged.truncation);
+            assert_eq!(salvaged.cells, report.cells());
+        }
         // Document form: the root "scenario" key round-trips through from_json.
         let imported = from_json(&to_json(&report)).unwrap();
         assert_eq!(imported.scenario(), Some(tag));

@@ -37,6 +37,54 @@ fn gale_shapley_stable_and_left_optimal_across_100_seeds() {
     }
 }
 
+/// Every ordering of `0..k`: the `k!` preference lists of one agent.
+fn all_lists(k: usize) -> Vec<PreferenceList> {
+    let mut orders: Vec<Vec<usize>> = vec![Vec::new()];
+    for _ in 0..k {
+        orders = orders
+            .iter()
+            .flat_map(|prefix| {
+                let fresh = (0..k).filter(move |x| !prefix.contains(x));
+                fresh.map(move |x| [&prefix[..], &[x]].concat())
+            })
+            .collect();
+    }
+    orders.into_iter().map(|order| PreferenceList::new(order).unwrap()).collect()
+}
+
+/// The Gale–Shapley contract on *every* profile with `k ≤ 3`, not a sample: for both
+/// proposing sides the matching is perfect, stable and proposer-optimal. A profile
+/// picks one of the `k!` lists for each of the `2k` agents, so there are
+/// `(k!)^(2k)` of them: 1 + 16 + 46,656.
+#[test]
+fn gale_shapley_is_perfect_stable_and_proposer_optimal_on_every_profile_up_to_k3() {
+    let mut profiles = 0;
+    for k in 1..=3 {
+        let lists = all_lists(k);
+        let n = lists.len();
+        // Profile `code` reads its 2k lists off the base-k! digits of `code`.
+        for code in 0..n.pow(2 * k as u32) {
+            let mut rest = code;
+            let mut next = || {
+                let list = lists[rest % n].clone();
+                rest /= n;
+                list
+            };
+            let left = (0..k).map(|_| next()).collect();
+            let right = (0..k).map(|_| next()).collect();
+            let profile = PreferenceProfile::new(left, right).unwrap();
+            for side in [ProposingSide::Left, ProposingSide::Right] {
+                let matching = gale_shapley(&profile, side).matching;
+                assert!(matching.is_perfect(), "{side:?} on {profile:?}");
+                assert!(matching.is_stable(&profile), "{side:?} on {profile:?}");
+                assert!(is_proposer_optimal(&profile, &matching, side), "{side:?} on {profile:?}");
+            }
+            profiles += 1;
+        }
+    }
+    assert_eq!(profiles, 1 + 16 + 46_656);
+}
+
 /// Strategy producing a random preference profile of size 1..=7 from a seed.
 fn arb_profile() -> impl Strategy<Value = PreferenceProfile> {
     (1usize..=7, any::<u64>())

@@ -9,7 +9,8 @@
 //!   one-sided, bipartite),
 //! * [`Process`] — the per-party protocol state machine interface, stepped once per slot,
 //! * [`RoundProtocol`] / [`RoundDriver`] — a higher-level interface for protocols that
-//!   think in lock-step rounds rather than raw slots,
+//!   think in lock-step rounds rather than raw slots: a round borrows its inbox and
+//!   sends through its caller's closure, which is how the protocols compose,
 //! * [`Adversary`] — an adaptive byzantine adversary that controls all corrupted
 //!   parties, subject to the per-side corruption budget `(tL, tR)`,
 //! * [`FaultInjector`] — message-level fault injection (omission networks, §5.2), with

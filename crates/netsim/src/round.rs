@@ -7,15 +7,32 @@ use crate::{Envelope, Outgoing, PartyId, Process, Time};
 /// before round `r + 1` starts. [`RoundDriver`] adapts a `RoundProtocol` to the
 /// slot-level [`Process`] interface, with a configurable number of slots per round to
 /// account for relayed channels (2 slots per hop, Lemmas 6/8/10).
+///
+/// The round contract is what lets protocols compose without copying messages:
+///
+/// * the inbox is **borrowed**, and may be walked more than once (hence `Clone`);
+/// * every send is one call of `out`, made when the protocol sends, so `out` sees the
+///   sends in the protocol's order and must keep that order;
+/// * a composite hands each sub-protocol a filtered view of its own inbox
+///   (`inbox.clone().filter_map(…)`) and a closure that wraps each of the
+///   sub-protocol's sends in the composite's message type before passing it on to
+///   its own `out`.
 pub trait RoundProtocol {
-    /// Wire message type.
-    type Msg;
+    /// Wire message type. It owns its data (`'static`), so the inbox can lend it for
+    /// any lifetime.
+    type Msg: 'static;
     /// Output (decision) type.
     type Output;
 
     /// Executes logical round `round` (starting from 0), given all messages received
-    /// since the previous round, and returns the messages to send this round.
-    fn round(&mut self, round: u64, inbox: &[(PartyId, Self::Msg)]) -> Vec<Outgoing<Self::Msg>>;
+    /// since the previous round, in delivery order, and sends this round's messages
+    /// through `out`.
+    fn round<'m>(
+        &mut self,
+        round: u64,
+        inbox: impl Iterator<Item = (PartyId, &'m Self::Msg)> + Clone,
+        out: &mut impl FnMut(PartyId, Self::Msg),
+    );
 
     /// The decision, once reached.
     fn output(&self) -> Option<Self::Output>;
@@ -24,8 +41,9 @@ pub trait RoundProtocol {
 /// Adapts a [`RoundProtocol`] to the slot-driven [`Process`] interface.
 ///
 /// With `slots_per_round = s`, logical round `r` starts at slot `r · s`; messages
-/// received during any slot of round `r` are handed to the protocol at the start of
-/// round `r + 1`.
+/// received during any slot of round `r` are buffered and lent to the protocol at the
+/// start of round `r + 1`, and each message the protocol sends is pushed onto the
+/// simulator's send buffer as it is sent.
 #[derive(Debug)]
 pub struct RoundDriver<P: RoundProtocol> {
     id: PartyId,
@@ -50,16 +68,6 @@ impl<P: RoundProtocol> RoundDriver<P> {
         assert!(slots_per_round > 0, "a round must span at least one slot");
         Self { id, protocol, slots_per_round, buffer: Vec::new() }
     }
-
-    /// The wrapped protocol (e.g. to inspect statistics after the run).
-    pub fn protocol(&self) -> &P {
-        &self.protocol
-    }
-
-    /// The configured round length in slots.
-    pub fn slots_per_round(&self) -> u64 {
-        self.slots_per_round
-    }
 }
 
 impl<P: RoundProtocol> Process<P::Msg, P::Output> for RoundDriver<P> {
@@ -82,7 +90,8 @@ impl<P: RoundProtocol> Process<P::Msg, P::Output> for RoundDriver<P> {
         self.buffer.extend(inbox.drain(..).map(|env| (env.from, env.payload)));
         if now.slot().is_multiple_of(self.slots_per_round) {
             let round = now.slot() / self.slots_per_round;
-            out.extend(self.protocol.round(round, &self.buffer));
+            let inbox = self.buffer.iter().map(|(from, msg)| (*from, msg));
+            self.protocol.round(round, inbox, &mut |to, msg| out.push(Outgoing::new(to, msg)));
             // Cleared, not taken: the buffer keeps its capacity for the next round.
             self.buffer.clear();
         }
@@ -109,18 +118,16 @@ mod tests {
         type Msg = u64;
         type Output = u64;
 
-        fn round(&mut self, round: u64, inbox: &[(PartyId, u64)]) -> Vec<Outgoing<u64>> {
+        fn round<'m>(
+            &mut self,
+            round: u64,
+            inbox: impl Iterator<Item = (PartyId, &'m u64)> + Clone,
+            out: &mut impl FnMut(PartyId, u64),
+        ) {
             match round {
-                0 => self
-                    .peers
-                    .iter()
-                    .map(|&to| Outgoing::new(to, u64::from(self.me.index)))
-                    .collect(),
-                1 => {
-                    self.output = Some(inbox.iter().map(|(_, v)| v).sum());
-                    Vec::new()
-                }
-                _ => Vec::new(),
+                0 => self.peers.iter().for_each(|&to| out(to, u64::from(self.me.index))),
+                1 => self.output = Some(inbox.map(|(_, v)| v).sum()),
+                _ => {}
             }
         }
 
@@ -138,7 +145,6 @@ mod tests {
             SumProtocol { me, peers: vec![peer], output: None },
             2,
         );
-        assert_eq!(driver.slots_per_round(), 2);
 
         // Slot 0: round 0 → send.
         let out = driver.step(Time(0), &mut vec![]);
@@ -147,7 +153,7 @@ mod tests {
         let env =
             Envelope { from: peer, to: me, sent_at: Time(0), deliver_at: Time(1), payload: 5 };
         assert!(driver.step(Time(1), &mut vec![env]).is_empty());
-        assert!(driver.protocol().output.is_none());
+        assert_eq!(Process::<u64, u64>::output(&driver), None);
         // Slot 2: round 1 → consume the buffered message and decide.
         let env2 =
             Envelope { from: peer, to: me, sent_at: Time(1), deliver_at: Time(2), payload: 7 };
