@@ -238,7 +238,9 @@ impl<V: Value + Digestible> DolevStrong<V> {
         Self::digest_for(config.instance, sender_key, value)
     }
 
-    fn digest_for(instance: u64, sender_key: KeyId, value: &V) -> Digest {
+    /// The digest signed by every link of a chain for `value` in broadcast instance
+    /// `instance` whose designated sender holds `sender_key`.
+    pub fn digest_for(instance: u64, sender_key: KeyId, value: &V) -> Digest {
         let mut writer = DigestWriter::new();
         writer.label("dolev-strong").u64(instance).u64(u64::from(sender_key.0));
         value.feed(&mut writer);

@@ -2,13 +2,14 @@
 //! under byzantine adversaries and omission faults.
 
 use bsm_broadcast::{
-    BaMsg, Committee, CommitteeBroadcast, CommitteeBroadcastConfig, CommitteeMsg, DolevStrong,
-    DolevStrongConfig, DolevStrongMsg, KingMsg, KingMsgKind, OmissionTolerantBa,
+    BaMsg, BbMsg, Committee, CommitteeBroadcast, CommitteeBroadcastConfig, CommitteeMsg,
+    DolevStrong, DolevStrongConfig, DolevStrongMsg, KingMsg, KingMsgKind, OmissionTolerantBa,
+    OmissionTolerantBb,
 };
 use bsm_crypto::{KeyId, Pki, SigningKey};
 use bsm_net::{
-    Adversary, AdversaryContext, CorruptionBudget, Envelope, Outgoing, PartyId, PartySet,
-    RandomOmissions, RoundDriver, SyncNetwork, Topology,
+    Adversary, AdversaryContext, CorruptionBudget, Envelope, FaultSchedule, Outgoing, PartyId,
+    PartySet, RoundDriver, SyncNetwork, Topology,
 };
 use std::collections::BTreeMap;
 
@@ -306,7 +307,7 @@ fn pi_ba_weak_agreement_under_random_omissions() {
                 net.register(Box::new(bsm_net::SilentProcess::new(party))).unwrap();
             }
         }
-        net.set_fault_injector(Box::new(RandomOmissions::new(0.35, seed)));
+        net.set_faults(FaultSchedule::new("loss=350".parse().unwrap(), seed));
         let outcome = net.run(OmissionTolerantBa::<u32>::total_rounds(&committee) + 2).unwrap();
         let decided: Vec<u32> = PartySet::new(k)
             .left()
@@ -321,4 +322,50 @@ fn pi_ba_weak_agreement_under_random_omissions() {
             assert!(outcome.outputs.contains_key(&p), "seed {seed}: {p} did not terminate");
         }
     }
+}
+
+#[test]
+fn pi_bb_weak_agreement_under_random_omissions() {
+    // ΠBB from L0 among the left side with random omissions injected at the network
+    // level: Theorem 9 requires termination plus weak agreement, and a party that
+    // decides a value decides the sender's input or, where the input was lost, the
+    // default that stands in for it.
+    let k = 4usize;
+    let committee = committee_of_left(k as u32, 1);
+    let sender = PartyId::left(0);
+    let (input, default) = (77u32, 0u32);
+    let mut some_outputs = 0;
+    for seed in 0..20u64 {
+        let mut net: SyncNetwork<BbMsg<u32>, Option<u32>> =
+            SyncNetwork::new(k, Topology::FullyConnected, CorruptionBudget::NONE);
+        for party in PartySet::new(k).iter() {
+            if party.is_left() {
+                let value = (party == sender).then_some(input);
+                let bb = OmissionTolerantBb::new(committee.clone(), party, sender, value, default);
+                net.register(Box::new(RoundDriver::new(party, bb))).unwrap();
+            } else {
+                net.register(Box::new(bsm_net::SilentProcess::new(party))).unwrap();
+            }
+        }
+        net.set_faults(FaultSchedule::new("loss=250".parse().unwrap(), seed));
+        let outcome = net.run(OmissionTolerantBb::<u32>::total_rounds(&committee) + 2).unwrap();
+        let decided: Vec<u32> = PartySet::new(k)
+            .left()
+            .filter_map(|p| outcome.outputs.get(&p).cloned().flatten())
+            .collect();
+        assert!(
+            decided.windows(2).all(|w| w[0] == w[1]),
+            "seed {seed}: weak agreement violated: {decided:?}"
+        );
+        assert!(
+            decided.iter().all(|&v| v == input || v == default),
+            "seed {seed}: decided a value nobody input: {decided:?}"
+        );
+        for p in PartySet::new(k).left() {
+            assert!(outcome.outputs.contains_key(&p), "seed {seed}: {p} did not terminate");
+        }
+        some_outputs += decided.len();
+    }
+    // Both outcomes occur across the seeds: some parties decide a value, others ⊥.
+    assert!((1..20 * k).contains(&some_outputs), "{some_outputs} of {} decided", 20 * k);
 }

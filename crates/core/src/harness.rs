@@ -6,8 +6,8 @@ use crate::properties::{check_bsm, Outputs, PropertyViolation};
 use crate::protocols::{BipartiteAuthBsm, BroadcastBsm, BroadcastFlavor};
 use crate::relay::{RelayEngine, RelayMode};
 use crate::runtime::PartyRuntime;
+use crate::script::{ScriptAction, ScriptedAdversary};
 use crate::solvability::{characterize, Impossibility, ProtocolPlan, Solvability};
-use crate::strategies::{BsmPuppetAdversary, GarbageAdversary};
 use crate::wire::{dense_key_index, PrefVec, WireMsg};
 use bsm_broadcast::{Committee, DolevStrong, KeyDirectory};
 use bsm_crypto::{KeyId, Pki, SigningKey};
@@ -15,7 +15,7 @@ use bsm_matching::generators::uniform_profile;
 use bsm_matching::{PreferenceProfile, Side};
 use bsm_net::{
     Adversary, CorruptionBudget, FaultSchedule, FaultSpec, Metrics, NetBuffers, PartyId, PartySet,
-    PassiveAdversary, Process, SilentProcess, SimError, SyncNetwork, Topology,
+    Process, SilentProcess, SimError, SyncNetwork, Topology,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,7 +32,8 @@ thread_local! {
     static NET_BUFFERS: Cell<NetBuffers<WireMsg>> = Cell::new(NetBuffers::default());
 }
 
-/// The byzantine behaviour installed for the corrupted parties.
+/// The byzantine behaviour installed for the corrupted parties: each one runs as the
+/// one-action script [`AdversarySpec::action`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AdversarySpec {
     /// Corrupted parties crash from the start (send nothing at all).
@@ -55,6 +56,15 @@ impl AdversarySpec {
             AdversarySpec::Crash => "crash",
             AdversarySpec::Lying => "lying",
             AdversarySpec::Garbage => "garbage",
+        }
+    }
+
+    /// The script action that plays this behaviour in a scenario seeded with `seed`.
+    pub fn action(&self, seed: u64) -> ScriptAction {
+        match self {
+            AdversarySpec::Crash => ScriptAction::Silence { from_slot: 0 },
+            AdversarySpec::Lying => ScriptAction::Lie { seed },
+            AdversarySpec::Garbage => ScriptAction::Garbage { seed, per_slot: 2 },
         }
     }
 }
@@ -220,8 +230,7 @@ impl Scenario {
     }
 
     /// The shared run environment (PKI, key directory, runtime construction) — used by
-    /// [`crate::script::ScriptedAdversary`] to build honest-code puppets that are
-    /// byte-identical to the ones [`Scenario::run`] builds for [`AdversarySpec::Lying`].
+    /// [`ScriptedAdversary`] to build its honest-code puppets on the cell's directory.
     pub(crate) fn env(&self) -> &ScenarioEnv {
         &self.env
     }
@@ -247,8 +256,8 @@ impl Scenario {
     ///
     /// Propagates simulator configuration errors (e.g. corruption budget exceeded).
     pub fn run_with_plan(&self, plan: ProtocolPlan) -> Result<ScenarioOutcome, HarnessError> {
-        let adversary = self.build_adversary(&self.env, plan);
-        self.execute(plan, adversary)
+        let adversary = ScriptedAdversary::new(self, plan, &[self.adversary.action(self.seed)]);
+        self.execute(plan, Box::new(adversary))
     }
 
     /// Runs the scenario with a custom adversary (used by the tailored impossibility
@@ -302,7 +311,7 @@ impl Scenario {
         }
         net.set_adversary(adversary);
         if self.faults != FaultSpec::NONE {
-            net.set_fault_injector(Box::new(FaultSchedule::new(self.faults, self.seed)));
+            net.set_faults(FaultSchedule::new(self.faults, self.seed));
         }
 
         let (outcome, buffers) = net.run_keeping_buffers(max_slots)?;
@@ -320,26 +329,6 @@ impl Scenario {
             metrics: outcome.metrics,
             signatures,
         })
-    }
-
-    fn build_adversary(
-        &self,
-        env: &ScenarioEnv,
-        plan: ProtocolPlan,
-    ) -> Box<dyn Adversary<WireMsg>> {
-        match self.adversary {
-            AdversarySpec::Crash => Box::new(PassiveAdversary),
-            AdversarySpec::Garbage => Box::new(GarbageAdversary::new(self.seed, 2)),
-            AdversarySpec::Lying => {
-                let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(0x11e5));
-                let mut puppets = BsmPuppetAdversary::new();
-                let lying_profile = uniform_profile(self.setting.k(), &mut rng);
-                for &party in &self.corrupted {
-                    puppets.add_puppet(party, env.build_runtime(party, plan, &lying_profile));
-                }
-                Box::new(puppets)
-            }
-        }
     }
 }
 
@@ -694,13 +683,13 @@ mod tests {
     /// holds the cell's one directory: a per-instance copy would leave the count at 1.
     #[test]
     fn every_instance_and_signed_relay_shares_the_cell_directory() {
-        let k = 3;
+        let (k, seed) = (3, 4);
         for (topology, signed_relays) in
             [(Topology::FullyConnected, 0), (Topology::OneSided, 2 * k)]
         {
             let setting = setting(k, topology, AuthMode::Authenticated, 1, 1);
             let scenario = Scenario::builder(setting)
-                .seed(4)
+                .seed(seed)
                 .corrupt_left([0])
                 .adversary(AdversarySpec::Lying)
                 .build()
@@ -713,7 +702,8 @@ mod tests {
                 .filter(|party| !scenario.corrupted().contains(party))
                 .map(|party| env.build_runtime(party, plan, scenario.profile()))
                 .collect();
-            let puppets = scenario.build_adversary(env, plan);
+            let lying = [AdversarySpec::Lying.action(seed)];
+            let puppets = ScriptedAdversary::new(&scenario, plan, &lying);
             // The env's handle, one per instance (2k runtimes × 2k broadcasts) and one
             // per signed relay engine.
             assert_eq!(Arc::strong_count(&env.directory), 1 + 4 * k * k + signed_relays);

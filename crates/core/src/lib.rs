@@ -18,11 +18,12 @@
 //! * [`protocols`] — the two constructive protocol families: the broadcast-based
 //!   reduction of Lemma 1 (over Dolev–Strong or committee broadcast) and the
 //!   bipartite-authenticated protocol `ΠbSM` of Lemma 9,
-//! * [`strategies`] — reusable byzantine strategies (preference lying and any other
-//!   puppet simulation of honest code on chosen inputs, garbage spam),
+//! * [`strategies`] — the byzantine behaviours the script interpreter installs:
+//!   puppets running honest code on chosen inputs (preference lying) and garbage spam,
 //! * [`script`] — data-valued adversary scripts: serializable action lists a fuzzer
 //!   can generate, mutate, shrink and replay, interpreted by a
-//!   [`script::ScriptedAdversary`] that provably subsumes the built-in strategies,
+//!   [`script::ScriptedAdversary`], the one builder of a cell's adversary: each
+//!   built-in [`harness::AdversarySpec`] runs as a one-action script,
 //! * [`text`] — the TOML-subset reader and canonical writer behind scripts and
 //!   scenario files: one grammar, one line-positioned [`text::TextError`],
 //! * [`attacks`] — the impossibility constructions of Lemmas 5, 7 and 13 as concrete

@@ -19,8 +19,8 @@ use crate::solvability::{characterize, ProtocolPlan, Solvability};
 use crate::strategies::{BsmPuppetAdversary, GarbageAdversary};
 use crate::text::{self, Document, Table, TextError, Value, Writer};
 use crate::wire::{party_from_dense, PrefVec, ProtoBody, WireMsg};
-use bsm_broadcast::DolevStrongMsg;
-use bsm_crypto::{Digest, DigestWriter, Digestible, SigChain, Signature, SigningKey};
+use bsm_broadcast::{DolevStrong, DolevStrongMsg};
+use bsm_crypto::{DigestWriter, SigChain, Signature, SigningKey};
 use bsm_matching::generators::uniform_profile;
 use bsm_matching::Side;
 use bsm_net::{Adversary, AdversaryContext, Envelope, Outgoing, PartyId, Topology};
@@ -509,11 +509,12 @@ fn verdict_from(mut t: Table) -> Result<Verdict, TextError> {
 
 /// The interpreter: executes a [`Script`]'s action list against the live simulation.
 ///
-/// The behaviour-mode actions reuse the exact machinery of
-/// [`crate::harness::AdversarySpec`] — honest-code puppets on the true or a lying
-/// profile, or the garbage flooder — so scripts subsume the hand-written adversaries
-/// outcome-identically. The point interventions tamper with the coalition's inbound
-/// and outbound traffic per slot.
+/// It is the one builder of a cell's adversary: [`Scenario::run_with_plan`] runs each
+/// built-in [`crate::harness::AdversarySpec`] as the one-action script
+/// [`AdversarySpec::action`](crate::harness::AdversarySpec::action). The behaviour-mode
+/// actions install honest-code puppets on the true or a lying profile, or the garbage
+/// flooder; the point interventions tamper with the coalition's inbound and outbound
+/// traffic per slot.
 pub struct ScriptedAdversary {
     k: usize,
     actions: Vec<ScriptAction>,
@@ -529,9 +530,8 @@ impl ScriptedAdversary {
     /// Builds the interpreter for `scenario`/`plan`.
     ///
     /// Puppets are constructed *eagerly* here (not lazily in the first slot) so
-    /// that protocol constructors sign before [`Scenario::run_with_adversary`]
-    /// snapshots the signature counter — exactly like the built-in adversaries —
-    /// keeping empty-script runs byte-identical to honest runs.
+    /// that protocol constructors sign before the scenario snapshots the signature
+    /// counter, keeping empty-script runs byte-identical to honest runs.
     pub fn new(scenario: &Scenario, plan: ProtocolPlan, actions: &[ScriptAction]) -> Self {
         enum Mode {
             Honest,
@@ -561,7 +561,7 @@ impl ScriptedAdversary {
                 }
             }
             // Silence from slot 0 is the crash fault: no puppets at all, so not even
-            // constructor-time signatures are issued — identical to AdversarySpec::Crash.
+            // constructor-time signatures are issued.
             Mode::Silence(0) => {}
             Mode::Silence(from) => {
                 silence_from = Some(from);
@@ -570,7 +570,6 @@ impl ScriptedAdversary {
                 }
             }
             Mode::Lie(seed) => {
-                // Same derivation as Scenario::build_adversary for AdversarySpec::Lying.
                 let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x11e5));
                 let lying_profile = uniform_profile(k, &mut rng);
                 for &party in scenario.corrupted() {
@@ -649,19 +648,6 @@ fn mutate_chain(chain: &mut SigChain, f: impl FnOnce(&mut Vec<Signature>)) {
     *chain = SigChain::from(sigs);
 }
 
-/// The digest every link of a Dolev–Strong chain signs for `value` in the per-party
-/// broadcast instance `instance`.
-///
-/// In the composite protocol the instance tag *is* the designated sender's dense key
-/// index, so the sender key id and the instance coincide — mirrored from
-/// `DolevStrong::instance_digest` and cross-checked by a unit test below.
-fn ds_instance_digest(instance: u32, value: &PrefVec) -> Digest {
-    let mut writer = DigestWriter::new();
-    writer.label("dolev-strong").u64(u64::from(instance)).u64(u64::from(instance));
-    value.feed(&mut writer);
-    writer.finish()
-}
-
 impl Adversary<WireMsg> for ScriptedAdversary {
     fn plan_corruptions(&mut self, ctx: &AdversaryContext<'_>) -> Vec<PartyId> {
         let slot = ctx.now.slot();
@@ -709,8 +695,9 @@ impl Adversary<WireMsg> for ScriptedAdversary {
         }
 
         // Inbound pass: drop / delay / replay received messages before the puppets
-        // see them.
-        let actions = self.actions.clone();
+        // see them. The passes need `&mut self`, so the action list is lent out of
+        // `self` for them and put back at the end.
+        let actions = std::mem::take(&mut self.actions);
         let mut replays: Vec<(PartyId, Outgoing<WireMsg>)> = Vec::new();
         for action in &actions {
             match *action {
@@ -719,7 +706,8 @@ impl Adversary<WireMsg> for ScriptedAdversary {
                 }
                 ScriptAction::DelayRecv { slot: s, nth, by } if s == slot => {
                     if let Some((party, envelope)) = remove_nth(inboxes, nth) {
-                        self.delayed.push((slot + by.max(1), party, envelope));
+                        // A hold past the last slot withholds the message for good.
+                        self.delayed.push((slot.saturating_add(by.max(1)), party, envelope));
                     }
                 }
                 ScriptAction::Replay { slot: s, nth } if s == slot => {
@@ -770,7 +758,11 @@ impl Adversary<WireMsg> for ScriptedAdversary {
                             if (instance as usize) < 2 * self.k {
                                 let subject = party_from_dense(instance, self.k);
                                 if let Some(key) = self.keys.get(&subject) {
-                                    let digest = ds_instance_digest(instance, &ds.value);
+                                    let digest = DolevStrong::digest_for(
+                                        u64::from(instance),
+                                        key.id(),
+                                        &ds.value,
+                                    );
                                     ds.chain = SigChain::single(key.sign(digest));
                                 }
                             }
@@ -816,6 +808,7 @@ impl Adversary<WireMsg> for ScriptedAdversary {
             }
         }
 
+        self.actions = actions;
         out
     }
 }
@@ -1047,31 +1040,18 @@ mod tests {
         assert_same_outcome(&honest, &scripted);
     }
 
+    /// A `delay-recv` whose hold runs past the last slot (here past `u64::MAX`) never
+    /// releases the message: the run is the run that drops it.
     #[test]
-    fn instance_digest_matches_dolev_strong() {
-        use bsm_broadcast::{DolevStrong, DolevStrongConfig};
-        use bsm_crypto::{KeyId, Pki};
-        let k = 3;
-        let pki = Pki::new(2 * k as u32);
-        let parties: Vec<PartyId> = (0..2 * k).map(|d| PartyId::from_dense(d, k)).collect();
-        let key_of: BTreeMap<PartyId, KeyId> =
-            parties.iter().map(|&p| (p, KeyId(p.dense(k) as u32))).collect();
-        // Instance 4 = dense index of R1 at k = 3.
-        let sender = PartyId::right(1);
-        let config = DolevStrongConfig {
-            me: PartyId::left(0),
-            sender,
-            participants: parties,
-            t: 2,
-            instance: sender.dense(k) as u64,
-            pki,
-            key_of,
+    fn a_delay_past_the_last_slot_withholds_the_message_like_a_drop() {
+        let run = |action| {
+            let mut script = empty_script(4);
+            script.actions = vec![action];
+            script.run().unwrap()
         };
-        let value: PrefVec = [2, 0, 1].into();
-        assert_eq!(
-            ds_instance_digest(sender.dense(k) as u32, &value),
-            DolevStrong::<PrefVec>::instance_digest(&config, &value),
-        );
+        let delayed = run(ScriptAction::DelayRecv { slot: 1, nth: 0, by: u64::MAX });
+        let dropped = run(ScriptAction::DropRecv { slot: 1, nth: 0 });
+        assert_same_outcome(&delayed, &dropped);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Reusable byzantine strategies for the experiment harness.
 //!
 //! The impossibility-specific adversaries live in [`crate::attacks`]; this module
-//! provides the generic behaviours used to stress the constructive protocols *within*
-//! their thresholds: crashing is covered by [`bsm_net::PassiveAdversary`] (and a crash
-//! mid-run by the script action [`crate::script::ScriptAction::Silence`]), lying about
-//! preferences by running the honest code on altered inputs ([`PuppetAdversary`]), and
-//! protocol-level noise by [`GarbageAdversary`].
+//! provides the generic behaviours the script interpreter
+//! ([`crate::script::ScriptedAdversary`]) installs to stress the constructive protocols
+//! *within* their thresholds: lying about preferences by running the honest code on
+//! altered inputs ([`PuppetAdversary`]), and protocol-level noise by
+//! [`GarbageAdversary`]. Crashing needs neither: it is the script action
+//! [`crate::script::ScriptAction::Silence`].
 
 use crate::problem::MatchDecision;
 use crate::wire::{ProtoBody, ProtoMsg, WireMsg};

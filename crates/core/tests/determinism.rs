@@ -15,7 +15,7 @@ use bsm_core::harness::{AdversarySpec, Scenario, ScenarioOutcome};
 use bsm_core::problem::{AuthMode, Setting};
 use bsm_crypto::{KeyId, Pki};
 use bsm_net::{
-    CorruptionBudget, PartyId, PartySet, RandomOmissions, RoundDriver, RunOutcome, SyncNetwork,
+    CorruptionBudget, FaultSchedule, PartyId, PartySet, RoundDriver, RunOutcome, SyncNetwork,
     Topology,
 };
 use std::collections::BTreeMap;
@@ -96,7 +96,7 @@ fn run_dolev_strong_with_omissions(net_seed: u64) -> RunOutcome<u64> {
     let sender = PartyId::left(0);
     let mut net: SyncNetwork<bsm_broadcast::DolevStrongMsg<u64>, u64> =
         SyncNetwork::new(k, Topology::FullyConnected, CorruptionBudget::NONE);
-    net.set_fault_injector(Box::new(RandomOmissions::new(0.2, net_seed)));
+    net.set_faults(FaultSchedule::new("loss=200".parse().unwrap(), net_seed));
     for party in parties.iter() {
         let config = DolevStrongConfig {
             me: party,
@@ -121,7 +121,7 @@ fn netsim_replay_with_random_omissions_is_byte_identical() {
     let second = run_dolev_strong_with_omissions(17);
     assert_eq!(format!("{first:?}"), format!("{second:?}"));
     assert_eq!(first.metrics, second.metrics);
-    // Sanity: the injector actually dropped something, so determinism was exercised
+    // Sanity: the schedule actually dropped something, so determinism was exercised
     // on the faulty path, not the trivial fault-free one.
     assert!(first.metrics.dropped_by_faults > 0, "omission injector never fired");
 }

@@ -66,9 +66,9 @@ pub struct CellTelemetry {
     pub messages: u64,
     /// Messages actually delivered to a recipient.
     pub delivered: u64,
-    /// Messages dropped by the fault injector.
+    /// Messages dropped by the cell's fault schedule.
     pub dropped: u64,
-    /// Messages delayed (jittered) by the fault injector.
+    /// Messages delayed (jittered) by the cell's fault schedule.
     pub delayed: u64,
     /// Messages discarded by the topology (no such channel).
     pub rejected: u64,

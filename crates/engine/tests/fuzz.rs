@@ -90,9 +90,9 @@ fn empty_script_is_byte_identical_to_the_honest_run_across_the_quick_grid() {
 
 #[test]
 fn scripts_subsume_every_builtin_adversary() {
-    // Coverage: each hand-written AdversarySpec strategy re-expressed as a script is
-    // outcome-identical to the original, over the quick bench grid plus extra
-    // topology cells.
+    // Coverage: each AdversarySpec run through its ScenarioSpec is outcome-identical
+    // to the script that spells out its action, run through Script::scenario, over
+    // the quick bench grid plus extra topology cells.
     let mut specs: Vec<ScenarioSpec> = dolev_strong_campaign(true).specs().to_vec();
     for topology in [Topology::Bipartite, Topology::OneSided] {
         for adversary in AdversarySpec::ALL {

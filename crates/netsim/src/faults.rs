@@ -1,20 +1,19 @@
-//! Message-level fault injection, from simple drop predicates to declarative
-//! [`FaultSpec`] schedules with scheduled partitions, crashes, seeded message loss
-//! and delivery jitter.
+//! Message-level fault injection: declarative [`FaultSpec`] schedules with scheduled
+//! partitions, crashes, seeded message loss and delivery jitter.
 //!
 //! The paper's bipartite authenticated protocol (`ΠbSM`, §5.2) reduces the disconnected
 //! side to "a fully-connected network *with omissions*: a message may either be received
-//! within `2·Δ` units of time, or it is never delivered". Fault injectors let the test
-//! suite and benchmarks create such omission networks directly, independent of any
-//! byzantine relay behaviour, so the building blocks (`ΠBA`, `ΠBB`) can be exercised
-//! against Theorem 8/9's weak-agreement guarantees in isolation.
+//! within `2·Δ` units of time, or it is never delivered". A [`FaultSchedule`] with a loss
+//! rate creates such an omission network directly, independent of any byzantine relay
+//! behaviour, so the test suite can exercise the building blocks (`ΠBA`, `ΠBB`) against
+//! Theorem 8/9's weak-agreement guarantees in isolation.
 //!
-//! [`FaultSchedule`] extends this toward *partial synchrony*: a [`FaultSpec`] names a
+//! The same schedule extends this toward *partial synchrony*: a [`FaultSpec`] names a
 //! deterministic schedule (cross-side partitions with start/duration, a crash with an
 //! optional recovery slot) plus seeded stochastic axes (per-message loss probability,
-//! bounded extra delivery delay), and the schedule applies it through the same
-//! [`FaultInjector`] hook. All randomness is drawn from one seeded stream, so a run
-//! under a fault schedule stays byte-for-byte reproducible.
+//! bounded extra delivery delay), and [`crate::SyncNetwork`] asks its schedule, when it
+//! has one, for one [`FaultAction`] per message. All randomness is drawn from one seeded
+//! stream, so a run under a fault schedule stays byte-for-byte reproducible.
 
 use crate::{Envelope, PartyId, Time};
 use rand::rngs::StdRng;
@@ -22,7 +21,7 @@ use rand::{RngExt, SeedableRng};
 use std::fmt;
 use std::str::FromStr;
 
-/// What a [`FaultInjector`] decides to do with one message at send time.
+/// What a [`FaultSchedule`] decides to do with one message at send time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Deliver normally (next slot).
@@ -31,102 +30,6 @@ pub enum FaultAction {
     Drop,
     /// Deliver, but this many slots *later* than the normal next-slot delivery.
     Delay(u64),
-}
-
-/// Message-level fault injection: the hook [`crate::SyncNetwork`] consults for every
-/// message accepted into the network.
-pub trait FaultInjector<M> {
-    /// Decides the fate of `envelope`, sent during slot `now`.
-    fn action(&mut self, envelope: &Envelope<M>, now: Time) -> FaultAction;
-
-    /// Returns `true` unless [`action`](Self::action) drops the message — the legacy
-    /// boolean view, kept for injectors and tests that only distinguish drop from
-    /// deliver.
-    fn deliver(&mut self, envelope: &Envelope<M>, now: Time) -> bool {
-        !matches!(self.action(envelope, now), FaultAction::Drop)
-    }
-}
-
-/// Delivers everything (the fault-free network).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl<M> FaultInjector<M> for NoFaults {
-    fn action(&mut self, _envelope: &Envelope<M>, _now: Time) -> FaultAction {
-        FaultAction::Deliver
-    }
-}
-
-/// Drops everything — a fully partitioned network.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DropAll;
-
-impl<M> FaultInjector<M> for DropAll {
-    fn action(&mut self, _envelope: &Envelope<M>, _now: Time) -> FaultAction {
-        FaultAction::Drop
-    }
-}
-
-/// Drops messages matching a predicate (e.g. "every message from L2 to L0 after slot 3").
-pub struct PredicateFaults<M> {
-    #[allow(clippy::type_complexity)]
-    drop_if: Box<dyn FnMut(&Envelope<M>, Time) -> bool + Send>,
-}
-
-impl<M> PredicateFaults<M> {
-    /// Creates an injector that drops messages for which `drop_if` returns `true`.
-    pub fn new(drop_if: impl FnMut(&Envelope<M>, Time) -> bool + Send + 'static) -> Self {
-        Self { drop_if: Box::new(drop_if) }
-    }
-}
-
-impl<M> std::fmt::Debug for PredicateFaults<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PredicateFaults").finish_non_exhaustive()
-    }
-}
-
-impl<M> FaultInjector<M> for PredicateFaults<M> {
-    fn action(&mut self, envelope: &Envelope<M>, now: Time) -> FaultAction {
-        if (self.drop_if)(envelope, now) {
-            FaultAction::Drop
-        } else {
-            FaultAction::Deliver
-        }
-    }
-}
-
-/// Drops each message independently with probability `drop_probability`, using a seeded
-/// RNG so runs remain reproducible.
-#[derive(Debug)]
-pub struct RandomOmissions {
-    drop_probability: f64,
-    rng: StdRng,
-}
-
-impl RandomOmissions {
-    /// Creates a random omission injector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `drop_probability` is not within `[0, 1]`.
-    pub fn new(drop_probability: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&drop_probability),
-            "drop probability must be in [0, 1], got {drop_probability}"
-        );
-        Self { drop_probability, rng: StdRng::seed_from_u64(seed) }
-    }
-}
-
-impl<M> FaultInjector<M> for RandomOmissions {
-    fn action(&mut self, _envelope: &Envelope<M>, _now: Time) -> FaultAction {
-        if self.rng.random_bool(self.drop_probability) {
-            FaultAction::Drop
-        } else {
-            FaultAction::Deliver
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -407,8 +310,9 @@ impl FromStr for FaultSpec {
     }
 }
 
-/// A [`FaultSpec`] armed with its seeded RNG stream — the [`FaultInjector`] that
-/// applies a declarative fault plan to a running [`crate::SyncNetwork`].
+/// A [`FaultSpec`] armed with its seeded RNG stream: the simulator's one fault model,
+/// which a [`crate::SyncNetwork`] applies to every message once
+/// [`set_faults`](crate::SyncNetwork::set_faults) installs it.
 ///
 /// Determinism: the deterministic axes (partitions, crash) never touch the RNG, and
 /// the stochastic axes (loss, jitter) draw from a [`StdRng`] seeded purely from the
@@ -419,7 +323,7 @@ impl FromStr for FaultSpec {
 /// counts and shardings.
 ///
 /// ```
-/// use bsm_net::{Envelope, FaultAction, FaultInjector, FaultSchedule, PartyId, Time};
+/// use bsm_net::{Envelope, FaultAction, FaultSchedule, PartyId, Time};
 ///
 /// let spec = "partition=0+2;jitter=3".parse().unwrap();
 /// let mut schedule = FaultSchedule::new(spec, 42);
@@ -454,14 +358,8 @@ impl FaultSchedule {
         Self { spec, rng: StdRng::seed_from_u64(fault_stream_seed(seed)) }
     }
 
-    /// The plan this schedule applies.
-    pub fn spec(&self) -> FaultSpec {
-        self.spec
-    }
-}
-
-impl<M> FaultInjector<M> for FaultSchedule {
-    fn action(&mut self, envelope: &Envelope<M>, now: Time) -> FaultAction {
+    /// Decides the fate of `envelope`, sent during slot `now`.
+    pub fn action<M>(&mut self, envelope: &Envelope<M>, now: Time) -> FaultAction {
         let slot = now.0;
         // Deterministic axes first, cheapest checks before any RNG draw.
         if envelope.from.side != envelope.to.side
@@ -512,57 +410,12 @@ mod tests {
     }
 
     #[test]
-    fn no_faults_delivers_and_drop_all_drops() {
-        assert!(FaultInjector::<u32>::deliver(&mut NoFaults, &envelope(1), Time(1)));
-        assert!(!FaultInjector::<u32>::deliver(&mut DropAll, &envelope(1), Time(1)));
-    }
-
-    #[test]
-    fn predicate_faults_drop_matching_messages() {
-        let mut injector = PredicateFaults::new(|env: &Envelope<u32>, _| env.payload == 7);
-        assert!(injector.deliver(&envelope(1), Time(1)));
-        assert!(!injector.deliver(&envelope(7), Time(1)));
-        assert!(format!("{injector:?}").contains("PredicateFaults"));
-    }
-
-    #[test]
-    fn random_omissions_extremes() {
-        let mut never = RandomOmissions::new(0.0, 1);
-        let mut always = RandomOmissions::new(1.0, 1);
-        for i in 0..50 {
-            assert!(FaultInjector::<u32>::deliver(&mut never, &envelope(i), Time(1)));
-            assert!(!FaultInjector::<u32>::deliver(&mut always, &envelope(i), Time(1)));
-        }
-    }
-
-    #[test]
-    fn random_omissions_are_seed_deterministic() {
-        let mut a = RandomOmissions::new(0.5, 99);
-        let mut b = RandomOmissions::new(0.5, 99);
-        let pattern_a: Vec<bool> = (0..100)
-            .map(|i| FaultInjector::<u32>::deliver(&mut a, &envelope(i), Time(1)))
-            .collect();
-        let pattern_b: Vec<bool> = (0..100)
-            .map(|i| FaultInjector::<u32>::deliver(&mut b, &envelope(i), Time(1)))
-            .collect();
-        assert_eq!(pattern_a, pattern_b);
-        assert!(pattern_a.iter().any(|&d| d));
-        assert!(pattern_a.iter().any(|&d| !d));
-    }
-
-    #[test]
-    #[should_panic(expected = "in [0, 1]")]
-    fn invalid_probability_panics() {
-        let _ = RandomOmissions::new(1.5, 0);
-    }
-
-    #[test]
     fn partition_drops_cross_side_messages_only_inside_the_window() {
         let spec: FaultSpec = "partition=2+3".parse().unwrap();
         let mut schedule = FaultSchedule::new(spec, 7);
         for slot in 0..8u64 {
-            let cross = FaultInjector::<u32>::action(&mut schedule, &envelope(0), Time(slot));
-            let local = FaultInjector::<u32>::action(&mut schedule, &same_side(0), Time(slot));
+            let cross = schedule.action(&envelope(0), Time(slot));
+            let local = schedule.action(&same_side(0), Time(slot));
             if (2..5).contains(&slot) {
                 assert_eq!(cross, FaultAction::Drop, "slot {slot}");
             } else {
@@ -582,17 +435,17 @@ mod tests {
         for slot in 0..5u64 {
             let outage = (1..3).contains(&slot);
             for env in [&from_crashed, &to_crashed] {
-                let action = FaultInjector::<u32>::action(&mut schedule, env, Time(slot));
+                let action = schedule.action(env, Time(slot));
                 let expected = if outage { FaultAction::Drop } else { FaultAction::Deliver };
                 assert_eq!(action, expected, "slot {slot}");
             }
-            let action = FaultInjector::<u32>::action(&mut schedule, &bystander, Time(slot));
+            let action = schedule.action(&bystander, Time(slot));
             assert_eq!(action, FaultAction::Deliver, "bystander slot {slot}");
         }
         // Without a recovery slot the outage is permanent.
         let spec: FaultSpec = "crash=L0@1..".parse().unwrap();
         let mut schedule = FaultSchedule::new(spec, 0);
-        let action = FaultInjector::<u32>::action(&mut schedule, &from_crashed, Time(1000));
+        let action = schedule.action(&from_crashed, Time(1000));
         assert_eq!(action, FaultAction::Drop);
     }
 
@@ -601,9 +454,7 @@ mod tests {
         let spec: FaultSpec = "loss=300;jitter=2".parse().unwrap();
         let trace = |seed: u64| -> Vec<FaultAction> {
             let mut schedule = FaultSchedule::new(spec, seed);
-            (0..200)
-                .map(|i| FaultInjector::<u32>::action(&mut schedule, &envelope(i), Time(1)))
-                .collect()
+            (0..200).map(|i| schedule.action(&envelope(i), Time(1))).collect()
         };
         let a = trace(5);
         assert_eq!(a, trace(5), "same seed, same decisions");
@@ -626,13 +477,11 @@ mod tests {
         let mut b = FaultSchedule::new(spec, 11);
         for i in 0..10 {
             // Cross-side in slot 0: deterministic drop, must not advance the RNG.
-            let action = FaultInjector::<u32>::action(&mut a, &envelope(i), Time(0));
+            let action = a.action(&envelope(i), Time(0));
             assert_eq!(action, FaultAction::Drop);
         }
-        let tail_a: Vec<_> =
-            (0..50).map(|i| FaultInjector::<u32>::action(&mut a, &envelope(i), Time(1))).collect();
-        let tail_b: Vec<_> =
-            (0..50).map(|i| FaultInjector::<u32>::action(&mut b, &envelope(i), Time(1))).collect();
+        let tail_a: Vec<_> = (0..50).map(|i| a.action(&envelope(i), Time(1))).collect();
+        let tail_b: Vec<_> = (0..50).map(|i| b.action(&envelope(i), Time(1))).collect();
         assert_eq!(tail_a, tail_b, "partition drops must not perturb the loss stream");
     }
 

@@ -13,15 +13,16 @@
 //!   sends through its caller's closure, which is how the protocols compose,
 //! * [`Adversary`] — an adaptive byzantine adversary that controls all corrupted
 //!   parties, subject to the per-side corruption budget `(tL, tR)`,
-//! * [`FaultInjector`] — message-level fault injection (omission networks, §5.2), with
-//!   [`FaultSchedule`] applying a declarative [`FaultSpec`] (scheduled partitions,
-//!   crash/recovery, seeded loss and delivery jitter — partial synchrony),
+//! * [`FaultSchedule`] — the simulator's one fault model: it applies a declarative
+//!   [`FaultSpec`] (scheduled partitions, crash/recovery, seeded loss and delivery
+//!   jitter) to every message, which covers both the omission networks of §5.2 and
+//!   partial synchrony,
 //! * [`SyncNetwork`] — the deterministic scheduler tying everything together, plus
 //!   [`Metrics`] for message/round accounting used by the benchmarks.
 //!
 //! Determinism: party iteration follows the total order on [`PartyId`], all collections
 //! with observable iteration order are `BTreeMap`/`BTreeSet`, and any randomness lives
-//! inside explicitly seeded adversaries or fault injectors. Two runs of the same
+//! inside explicitly seeded adversaries or fault schedules. Two runs of the same
 //! scenario produce identical transcripts, which is what makes the paper's
 //! indistinguishability-based attacks reproducible.
 
@@ -41,10 +42,9 @@ mod topology;
 
 pub use adversary::{Adversary, AdversaryContext, CorruptionBudget, PassiveAdversary};
 pub use faults::{
-    CrashWindow, DropAll, FaultAction, FaultInjector, FaultSchedule, FaultSpec,
-    FaultSpecParseError, NoFaults, PartitionWindow, PredicateFaults, RandomOmissions,
+    CrashWindow, FaultAction, FaultSchedule, FaultSpec, FaultSpecParseError, PartitionWindow,
 };
-pub use message::{multicast, Envelope, Outgoing};
+pub use message::{Envelope, Outgoing};
 pub use metrics::{FanoutSummary, Metrics, RoleFanout};
 pub use party::{PartyId, PartySet};
 pub use process::{Process, SilentProcess};

@@ -20,14 +20,6 @@ impl<M> Outgoing<M> {
     }
 }
 
-/// Convenience constructor for sending the same payload to many recipients.
-pub fn multicast<M: Clone>(
-    recipients: impl IntoIterator<Item = PartyId>,
-    payload: M,
-) -> Vec<Outgoing<M>> {
-    recipients.into_iter().map(|to| Outgoing::new(to, payload.clone())).collect()
-}
-
 /// A message in flight or delivered: sender, receiver, timing and payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope<M> {
@@ -42,49 +34,4 @@ pub struct Envelope<M> {
     pub deliver_at: Time,
     /// The protocol payload.
     pub payload: M,
-}
-
-impl<M> Envelope<M> {
-    /// Maps the payload, keeping routing and timing metadata.
-    pub fn map<N>(self, f: impl FnOnce(M) -> N) -> Envelope<N> {
-        Envelope {
-            from: self.from,
-            to: self.to,
-            sent_at: self.sent_at,
-            deliver_at: self.deliver_at,
-            payload: f(self.payload),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn multicast_clones_payload_per_recipient() {
-        let recipients = vec![PartyId::left(0), PartyId::right(1)];
-        let msgs = multicast(recipients.clone(), "hello");
-        assert_eq!(msgs.len(), 2);
-        assert_eq!(msgs[0].to, recipients[0]);
-        assert_eq!(msgs[1].to, recipients[1]);
-        assert!(msgs.iter().all(|m| m.payload == "hello"));
-    }
-
-    #[test]
-    fn envelope_map_preserves_metadata() {
-        let env = Envelope {
-            from: PartyId::left(0),
-            to: PartyId::right(2),
-            sent_at: Time(3),
-            deliver_at: Time(4),
-            payload: 7u32,
-        };
-        let mapped = env.clone().map(|v| v.to_string());
-        assert_eq!(mapped.from, env.from);
-        assert_eq!(mapped.to, env.to);
-        assert_eq!(mapped.sent_at, env.sent_at);
-        assert_eq!(mapped.deliver_at, env.deliver_at);
-        assert_eq!(mapped.payload, "7");
-    }
 }

@@ -13,10 +13,10 @@ pub struct Metrics {
     pub byzantine_messages: u64,
     /// Messages actually delivered to a recipient.
     pub delivered_messages: u64,
-    /// Messages dropped by the fault injector.
+    /// Messages the run's [`FaultSchedule`](crate::FaultSchedule) dropped.
     pub dropped_by_faults: u64,
-    /// Messages the fault injector delayed past their normal next-slot delivery
-    /// (they were still delivered, just later).
+    /// Messages the run's [`FaultSchedule`](crate::FaultSchedule) delayed past their
+    /// normal next-slot delivery (they were still delivered, just later).
     pub delayed_by_faults: u64,
     /// Messages discarded because the topology has no such channel (or the destination
     /// does not exist). For honest protocol code this should stay 0.
@@ -91,14 +91,6 @@ pub struct RoleFanout {
     pub max: u64,
 }
 
-impl RoleFanout {
-    /// Mean messages per active sender, rounded down; zero when no party of this role
-    /// sent anything.
-    pub fn mean(&self) -> u64 {
-        self.total.checked_div(self.senders).unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,8 +124,5 @@ mod tests {
         let summary = m.fanout_by_role(&corrupted);
         assert_eq!(summary.honest, RoleFanout { senders: 2, total: 8, max: 5 });
         assert_eq!(summary.byzantine, RoleFanout { senders: 1, total: 9, max: 9 });
-        assert_eq!(summary.honest.mean(), 4);
-        assert_eq!(summary.byzantine.mean(), 9);
-        assert_eq!(RoleFanout::default().mean(), 0, "no senders means mean 0, not a panic");
     }
 }

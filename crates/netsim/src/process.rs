@@ -6,8 +6,8 @@ use crate::{Envelope, Outgoing, PartyId, Time};
 /// in `step` exactly the messages whose delivery slot has arrived, in a deterministic
 /// order (by sender, then send slot, then the order the sender emitted them), and
 /// returns the messages it wants to send this slot. Every
-/// sent message is delivered at the next slot (within `Δ`), unless dropped by a fault
-/// injector or blocked by the topology.
+/// sent message is delivered at the next slot (within `Δ`), unless the network's
+/// [`FaultSchedule`](crate::FaultSchedule) drops or delays it or the topology blocks it.
 ///
 /// Once [`Process::output`] returns `Some`, the decision is final: the simulator records
 /// the first value observed and keeps stepping the process (protocols such as `ΠbSM`

@@ -1,5 +1,5 @@
 use crate::{
-    Adversary, AdversaryContext, CorruptionBudget, Envelope, FaultInjector, Metrics, NoFaults,
+    Adversary, AdversaryContext, CorruptionBudget, Envelope, FaultAction, FaultSchedule, Metrics,
     Outgoing, PartyId, PartySet, PassiveAdversary, Process, Time, Topology,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -67,18 +67,6 @@ pub struct RunOutcome<O> {
     pub metrics: Metrics,
 }
 
-impl<O> RunOutcome<O> {
-    /// Parties that stayed honest for the whole run.
-    pub fn honest_parties(&self, parties: PartySet) -> Vec<PartyId> {
-        parties.iter().filter(|p| !self.corrupted.contains(p)).collect()
-    }
-
-    /// The output of a specific party, if it decided.
-    pub fn output_of(&self, party: PartyId) -> Option<&O> {
-        self.outputs.get(&party)
-    }
-}
-
 /// The emptied message buffers of a finished [`SyncNetwork`]: its in-flight queues and
 /// inboxes (by [`PartyId::dense`] index), its lent inboxes and its send buffer.
 ///
@@ -139,7 +127,7 @@ fn put_back<T>(mut front: Vec<Vec<T>>, mut surplus: Vec<Vec<T>>) -> Vec<Vec<T>> 
 }
 
 /// A deterministic synchronous network of `2k` parties running [`Process`] state
-/// machines under an adaptive byzantine adversary and a message fault injector.
+/// machines under an adaptive byzantine adversary and, optionally, a [`FaultSchedule`].
 ///
 /// Slot semantics: at slot `t` every process receives the messages whose delivery slot
 /// is `≤ t` that it has not seen yet, then sends messages that will be delivered at slot
@@ -153,7 +141,8 @@ pub struct SyncNetwork<M, O> {
     processes: BTreeMap<PartyId, Box<dyn Process<M, O>>>,
     corrupted: BTreeSet<PartyId>,
     adversary: Box<dyn Adversary<M>>,
-    injector: Box<dyn FaultInjector<M>>,
+    /// The fault plan every accepted message is put to (`None`: a fault-free network).
+    faults: Option<FaultSchedule>,
     /// Messages in flight, one queue per sender (by [`PartyId::dense`] index). A queue
     /// only ever gains messages at its end, at send time, and delivery keeps the order
     /// of what stays behind, so every queue is in emission order and hence in
@@ -221,7 +210,7 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
             processes: BTreeMap::new(),
             corrupted: BTreeSet::new(),
             adversary: Box::new(PassiveAdversary),
-            injector: Box::new(NoFaults),
+            faults: None,
             in_flight: take_front(&mut buffers.in_flight, parties.n()),
             outputs: BTreeMap::new(),
             now: Time::ZERO,
@@ -281,9 +270,9 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
         self.adversary = adversary;
     }
 
-    /// Installs the fault injector (default: [`NoFaults`]).
-    pub fn set_fault_injector(&mut self, injector: Box<dyn FaultInjector<M>>) {
-        self.injector = injector;
+    /// Installs the fault schedule (default: none, so every message is delivered).
+    pub fn set_faults(&mut self, faults: FaultSchedule) {
+        self.faults = Some(faults);
     }
 
     /// Statically corrupts a party before the run starts (or adaptively between slots).
@@ -321,10 +310,14 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
         };
         self.metrics.record_sent(from, byzantine);
         let queue = &mut self.in_flight[from.dense(self.parties.k())];
-        match self.injector.action(&envelope, self.now) {
-            crate::FaultAction::Deliver => queue.push(envelope),
-            crate::FaultAction::Drop => self.metrics.dropped_by_faults += 1,
-            crate::FaultAction::Delay(extra) => {
+        let action = match &mut self.faults {
+            Some(faults) => faults.action(&envelope, self.now),
+            None => FaultAction::Deliver,
+        };
+        match action {
+            FaultAction::Deliver => queue.push(envelope),
+            FaultAction::Drop => self.metrics.dropped_by_faults += 1,
+            FaultAction::Delay(extra) => {
                 envelope.deliver_at = self.now + 1 + extra;
                 self.metrics.delayed_by_faults += 1;
                 queue.push(envelope);
@@ -497,7 +490,7 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{multicast, SilentProcess};
+    use crate::SilentProcess;
     use std::collections::BTreeMap;
 
     /// Every party announces its own index to everyone it can reach, then outputs the
@@ -526,14 +519,12 @@ mod tests {
                 self.heard.insert(env.from);
             }
             match now.slot() {
-                0 => {
-                    let neighbours: Vec<PartyId> = self
-                        .parties
-                        .iter()
-                        .filter(|&p| self.topology.connects(self.id, p))
-                        .collect();
-                    multicast(neighbours, self.id.index)
-                }
+                0 => self
+                    .parties
+                    .iter()
+                    .filter(|&p| self.topology.connects(self.id, p))
+                    .map(|p| Outgoing::new(p, self.id.index))
+                    .collect(),
                 1 => Vec::new(),
                 _ => {
                     if self.output.is_none() {
@@ -607,13 +598,13 @@ mod tests {
         net.corrupt(PartyId::left(0)).unwrap();
         let outcome = net.run(10).unwrap();
         // The corrupted party has no recorded output…
-        assert!(outcome.output_of(PartyId::left(0)).is_none());
+        assert!(!outcome.outputs.contains_key(&PartyId::left(0)));
         assert!(outcome.corrupted.contains(&PartyId::left(0)));
         // …and nobody heard from it.
         for party in PartySet::new(2).iter().filter(|p| *p != PartyId::left(0)) {
             assert!(!outcome.outputs[&party].contains(&PartyId::left(0)));
         }
-        assert_eq!(outcome.honest_parties(PartySet::new(2)).len(), 3);
+        assert_eq!(outcome.outputs.len(), 3);
     }
 
     #[test]
@@ -664,7 +655,7 @@ mod tests {
     #[test]
     fn fault_injector_drops_messages() {
         let mut net = gossip_network(2, Topology::FullyConnected, CorruptionBudget::NONE);
-        net.set_fault_injector(Box::new(crate::DropAll));
+        net.set_faults(FaultSchedule::new("loss=1000".parse().unwrap(), 0));
         let outcome = net.run(10).unwrap();
         for party in PartySet::new(2).iter() {
             assert_eq!(outcome.outputs[&party], vec![party]);
@@ -678,7 +669,7 @@ mod tests {
         let run = || {
             let mut net = gossip_network(2, Topology::FullyConnected, CorruptionBudget::NONE);
             let spec: crate::FaultSpec = "jitter=3".parse().unwrap();
-            net.set_fault_injector(Box::new(crate::FaultSchedule::new(spec, 9)));
+            net.set_faults(FaultSchedule::new(spec, 9));
             net.run(20).unwrap()
         };
         let outcome = run();
@@ -747,8 +738,8 @@ mod tests {
         // Byzantine traffic is accounted separately from honest traffic.
         assert!(outcome.metrics.byzantine_messages > 0);
         // Honest parties still decided.
-        assert!(outcome.output_of(PartyId::left(1)).is_some());
-        assert!(outcome.output_of(PartyId::right(1)).is_some());
+        assert!(outcome.outputs.contains_key(&PartyId::left(1)));
+        assert!(outcome.outputs.contains_key(&PartyId::right(1)));
     }
 
     #[test]
@@ -854,7 +845,7 @@ mod tests {
             log: log.clone(),
         }));
         let spec: crate::FaultSpec = "jitter=2".parse().unwrap();
-        net.set_fault_injector(Box::new(crate::FaultSchedule::new(spec, 3)));
+        net.set_faults(FaultSchedule::new(spec, 3));
         let (outcome, buffers) = net.run_keeping_buffers(slots).unwrap();
         assert!(outcome.metrics.delayed_by_faults > 0, "jitter must delay some messages");
         assert_eq!(outcome.metrics.dropped_by_faults, 0);

@@ -17,16 +17,6 @@ impl Time {
     pub fn slot(self) -> u64 {
         self.0
     }
-
-    /// The time `slots` slots after `self`.
-    pub fn plus(self, slots: u64) -> Time {
-        Time(self.0 + slots)
-    }
-
-    /// Slots elapsed since `earlier`; zero if `earlier` is in the future.
-    pub fn since(self, earlier: Time) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
 }
 
 impl fmt::Display for Time {
@@ -66,14 +56,11 @@ mod tests {
         let t = Time::ZERO;
         assert_eq!(t.slot(), 0);
         assert_eq!((t + 3).slot(), 3);
-        assert_eq!(t.plus(5), Time(5));
         let mut u = Time(2);
         u += 4;
         assert_eq!(u, Time(6));
         assert_eq!(u - Time(2), 4);
         assert_eq!(Time(2) - u, 0);
-        assert_eq!(u.since(Time(1)), 5);
-        assert_eq!(Time(1).since(u), 0);
         assert_eq!(u.to_string(), "t=6");
     }
 }

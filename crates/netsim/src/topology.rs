@@ -38,19 +38,6 @@ impl Topology {
         }
     }
 
-    /// Returns `true` if the parties *within* `side` are pairwise connected.
-    pub fn side_connected(&self, side: Side) -> bool {
-        matches!((self, side), (Topology::FullyConnected, _) | (Topology::OneSided, Side::Right))
-    }
-
-    /// Returns `true` if every channel of `self` is also a channel of `other`.
-    ///
-    /// The paper's observation "each model is strictly stronger than the previous one"
-    /// (§2): bipartite ⊆ one-sided ⊆ fully-connected.
-    pub fn is_subgraph_of(&self, other: Topology) -> bool {
-        self <= &other
-    }
-
     /// Number of undirected channels in a market of size `k`.
     pub fn channel_count(&self, k: usize) -> usize {
         let cross = k * k;
@@ -121,20 +108,24 @@ mod tests {
         assert!(Topology::OneSided.connects(r.0, r.1));
         assert!(Topology::FullyConnected.connects(l.0, l.1));
         assert!(Topology::FullyConnected.connects(r.0, r.1));
-
-        assert!(!Topology::OneSided.side_connected(Side::Left));
-        assert!(Topology::OneSided.side_connected(Side::Right));
-        assert!(Topology::FullyConnected.side_connected(Side::Left));
-        assert!(!Topology::Bipartite.side_connected(Side::Right));
     }
 
+    /// §2: "each model is strictly stronger than the previous one". Every channel of
+    /// a weaker topology is a channel of the next one in `ALL`, which has more.
     #[test]
     fn inclusion_order_matches_paper() {
-        assert!(Topology::Bipartite.is_subgraph_of(Topology::OneSided));
-        assert!(Topology::OneSided.is_subgraph_of(Topology::FullyConnected));
-        assert!(Topology::Bipartite.is_subgraph_of(Topology::FullyConnected));
-        assert!(!Topology::FullyConnected.is_subgraph_of(Topology::OneSided));
-        assert!(Topology::OneSided.is_subgraph_of(Topology::OneSided));
+        let parties: Vec<PartyId> = PartySet::new(3).iter().collect();
+        for pair in Topology::ALL.windows(2) {
+            let (weaker, stronger) = (pair[0], pair[1]);
+            for &a in &parties {
+                for &b in &parties {
+                    if weaker.connects(a, b) {
+                        assert!(stronger.connects(a, b), "{weaker} {a}-{b} missing in {stronger}");
+                    }
+                }
+            }
+            assert!(stronger.channel_count(3) > weaker.channel_count(3), "{weaker} {stronger}");
+        }
     }
 
     #[test]
