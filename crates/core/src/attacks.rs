@@ -31,12 +31,13 @@ use crate::harness::Scenario;
 use crate::problem::{AuthMode, Setting};
 use crate::relay::relay_digest;
 use crate::solvability::ProtocolPlan;
-use crate::wire::{pref_to_vec, PrefVec, ProtoBody, ProtoMsg, WireMsg};
+use crate::wire::{pref_to_vec, PrefVec, ProtoBody, ProtoMsg, Relayed, WireMsg};
 use bsm_broadcast::{BaMsg, BbMsg, CommitteeMsg, KingMsg, KingMsgKind};
 use bsm_crypto::SigningKey;
 use bsm_matching::{PreferenceList, PreferenceProfile, Side};
 use bsm_net::{Adversary, AdversaryContext, Envelope, Outgoing, PartyId, Topology};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A ready-to-run impossibility experiment.
 pub struct Attack {
@@ -463,21 +464,20 @@ impl Adversary<WireMsg> for FullSidePartitionAdversary {
         // They are delivered through an arbitrary byzantine right relayer.
         let relayer = PartyId::right(0);
         for forged in &self.relays {
-            let digest =
-                relay_digest(self.byz_left, forged.target, forged.id, slot, &forged.inner, self.k);
-            let signature = self.byz_left_key.sign(digest);
+            let mut relayed = Relayed {
+                target: forged.target,
+                id: forged.id,
+                sent_at: slot,
+                inner: forged.inner.clone(),
+                signature: None,
+            };
+            let digest = relay_digest(self.byz_left, &relayed, self.k);
+            relayed.signature = Some(self.byz_left_key.sign(digest));
             out.push((
                 relayer,
                 Outgoing::new(
                     forged.target,
-                    WireMsg::RelayDeliver {
-                        origin: forged.origin,
-                        target: forged.target,
-                        id: forged.id,
-                        sent_at: slot,
-                        inner: forged.inner.clone(),
-                        signature: Some(signature.into()),
-                    },
+                    WireMsg::RelayDeliver { origin: forged.origin, relayed: Arc::new(relayed) },
                 ),
             ));
         }

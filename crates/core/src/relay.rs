@@ -15,7 +15,7 @@
 //!   byzantine the message may be omitted but can never be altered — exactly the
 //!   omission model of §5.2.
 
-use crate::wire::{ProtoMsg, WireMsg};
+use crate::wire::{ProtoMsg, Relayed, WireMsg};
 use bsm_broadcast::KeyDirectory;
 use bsm_crypto::{Digest, DigestWriter, Digestible, SigningKey, Verifier};
 use bsm_net::{Outgoing, PartyId, PartySet, Time, Topology};
@@ -25,8 +25,9 @@ use std::sync::Arc;
 /// How relayed payloads are authenticated by their final recipient.
 #[derive(Debug, Clone)]
 pub enum RelayMode {
-    /// No relaying: every required channel exists (fully-connected topology). Relayed
-    /// messages are ignored.
+    /// No relaying: every required channel exists (fully-connected topology). Relay
+    /// requests and relayed deliveries are ignored: such a party performs no relay
+    /// duty and accepts only direct payloads.
     Direct,
     /// Lemma 6: accept payloads confirmed by a strict majority of the relaying side,
     /// each relayer delivering an equal `(sent_at, payload)`.
@@ -42,50 +43,44 @@ pub enum RelayMode {
     },
 }
 
-/// The digest an origin signs over when relaying `inner` to `target` — the
-/// `(P → P′, τ, id, m)` tuple of the paper's protocols.
-pub fn relay_digest(
-    origin: PartyId,
-    target: PartyId,
-    id: u64,
-    sent_at: u64,
-    inner: &ProtoMsg,
-    k: usize,
-) -> Digest {
+/// The digest `origin` signs over when relaying `relayed` — the `(P → P′, τ, id, m)`
+/// tuple of the paper's protocols. The signature itself is not part of it.
+pub fn relay_digest(origin: PartyId, relayed: &Relayed, k: usize) -> Digest {
     let mut writer = DigestWriter::new();
     writer
         .label("bsm-relay")
         .u64(origin.dense(k) as u64)
-        .u64(target.dense(k) as u64)
-        .u64(id)
-        .u64(sent_at);
-    inner.feed(&mut writer);
+        .u64(relayed.target.dense(k) as u64)
+        .u64(relayed.id)
+        .u64(relayed.sent_at);
+    relayed.inner.feed(&mut writer);
     writer.finish()
 }
 
 /// Majority-relay vote state for one (origin, id): each candidate `(sent_at, payload)`,
-/// as first observed, with the distinct relayers backing it.
-type Tally = Vec<(u64, ProtoMsg, BTreeSet<PartyId>)>;
+/// as the tuple that first carried it, with the distinct relayers backing it.
+type Tally = Vec<(Arc<Relayed>, BTreeSet<PartyId>)>;
 
 /// Per-party relay engine: wraps outgoing sends, performs relay duty, and authenticates
 /// incoming relayed payloads.
 ///
-/// Both directions append to buffers the caller owns and reuses, so relaying a message
-/// allocates nothing beyond what its payload shares.
+/// Both directions append to buffers the caller owns and reuses. A relayed send
+/// allocates one [`Relayed`] tuple that every relayer's request shares, and relay duty
+/// forwards that same allocation.
 pub struct RelayEngine {
     me: PartyId,
     parties: PartySet,
     topology: Topology,
     mode: RelayMode,
     signing_key: Option<SigningKey>,
-    /// Memoizing verification handle for signed mode (`None` otherwise). Re-verifying
-    /// the same relayed signature (e.g. duplicate deliveries racing the `delivered`
-    /// check) then skips the tag hash and registry lookup without changing any
-    /// accept/reject decision.
+    /// Verification handle for signed mode (`None` otherwise). Its memo never hits
+    /// here: a signature that verifies is accepted, and `delivered` drops every later
+    /// copy of its `(origin, id)` before verification. Verifying compares the claimed
+    /// tag with the one stored at signing, so it computes no digest.
     verifier: Option<Verifier>,
     next_id: u64,
-    /// Majority mode: (origin, id) → each distinct `(sent_at, payload)` seen, with the
-    /// distinct relayers that delivered it.
+    /// Majority mode: (origin, id) → each distinct `(sent_at, payload)` seen, in the
+    /// tuple that first carried it, with the distinct relayers that delivered it.
     tallies: BTreeMap<(PartyId, u64), Tally>,
     /// Messages already delivered to the protocol, by (origin, id).
     delivered: BTreeSet<(PartyId, u64)>,
@@ -138,8 +133,8 @@ impl RelayEngine {
     }
 
     /// Wraps an outgoing protocol message into wire messages, appended to `out`: a
-    /// single direct send when the channel exists, or one relay request per relayer
-    /// (every party on the opposite side) otherwise.
+    /// single direct send when the channel exists, or otherwise one relay request per
+    /// relayer (every party on the opposite side), all sharing one [`Relayed`] tuple.
     pub fn send(
         &mut self,
         to: PartyId,
@@ -153,27 +148,15 @@ impl RelayEngine {
         }
         let id = self.next_id;
         self.next_id += 1;
-        let sent_at = now.slot();
-        let signature = match &self.mode {
-            RelayMode::Signed { .. } => {
-                let key = self.signing_key.as_ref().expect("signed mode holds a key");
-                let digest = relay_digest(self.me, to, id, sent_at, &msg, self.parties.k());
-                Some(Arc::new(key.sign(digest)))
-            }
-            _ => None,
-        };
-        out.extend(self.parties.side(self.me.side.opposite()).map(|relayer| {
-            Outgoing::new(
-                relayer,
-                WireMsg::RelayRequest {
-                    target: to,
-                    id,
-                    sent_at,
-                    inner: msg.clone(),
-                    signature: signature.clone(),
-                },
-            )
-        }));
+        let mut relayed =
+            Relayed { target: to, id, sent_at: now.slot(), inner: msg, signature: None };
+        if let RelayMode::Signed { .. } = self.mode {
+            let key = self.signing_key.as_ref().expect("signed mode holds a key");
+            relayed.signature = Some(key.sign(relay_digest(self.me, &relayed, self.parties.k())));
+        }
+        let relayed = Arc::new(relayed);
+        let request = |relayer| Outgoing::new(relayer, WireMsg::RelayRequest(Arc::clone(&relayed)));
+        out.extend(self.parties.side(self.me.side.opposite()).map(request));
     }
 
     /// Handles one incoming wire message.
@@ -191,24 +174,24 @@ impl RelayEngine {
     ) {
         match msg {
             WireMsg::Direct(inner) => accepted.push((from, inner)),
-            WireMsg::RelayRequest { target, id, sent_at, inner, signature } => {
+            WireMsg::RelayRequest(relayed) => {
                 // Relay duty (step 1 of the paper's ΠbSM code for side R): forward the
-                // signed tuple to its target, provided this party actually has a channel
-                // to it and the request plausibly needs relaying. A request to relay to
-                // ourselves comes from a confused or malicious origin and is ignored.
-                if target != self.me && self.topology.connects(self.me, target) {
-                    let deliver = WireMsg::RelayDeliver {
-                        origin: from,
-                        target,
-                        id,
-                        sent_at,
-                        inner,
-                        signature,
-                    };
+                // tuple, as the origin's own allocation, to its target, naming the
+                // envelope sender as its origin so that no origin vouches for itself.
+                // Only a relaying mode performs duty, and only towards a target this
+                // party has a channel to; a request to relay to ourselves comes from a
+                // confused or malicious origin and is ignored.
+                let target = relayed.target;
+                if !matches!(self.mode, RelayMode::Direct)
+                    && target != self.me
+                    && self.topology.connects(self.me, target)
+                {
+                    let deliver = WireMsg::RelayDeliver { origin: from, relayed };
                     duties.push(Outgoing::new(target, deliver));
                 }
             }
-            WireMsg::RelayDeliver { origin, target, id, sent_at, inner, signature } => {
+            WireMsg::RelayDeliver { origin, relayed } => {
+                let Relayed { target, id, sent_at, ref inner, ref signature } = *relayed;
                 if target != self.me || self.delivered.contains(&(origin, id)) {
                     return;
                 }
@@ -217,17 +200,17 @@ impl RelayEngine {
                     RelayMode::Majority => {
                         let threshold = self.parties.k() / 2 + 1;
                         let tally = self.tallies.entry((origin, id)).or_default();
-                        let found = tally
-                            .iter()
-                            .position(|(at, payload, _)| *at == sent_at && *payload == inner);
+                        let found = tally.iter().position(|(first, _)| {
+                            first.sent_at == sent_at && first.inner == *inner
+                        });
                         let index = found.unwrap_or_else(|| {
-                            tally.push((sent_at, inner, BTreeSet::new()));
+                            tally.push((Arc::clone(&relayed), BTreeSet::new()));
                             tally.len() - 1
                         });
-                        let (_, payload, relayers) = &mut tally[index];
+                        let (first, relayers) = &mut tally[index];
                         relayers.insert(from);
                         if relayers.len() >= threshold {
-                            let payload = payload.clone();
+                            let payload = first.inner.clone();
                             self.delivered.insert((origin, id));
                             self.tallies.remove(&(origin, id));
                             accepted.push((origin, payload));
@@ -245,13 +228,12 @@ impl RelayEngine {
                         {
                             return;
                         }
-                        let digest =
-                            relay_digest(origin, target, id, sent_at, &inner, self.parties.k());
+                        let digest = relay_digest(origin, &relayed, self.parties.k());
                         let verifier =
                             self.verifier.as_mut().expect("signed mode holds a verifier");
-                        if verifier.verify(&signature, digest) {
+                        if verifier.verify(signature, digest) {
                             self.delivered.insert((origin, id));
-                            accepted.push((origin, inner));
+                            accepted.push((origin, inner.clone()));
                         }
                     }
                 }
@@ -264,7 +246,7 @@ impl RelayEngine {
 mod tests {
     use super::*;
     use crate::wire::{PrefVec, ProtoBody};
-    use bsm_crypto::{KeyId, Pki};
+    use bsm_crypto::{KeyId, Pki, Signature};
 
     fn msg(tag: u64) -> ProtoMsg {
         ProtoMsg { instance: 0, body: ProtoBody::Suggest(Some(tag)) }
@@ -272,6 +254,24 @@ mod tests {
 
     fn parties() -> PartySet {
         PartySet::new(3)
+    }
+
+    fn relayed(
+        target: PartyId,
+        id: u64,
+        sent_at: u64,
+        inner: ProtoMsg,
+        signature: Option<Signature>,
+    ) -> Arc<Relayed> {
+        Arc::new(Relayed { target, id, sent_at, inner, signature })
+    }
+
+    /// The shared tuple of a relay request.
+    fn request_of(outgoing: &Outgoing<WireMsg>) -> &Arc<Relayed> {
+        let WireMsg::RelayRequest(relayed) = &outgoing.payload else {
+            panic!("expected a relay request, got {:?}", outgoing.payload);
+        };
+        relayed
     }
 
     fn send(
@@ -321,10 +321,38 @@ mod tests {
         let out = send(&mut engine, PartyId::left(2), msg(1), Time(0));
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|o| o.to.is_right()));
-        assert!(out.iter().all(|o| matches!(o.payload, WireMsg::RelayRequest { .. })));
+        assert_eq!(**request_of(&out[0]), *relayed(PartyId::left(2), 0, 0, msg(1), None));
         // Cross-side sends stay direct even in the bipartite topology.
         let direct = send(&mut engine, PartyId::right(1), msg(2), Time(0));
         assert_eq!(direct.len(), 1);
+    }
+
+    #[test]
+    fn one_relayed_send_is_one_allocation() {
+        let origin = PartyId::left(0);
+        let mut engine =
+            RelayEngine::new(origin, parties(), Topology::Bipartite, RelayMode::Majority, None);
+        let requests = send(&mut engine, PartyId::left(2), msg(1), Time(0));
+        // Every relayer's request shares the origin's one tuple.
+        let shared = request_of(&requests[0]);
+        assert!(requests.iter().all(|r| Arc::ptr_eq(request_of(r), shared)));
+        assert_eq!(Arc::strong_count(shared), requests.len());
+        // Relay duty forwards that same allocation, not a copy.
+        let mut relayer = RelayEngine::new(
+            PartyId::right(1),
+            parties(),
+            Topology::Bipartite,
+            RelayMode::Majority,
+            None,
+        );
+        let (_, duties) = handle(&mut relayer, origin, requests[1].payload.clone(), Time(1));
+        let [duty] = duties.as_slice() else {
+            panic!("expected one relay duty, got {duties:?}");
+        };
+        let WireMsg::RelayDeliver { relayed, .. } = &duty.payload else {
+            panic!("expected a relayed delivery");
+        };
+        assert!(Arc::ptr_eq(relayed, shared), "relay duty copied the tuple");
     }
 
     #[test]
@@ -336,13 +364,7 @@ mod tests {
             RelayMode::Majority,
             None,
         );
-        let request = WireMsg::RelayRequest {
-            target: PartyId::left(2),
-            id: 0,
-            sent_at: 0,
-            inner: msg(5),
-            signature: None,
-        };
+        let request = WireMsg::RelayRequest(relayed(PartyId::left(2), 0, 0, msg(5), None));
         let (accepted, duties) = handle(&mut relayer, PartyId::left(0), request, Time(1));
         assert!(accepted.is_empty());
         assert_eq!(duties.len(), 1);
@@ -352,13 +374,7 @@ mod tests {
             WireMsg::RelayDeliver { origin, .. } if *origin == PartyId::left(0)
         ));
         // Requests targeting the relayer itself or unreachable parties are dropped.
-        let bogus = WireMsg::RelayRequest {
-            target: PartyId::right(1),
-            id: 1,
-            sent_at: 0,
-            inner: msg(5),
-            signature: None,
-        };
+        let bogus = WireMsg::RelayRequest(relayed(PartyId::right(1), 1, 0, msg(5), None));
         let (a, d) = handle(&mut relayer, PartyId::left(0), bogus, Time(1));
         assert!(a.is_empty() && d.is_empty());
     }
@@ -371,11 +387,7 @@ mod tests {
         let origin = PartyId::left(0);
         let deliver = |id: u64, sent_at: u64, inner: ProtoMsg| WireMsg::RelayDeliver {
             origin,
-            target: me,
-            id,
-            sent_at,
-            inner,
-            signature: None,
+            relayed: relayed(me, id, sent_at, inner, None),
         };
         // Two copies of the honest payload, equal but separately allocated, so the
         // delivered one can be told apart by identity.
@@ -444,20 +456,10 @@ mod tests {
 
         let requests = send(&mut sender_engine, target, msg(3), Time(0));
         assert_eq!(requests.len(), 3);
-        let WireMsg::RelayRequest { id, sent_at, inner, signature, .. } =
-            requests[0].payload.clone()
-        else {
-            panic!("expected a relay request");
-        };
+        let signed = Arc::clone(request_of(&requests[0]));
+        assert!(signed.signature.is_some());
         // A single honest relayer forwards it; the receiver accepts.
-        let deliver = WireMsg::RelayDeliver {
-            origin,
-            target,
-            id,
-            sent_at,
-            inner: inner.clone(),
-            signature: signature.clone(),
-        };
+        let deliver = WireMsg::RelayDeliver { origin, relayed: Arc::clone(&signed) };
         let (accepted, _) =
             handle(&mut receiver_engine, PartyId::right(0), deliver.clone(), Time(2));
         assert_eq!(accepted, vec![(origin, msg(3))]);
@@ -466,36 +468,20 @@ mod tests {
         assert!(again.is_empty());
 
         // Tampered content is rejected (signature no longer verifies).
-        let tampered = WireMsg::RelayDeliver {
-            origin,
-            target,
-            id: id + 1,
-            sent_at,
-            inner: msg(99),
-            signature,
-        };
+        let tampered = Relayed { id: signed.id + 1, inner: msg(99), ..(*signed).clone() };
+        let tampered = WireMsg::RelayDeliver { origin, relayed: Arc::new(tampered) };
         let (rejected, _) = handle(&mut receiver_engine, PartyId::right(0), tampered, Time(2));
         assert!(rejected.is_empty());
 
         // Stale deliveries (older than max_age slots) are rejected.
         let more = send(&mut sender_engine, target, msg(4), Time(1));
-        let WireMsg::RelayRequest { id, sent_at, inner, signature, .. } = more[0].payload.clone()
-        else {
-            panic!("expected a relay request");
-        };
-        let late = WireMsg::RelayDeliver { origin, target, id, sent_at, inner, signature };
+        let late = WireMsg::RelayDeliver { origin, relayed: Arc::clone(request_of(&more[0])) };
         let (rejected, _) = handle(&mut receiver_engine, PartyId::right(0), late, Time(10));
         assert!(rejected.is_empty());
 
         // Unsigned deliveries are rejected in signed mode.
-        let unsigned = WireMsg::RelayDeliver {
-            origin,
-            target,
-            id: 50,
-            sent_at: 9,
-            inner: msg(5),
-            signature: None,
-        };
+        let unsigned =
+            WireMsg::RelayDeliver { origin, relayed: relayed(target, 50, 9, msg(5), None) };
         let (rejected, _) = handle(&mut receiver_engine, PartyId::right(0), unsigned, Time(10));
         assert!(rejected.is_empty());
     }
@@ -507,15 +493,17 @@ mod tests {
             RelayEngine::new(me, parties(), Topology::FullyConnected, RelayMode::Direct, None);
         let deliver = WireMsg::RelayDeliver {
             origin: PartyId::left(0),
-            target: me,
-            id: 0,
-            sent_at: 0,
-            inner: msg(1),
-            signature: None,
+            relayed: relayed(me, 0, 0, msg(1), None),
         };
         let (accepted, duties) = handle(&mut engine, PartyId::right(0), deliver, Time(1));
         assert!(accepted.is_empty());
         assert!(duties.is_empty());
+        // A fully-connected party performs no relay duty either, although it can reach
+        // the target.
+        let request = WireMsg::RelayRequest(relayed(PartyId::left(2), 0, 0, msg(1), None));
+        let (accepted, duties) = handle(&mut engine, PartyId::left(0), request, Time(1));
+        assert!(accepted.is_empty());
+        assert!(duties.is_empty(), "relayed in Direct mode: {duties:?}");
     }
 
     #[test]

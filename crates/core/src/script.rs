@@ -28,6 +28,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 
 /// One step of a scripted attack.
 ///
@@ -629,11 +630,18 @@ fn peek_nth(
 
 /// The Dolev–Strong payload of a wire message (looking through relay wrappers),
 /// together with its instance tag.
+///
+/// A relayed tuple is shared with the other relayers' copies of the same send, so it
+/// is copied on write: tampering with one message leaves the others as they were.
 fn ds_body(msg: &mut WireMsg) -> Option<(u32, &mut DolevStrongMsg<PrefVec>)> {
     let inner = match msg {
         WireMsg::Direct(inner) => inner,
-        WireMsg::RelayRequest { inner, .. } => inner,
-        WireMsg::RelayDeliver { inner, .. } => inner,
+        WireMsg::RelayRequest(relayed) | WireMsg::RelayDeliver { relayed, .. } => {
+            if !matches!(relayed.inner.body, ProtoBody::Ds(_)) {
+                return None;
+            }
+            &mut Arc::make_mut(relayed).inner
+        }
     };
     match &mut inner.body {
         ProtoBody::Ds(ds) => Some((inner.instance, ds)),
@@ -1121,5 +1129,26 @@ mod tests {
         let err = Script::load(Path::new("/nonexistent/fuzz/script.toml")).unwrap_err();
         assert_eq!(err.line, 0);
         assert!(err.to_string().contains("cannot read"));
+    }
+
+    #[test]
+    fn tampering_with_one_relayed_copy_leaves_the_others_as_sent() {
+        use crate::wire::{ProtoMsg, Relayed};
+        let ds = DolevStrongMsg { value: [0, 1].into(), chain: SigChain::new() };
+        let sent = ProtoMsg { instance: 0, body: ProtoBody::Ds(ds) };
+        let shared = Arc::new(Relayed {
+            target: PartyId::left(1),
+            id: 0,
+            sent_at: 0,
+            inner: sent.clone(),
+            signature: None,
+        });
+        let mut tampered =
+            WireMsg::RelayDeliver { origin: PartyId::left(0), relayed: Arc::clone(&shared) };
+        let (_, ds) = ds_body(&mut tampered).expect("a relayed Dolev–Strong payload");
+        ds.value = [1, 0].into();
+        let WireMsg::RelayDeliver { relayed, .. } = tampered else { unreachable!() };
+        assert_ne!(relayed.inner, sent, "the tampered copy kept the sent payload");
+        assert_eq!(shared.inner, sent, "tampering reached the other relayers' copies");
     }
 }

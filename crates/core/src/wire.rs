@@ -4,12 +4,12 @@
 //! party, one agreement per opposite-side party, …). [`ProtoMsg`] multiplexes them with
 //! an instance tag, and [`WireMsg`] adds the channel-simulation layer: either a direct
 //! payload or the relay-request / relay-delivery pair used to simulate missing channels
-//! (Lemmas 6, 8 and 10).
+//! (Lemmas 6, 8 and 10), both of which carry one shared [`Relayed`] tuple.
 //!
 //! Every message moves by value along the simulated network, so the wire types keep
 //! their inline size small and their clones cheap: preference lists ([`PrefVec`]) and
 //! signature chains ([`bsm_crypto::SigChain`]) are shared behind an `Arc`, and so is
-//! the origin signature that only relayed messages carry.
+//! each relayed send's whole tuple, origin signature included.
 
 use bsm_broadcast::{BaMsg, BbMsg, CommitteeMsg, DolevStrongMsg};
 use bsm_crypto::{DigestWriter, Digestible, Signature};
@@ -126,45 +126,46 @@ impl Digestible for ProtoMsg {
     }
 }
 
+/// One relayed send: the `(P → P′, τ, id, m)` tuple of the paper's relays, without
+/// its origin `P`. A request's origin is its envelope sender, and the relayer names it
+/// in the delivery it forwards.
+///
+/// The origin builds one per relayed send, and every relayer's request and delivery
+/// shares it behind an `Arc`, so relaying through `k` parties copies no payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Relayed {
+    /// Final destination of the relayed payload.
+    pub target: PartyId,
+    /// Per-origin message identifier.
+    pub id: u64,
+    /// Slot at which the origin handed the message to the relays (the `τ` of the
+    /// paper's tuples).
+    pub sent_at: u64,
+    /// The relayed payload.
+    pub inner: ProtoMsg,
+    /// Origin signature over the relay digest (authenticated settings only).
+    pub signature: Option<Signature>,
+}
+
 /// A message on the simulated network: either a direct sub-protocol payload between
 /// connected parties, or one hop of the channel-simulation relay.
 ///
-/// The origin signature of the relay variants is shared behind an `Arc`: one signed
-/// send fans out to every relayer, and an inline `Option<Signature>` (72 bytes) would
-/// make every message, direct ones included, 64 bytes larger.
+/// Both relay variants hold their tuple behind one pointer: it fans out to every
+/// relayer, and inline (144 bytes with its signature) it would make every message,
+/// direct ones included, three times larger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireMsg {
     /// A direct payload (the sender is the envelope sender).
     Direct(ProtoMsg),
-    /// "Please forward `inner` to `target` on my behalf" — sent by the origin to the
-    /// relaying side. The origin is the envelope sender.
-    RelayRequest {
-        /// Final destination of the relayed payload.
-        target: PartyId,
-        /// Per-origin message identifier.
-        id: u64,
-        /// Slot at which the origin handed the message to the relays (the `τ` of the
-        /// paper's `(P → P′, τ, id, m)` tuples).
-        sent_at: u64,
-        /// The relayed payload.
-        inner: ProtoMsg,
-        /// Origin signature over the relay digest (authenticated settings only).
-        signature: Option<Arc<Signature>>,
-    },
+    /// "Please forward this to its target on my behalf" — sent by the origin to each
+    /// party of the relaying side. The origin is the envelope sender.
+    RelayRequest(Arc<Relayed>),
     /// A relayed payload delivered to its target. The envelope sender is the relayer.
     RelayDeliver {
-        /// The original sender.
+        /// The original sender, as the relayer saw it.
         origin: PartyId,
-        /// The final destination (must be the receiving party).
-        target: PartyId,
-        /// Per-origin message identifier.
-        id: u64,
-        /// Slot at which the origin handed the message to the relays.
-        sent_at: u64,
-        /// The relayed payload.
-        inner: ProtoMsg,
-        /// Origin signature over the relay digest (authenticated settings only).
-        signature: Option<Arc<Signature>>,
+        /// The relayed tuple (its target must be the receiving party).
+        relayed: Arc<Relayed>,
     },
 }
 
@@ -208,14 +209,16 @@ mod tests {
     /// Every message is moved by value from the sender's buffer into the network, into
     /// an inbox and on through the relay, so these sizes are paid on every hop of
     /// every message. The budget holds because payloads are shared (`PrefVec`,
-    /// `SigChain`) and the relay-only signature sits behind a pointer; a new inline
-    /// field in one variant would silently grow all messages, direct ones included.
+    /// `SigChain`) and the relay tuple sits behind a pointer; a new inline field in one
+    /// variant would silently grow all messages, direct ones included.
     #[test]
     fn wire_messages_stay_within_their_size_budget() {
         use std::mem::size_of;
-        assert!(size_of::<WireMsg>() <= 88, "WireMsg is {} bytes", size_of::<WireMsg>());
+        assert!(size_of::<WireMsg>() <= 48, "WireMsg is {} bytes", size_of::<WireMsg>());
         let envelope = size_of::<bsm_net::Envelope<WireMsg>>();
-        assert!(envelope <= 120, "Envelope<WireMsg> is {envelope} bytes");
+        assert!(envelope <= 80, "Envelope<WireMsg> is {envelope} bytes");
+        let outgoing = size_of::<bsm_net::Outgoing<WireMsg>>();
+        assert!(outgoing <= 56, "Outgoing<WireMsg> is {outgoing} bytes");
     }
 
     #[test]
