@@ -170,7 +170,6 @@ pub struct Scenario {
     adversary: AdversarySpec,
     faults: FaultSpec,
     seed: u64,
-    max_slots: Option<u64>,
     env: ScenarioEnv,
 }
 
@@ -183,7 +182,6 @@ pub struct ScenarioBuilder {
     adversary: AdversarySpec,
     faults: FaultSpec,
     seed: u64,
-    max_slots: Option<u64>,
 }
 
 impl Scenario {
@@ -196,7 +194,6 @@ impl Scenario {
             adversary: AdversarySpec::Crash,
             faults: FaultSpec::NONE,
             seed: 0,
-            max_slots: None,
         }
     }
 
@@ -286,12 +283,11 @@ impl Scenario {
         let signatures_before = env.directory.pki().signatures_issued();
         let slots_per_round = env.slots_per_round();
         let total_rounds = env.total_rounds(plan);
-        // Under a fault schedule the automatic budget is extended by the worst case the
-        // plan can cost (partitioned slots, crash outage, jitter per round) — a pure
-        // function of the spec, so the budget stays identical across threads/shards.
-        let max_slots = self.max_slots.unwrap_or_else(|| {
-            slots_per_round * (total_rounds + 4) + 8 + self.faults.slot_slack(total_rounds + 4)
-        });
+        // Under a fault schedule the budget is extended by the worst case the plan can
+        // cost (partitioned slots, crash outage, jitter per round) — a pure function of
+        // the spec, so the budget stays identical across threads/shards.
+        let max_slots =
+            slots_per_round * (total_rounds + 4) + 8 + self.faults.slot_slack(total_rounds + 4);
 
         let mut net: SyncNetwork<WireMsg, MatchDecision> = SyncNetwork::with_buffers(
             self.setting.k(),
@@ -361,7 +357,7 @@ impl ScenarioBuilder {
     ///
     /// The plan's stochastic axes draw from a stream derived from this scenario's
     /// seed, distinct from the profile/adversary streams, and a non-`NONE` plan
-    /// extends the automatic slot budget by the plan's worst-case cost. Non-decision
+    /// extends the slot budget by the plan's worst-case cost. Non-decision
     /// under faults is legitimate data: the run reports `all_honest_decided = false`
     /// instead of erroring.
     pub fn faults(mut self, faults: FaultSpec) -> Self {
@@ -372,12 +368,6 @@ impl ScenarioBuilder {
     /// Seeds profile generation and randomized adversaries (default: 0).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Overrides the automatic slot budget.
-    pub fn max_slots(mut self, max_slots: u64) -> Self {
-        self.max_slots = Some(max_slots);
         self
     }
 
@@ -423,7 +413,6 @@ impl ScenarioBuilder {
             adversary: self.adversary,
             faults: self.faults,
             seed: self.seed,
-            max_slots: self.max_slots,
             env,
         })
     }

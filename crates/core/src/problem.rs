@@ -211,19 +211,6 @@ impl BsmInstance {
         }
         Self { profile, corrupted }
     }
-
-    /// Returns `true` if `party` is honest in this instance.
-    pub fn is_honest(&self, party: PartyId) -> bool {
-        !self.corrupted.contains(&party)
-    }
-
-    /// The preference list of a party (as it would use if honest).
-    pub fn preference_of(&self, party: PartyId) -> &bsm_matching::PreferenceList {
-        match party.side {
-            Side::Left => self.profile.left(party.idx()),
-            Side::Right => self.profile.right(party.idx()),
-        }
-    }
 }
 
 /// The inputs of a simplified stable matching (sSM) instance: each party's favorite on
@@ -306,17 +293,6 @@ mod tests {
         assert!(!SettingError::EmptyMarket.to_string().is_empty());
         let e = SettingError::BudgetTooLarge { side: Side::Left, bound: 5, k: 3 };
         assert!(e.to_string().contains('5'));
-    }
-
-    #[test]
-    fn instance_helpers() {
-        let profile = PreferenceProfile::identity(3).unwrap();
-        let corrupted: BTreeSet<PartyId> = [PartyId::right(1)].into_iter().collect();
-        let instance = BsmInstance::new(profile, corrupted);
-        assert!(instance.is_honest(PartyId::left(0)));
-        assert!(!instance.is_honest(PartyId::right(1)));
-        assert_eq!(instance.preference_of(PartyId::left(2)).favorite(), 0);
-        assert_eq!(instance.preference_of(PartyId::right(2)).favorite(), 0);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 use crate::harness::{AdversarySpec, HarnessError, Scenario, ScenarioOutcome};
 use crate::problem::{Setting, SsmInstance};
 use crate::properties::{check_ssm, PropertyViolation};
-use bsm_matching::PreferenceProfile;
-use bsm_net::PartyId;
+use bsm_matching::{PreferenceProfile, Side};
+use bsm_net::{PartyId, SimError};
 use std::collections::BTreeSet;
 
 /// The outcome of an sSM run: the underlying bSM outcome plus the violations measured
@@ -42,8 +42,10 @@ impl SsmScenario {
     ///
     /// # Errors
     ///
-    /// Returns [`HarnessError::ProfileMismatch`] if the favorite vectors do not have
-    /// exactly `k` entries each.
+    /// Returns [`HarnessError::ProfileMismatch`], with the length that differs from
+    /// `k`, if the favorite vectors do not have exactly `k` entries each, and
+    /// [`SimError::UnknownParty`] (wrapped in [`HarnessError::Sim`]) if a favorite
+    /// names a party outside the market.
     pub fn new(
         setting: Setting,
         left_favorites: Vec<usize>,
@@ -53,11 +55,16 @@ impl SsmScenario {
         seed: u64,
     ) -> Result<Self, HarnessError> {
         let k = setting.k();
-        if left_favorites.len() != k || right_favorites.len() != k {
-            return Err(HarnessError::ProfileMismatch {
-                expected: k,
-                found: left_favorites.len().min(right_favorites.len()),
-            });
+        // A left party's favorite is on the right side, and vice versa.
+        for (favorites, side) in [(&left_favorites, Side::Right), (&right_favorites, Side::Left)] {
+            if favorites.len() != k {
+                return Err(HarnessError::ProfileMismatch { expected: k, found: favorites.len() });
+            }
+            if let Some(&favorite) = favorites.iter().find(|&&favorite| favorite >= k) {
+                let index = u32::try_from(favorite).unwrap_or(u32::MAX);
+                let party = PartyId { side, index };
+                return Err(HarnessError::Sim(SimError::UnknownParty { party }));
+            }
         }
         let instance = SsmInstance { left_favorites, right_favorites, corrupted };
         Ok(Self { setting, instance, adversary, seed })
@@ -132,16 +139,7 @@ mod tests {
 
     #[test]
     fn favorite_vectors_must_have_length_k() {
-        let setting =
-            Setting::new(3, Topology::FullyConnected, AuthMode::Authenticated, 0, 0).unwrap();
-        let result = SsmScenario::new(
-            setting,
-            vec![0, 1],
-            vec![0, 1, 2],
-            BTreeSet::new(),
-            AdversarySpec::Crash,
-            0,
-        );
+        let result = at_k3(vec![0, 1], vec![0, 1, 2]);
         assert!(matches!(result, Err(HarnessError::ProfileMismatch { .. })));
     }
 
@@ -159,5 +157,28 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(scenario.run(), Err(HarnessError::Unsolvable(_))));
+    }
+
+    /// An sSM scenario at k = 3 with no corruptions, from raw favorite vectors.
+    fn at_k3(left: Vec<usize>, right: Vec<usize>) -> Result<SsmScenario, HarnessError> {
+        let setting =
+            Setting::new(3, Topology::FullyConnected, AuthMode::Authenticated, 0, 0).unwrap();
+        SsmScenario::new(setting, left, right, BTreeSet::new(), AdversarySpec::Crash, 0)
+    }
+
+    #[test]
+    fn out_of_range_favorites_are_rejected_before_running() {
+        let err = at_k3(vec![3, 0, 0], vec![0, 1, 2]).expect_err("L0's favorite R3 is no party");
+        assert_eq!(err.to_string(), "simulator error: party R3 is not in the network");
+        let err = at_k3(vec![0, 1, 2], vec![0, 7, 0]).expect_err("R1's favorite L7 is no party");
+        assert_eq!(err.to_string(), "simulator error: party L7 is not in the network");
+    }
+
+    #[test]
+    fn a_length_mismatch_reports_the_length_that_differs_from_k() {
+        let err = at_k3(vec![0, 1, 2, 0], vec![0, 1, 2]).expect_err("4 left favorites at k = 3");
+        assert!(matches!(err, HarnessError::ProfileMismatch { expected: 3, found: 4 }), "{err}");
+        let err = at_k3(vec![0, 1, 2], vec![0, 1]).expect_err("2 right favorites at k = 3");
+        assert!(matches!(err, HarnessError::ProfileMismatch { expected: 3, found: 2 }), "{err}");
     }
 }

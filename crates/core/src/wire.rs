@@ -13,7 +13,7 @@
 
 use bsm_broadcast::{BaMsg, BbMsg, CommitteeMsg, DolevStrongMsg};
 use bsm_crypto::{DigestWriter, Digestible, Signature};
-use bsm_matching::{PreferenceList, Side};
+use bsm_matching::PreferenceList;
 use bsm_net::PartyId;
 use std::sync::Arc;
 
@@ -180,11 +180,6 @@ pub fn party_from_dense(dense: u32, k: usize) -> PartyId {
     PartyId::from_dense(dense as usize, k)
 }
 
-/// Lists all parties of a side, in index order.
-pub fn side_parties(side: Side, k: usize) -> Vec<PartyId> {
-    (0..k as u32).map(|i| PartyId { side, index: i }).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,6 +235,5 @@ mod tests {
         assert_eq!(dense_key_index(PartyId::left(2), 4), 2);
         assert_eq!(dense_key_index(PartyId::right(1), 4), 5);
         assert_eq!(party_from_dense(5, 4), PartyId::right(1));
-        assert_eq!(side_parties(Side::Right, 2), vec![PartyId::right(0), PartyId::right(1)]);
     }
 }

@@ -29,11 +29,6 @@ impl Digest {
         &self.0
     }
 
-    /// Builds a digest from raw bytes (e.g. when deserializing).
-    pub fn from_bytes(bytes: [u8; 32]) -> Self {
-        Digest(bytes)
-    }
-
     /// A short hexadecimal prefix, for logs and Debug output.
     pub fn short_hex(&self) -> String {
         let mut out = String::with_capacity(8);
@@ -128,30 +123,6 @@ impl DigestWriter {
         self
     }
 
-    /// Writes an optional value using the closure for the `Some` case.
-    pub fn option<T>(&mut self, value: Option<&T>, f: impl FnOnce(&mut Self, &T)) -> &mut Self {
-        match value {
-            None => {
-                self.hasher.update(&[0x06, 0x00]);
-            }
-            Some(v) => {
-                self.hasher.update(&[0x06, 0x01]);
-                f(self, v);
-            }
-        }
-        self
-    }
-
-    /// Writes a slice of u64 values (length-prefixed).
-    pub fn u64_slice(&mut self, values: &[u64]) -> &mut Self {
-        self.hasher.update(&[0x07]);
-        self.hasher.update(&(values.len() as u64).to_be_bytes());
-        for v in values {
-            self.hasher.update(&v.to_be_bytes());
-        }
-        self
-    }
-
     /// Writes a slice of usize values (length-prefixed, as u64).
     pub fn usize_slice(&mut self, values: &[usize]) -> &mut Self {
         self.hasher.update(&[0x08]);
@@ -166,17 +137,6 @@ impl DigestWriter {
     pub fn finish(self) -> Digest {
         crate::counters::count_digest();
         Digest(self.hasher.finalize())
-    }
-
-    /// Finishes, returns the digest and resets the writer to the empty state.
-    ///
-    /// Hot paths that compute many digests keep one writer alive and call this
-    /// instead of constructing a writer per digest; together with the
-    /// allocation-free [`Sha256::finalize_reset`] the whole digest pipeline then
-    /// runs without heap allocation.
-    pub fn finish_reset(&mut self) -> Digest {
-        crate::counters::count_digest();
-        Digest(self.hasher.finalize_reset())
     }
 }
 
@@ -273,7 +233,6 @@ mod tests {
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         );
         assert_eq!(d.as_bytes(), &crate::sha256::sha256(b"abc"));
-        assert_eq!(Digest::from_bytes(*d.as_bytes()), d);
     }
 
     #[test]
@@ -330,21 +289,7 @@ mod tests {
 
     #[test]
     fn option_and_slices_are_distinguished() {
-        let none = {
-            let mut w = DigestWriter::new();
-            w.option::<u64>(None, |w, v| {
-                w.u64(*v);
-            });
-            w.finish()
-        };
-        let some_zero = {
-            let mut w = DigestWriter::new();
-            w.option(Some(&0u64), |w, v| {
-                w.u64(*v);
-            });
-            w.finish()
-        };
-        assert_ne!(none, some_zero);
+        assert_ne!(Digest::of(&None::<u64>), Digest::of(&Some(0u64)));
 
         let s1 = {
             let mut w = DigestWriter::new();
@@ -357,22 +302,6 @@ mod tests {
             w.finish()
         };
         assert_ne!(s1, s2);
-    }
-
-    #[test]
-    fn finish_reset_matches_finish_and_resets() {
-        let reference = {
-            let mut w = DigestWriter::new();
-            w.label("msg").u64(7);
-            w.finish()
-        };
-        let mut w = DigestWriter::new();
-        w.label("msg").u64(7);
-        assert_eq!(w.finish_reset(), reference);
-        // The same writer, reused, behaves like a fresh one.
-        w.label("msg").u64(7);
-        assert_eq!(w.finish_reset(), reference);
-        assert_eq!(w.finish_reset(), DigestWriter::new().finish());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! alone, on any worker thread, and the aggregated results can be merged in the
 //! canonical grid order regardless of the order the threads finish in.
 
-use bsm_core::harness::{AdversarySpec, HarnessError, Scenario, ScenarioOutcome};
+use bsm_core::harness::{AdversarySpec, HarnessError, Scenario};
 use bsm_core::problem::{AuthMode, Setting, SettingError};
 use bsm_net::{FaultSpec, Topology};
 use std::fmt;
@@ -82,16 +82,6 @@ impl ScenarioSpec {
             .adversary(self.adversary)
             .faults(self.faults)
             .build()
-    }
-
-    /// Builds and runs the scenario with the plan prescribed by the solvability
-    /// characterization.
-    ///
-    /// # Errors
-    ///
-    /// Propagates build and run errors, including [`HarnessError::Unsolvable`].
-    pub fn run(&self) -> Result<ScenarioOutcome, HarnessError> {
-        self.build_scenario()?.run()
     }
 }
 
@@ -269,7 +259,7 @@ mod tests {
 
     #[test]
     fn spec_runs_clean_on_a_solvable_cell() {
-        let outcome = spec().run().unwrap();
+        let outcome = spec().build_scenario().unwrap().run().unwrap();
         assert!(outcome.violations.is_empty());
         assert!(outcome.all_honest_decided);
     }

@@ -30,11 +30,10 @@
 //! behind. The strict reader above can only *reject* such a stream; the salvage read
 //! mode — [`StreamingCells::salvage`], returning a [`SalvagedPrefix`] — instead stops
 //! cleanly at the first broken line and recovers everything before it: the valid
-//! ordered cell prefix, its folded [`Totals`] and the last-good coordinate. This is
-//! the read path crash recovery is built on: `campaign_ctl resume` salvages the
-//! prefix, re-runs only the missing tail of the shard's canonical range, and splices
-//! the two back into a complete footered export byte-identical to an uninterrupted
-//! run.
+//! ordered cell prefix and its folded [`Totals`]. This is the read path crash recovery
+//! is built on: `campaign_ctl resume` salvages the prefix, re-runs only the missing
+//! tail of the shard's canonical range, and splices the two back into a complete
+//! footered export byte-identical to an uninterrupted run.
 
 use crate::grid::ScenarioSpec;
 use crate::report::{CampaignReport, CellOutcome, CellRecord, CellStats, Totals};
@@ -793,23 +792,14 @@ pub struct SalvagedPrefix {
     pub truncation: Option<String>,
 }
 
-impl SalvagedPrefix {
-    /// The coordinates of the last salvaged cell — the resumption point. `None` when
-    /// nothing was salvageable.
-    pub fn last_coordinate(&self) -> Option<ScenarioSpec> {
-        self.cells.last().map(|cell| cell.spec)
-    }
-}
-
 impl<R: BufRead> StreamingCells<R> {
     /// Salvages the valid cell prefix of a (possibly truncated) streamed export.
     ///
     /// Where the strict iterator yields an error at the first broken line, salvage
     /// *stops cleanly* there instead: every cell before the break is returned, with
-    /// its folded [`Totals`] and the last-good coordinate, and the break itself is
-    /// recorded in [`SalvagedPrefix::truncation`]. An intact stream (footer present
-    /// and verified) salvages completely: `complete` is `true` and `cells` is the
-    /// whole export.
+    /// its folded [`Totals`], and the break itself is recorded in
+    /// [`SalvagedPrefix::truncation`]. An intact stream (footer present and verified)
+    /// salvages completely: `complete` is `true` and `cells` is the whole export.
     ///
     /// Note that salvage trusts each *line*, not the stream: a stream whose middle
     /// was damaged (rather than its tail cut off) still salvages every parseable,
@@ -1203,7 +1193,6 @@ mod tests {
         assert_eq!(salvaged.truncation, None);
         assert_eq!(salvaged.cells, report.cells());
         assert_eq!(salvaged.totals, report.totals());
-        assert_eq!(salvaged.last_coordinate(), Some(report.cells().last().unwrap().spec));
     }
 
     #[test]
@@ -1214,7 +1203,6 @@ mod tests {
         let salvaged = StreamingCells::salvage(&text.as_bytes()[..offset]).unwrap();
         assert!(!salvaged.complete);
         assert_eq!(salvaged.cells, &report.cells()[..2]);
-        assert_eq!(salvaged.last_coordinate(), Some(report.cells()[1].spec));
         let mut expected = Totals::default();
         for cell in &report.cells()[..2] {
             expected.record(&cell.outcome);
@@ -1267,7 +1255,6 @@ mod tests {
         assert!(!salvaged.complete);
         assert!(salvaged.cells.is_empty());
         assert_eq!(salvaged.totals, Totals::default());
-        assert_eq!(salvaged.last_coordinate(), None);
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! standard distributions from the distributed stable matching literature:
 //!
 //! * [`uniform_profile`] — independent uniformly random permutations (the default),
-//! * [`master_list_profile`] — all agents on a side share one "master" ranking
-//!   (perfectly correlated preferences),
 //! * [`similar_profile`] — lists obtained from a master list by a bounded number of
 //!   adjacent swaps, matching the "similar preference lists" regime of
-//!   Khanchandani–Wattenhofer (OPODIS 2016) cited in the related work,
+//!   Khanchandani–Wattenhofer (OPODIS 2016) cited in the related work; with no swaps
+//!   every agent on a side shares the master list (perfectly correlated preferences),
 //! * [`favorite_inputs`] — random favorite assignments for the simplified problem sSM.
 
 use crate::{PreferenceList, PreferenceProfile};
@@ -34,30 +33,12 @@ pub fn uniform_profile<R: Rng + ?Sized>(k: usize, rng: &mut R) -> PreferenceProf
     PreferenceProfile::new(left, right).expect("generated lists are valid")
 }
 
-/// Generates a profile in which all agents of each side share a single random master
-/// ranking of the opposite side.
-///
-/// Fully correlated preferences are the worst case for proposal counts in
-/// deferred acceptance and a common stress workload.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-pub fn master_list_profile<R: Rng + ?Sized>(k: usize, rng: &mut R) -> PreferenceProfile {
-    assert!(k > 0, "market size must be positive");
-    let left_master = uniform_list(k, rng);
-    let right_master = uniform_list(k, rng);
-    let left = vec![left_master; k];
-    let right = vec![right_master; k];
-    PreferenceProfile::new(left, right).expect("generated lists are valid")
-}
-
 /// Generates a profile whose lists are each obtained from a per-side master list by at
 /// most `swaps` random adjacent transpositions.
 ///
-/// `swaps = 0` reproduces [`master_list_profile`]; large `swaps` approaches
-/// [`uniform_profile`]. This models the "similar preference lists" regime studied by
-/// Khanchandani and Wattenhofer.
+/// `swaps = 0` gives every agent on a side the same random master list; large `swaps`
+/// approaches [`uniform_profile`]. This models the "similar preference lists" regime
+/// studied by Khanchandani and Wattenhofer.
 ///
 /// # Panics
 ///
@@ -115,20 +96,11 @@ mod tests {
     }
 
     #[test]
-    fn master_list_profile_has_identical_lists_per_side() {
-        let profile = master_list_profile(5, &mut StdRng::seed_from_u64(1));
-        for i in 1..5 {
-            assert_eq!(profile.left(0), profile.left(i));
-            assert_eq!(profile.right(0), profile.right(i));
-        }
-    }
-
-    #[test]
     fn master_list_forces_serial_dictatorship_outcome() {
         // With identical preferences, the unique stable matching matches the i-th
         // ranked left agent (by the right master list) with the i-th ranked right agent
         // (by the left master list).
-        let profile = master_list_profile(6, &mut StdRng::seed_from_u64(9));
+        let profile = similar_profile(6, 0, &mut StdRng::seed_from_u64(9));
         let outcome = gale_shapley(&profile, ProposingSide::Left);
         assert!(outcome.matching.is_stable(&profile));
         let left_master = profile.left(0);
@@ -146,6 +118,7 @@ mod tests {
         let profile = similar_profile(4, 0, &mut rng);
         for i in 1..4 {
             assert_eq!(profile.left(0), profile.left(i));
+            assert_eq!(profile.right(0), profile.right(i));
         }
     }
 

@@ -9,12 +9,11 @@
 //!   blocking-pair detection and stability verification,
 //! * [`gale_shapley`] — the deterministic Gale–Shapley deferred-acceptance algorithm
 //!   `AG-S` of Theorem 1, which always returns a perfect stable matching,
-//! * [`incomplete`] — the variant with incomplete preference lists (unacceptable
-//!   partners), used to model default lists for non-participating byzantine parties,
-//! * [`roommates`] — Irving's stable roommates algorithm, covering the "stable
-//!   roommate" extension discussed in the paper's conclusion (§6),
-//! * [`generators`] — reproducible workload generators (uniform, correlated/similar
-//!   lists, master list) used by the benchmarks and property tests.
+//! * [`generators`] — reproducible workload generators (uniform and similar lists,
+//!   sSM favorites) used by the experiments and property tests.
+//!
+//! Lists are always complete: a byzantine party that never distributes a valid list
+//! is given the identity list ([`PreferenceList::identity`], Lemma 1).
 //!
 //! # Example
 //!
@@ -44,9 +43,6 @@ mod preference;
 
 pub mod gale_shapley;
 pub mod generators;
-pub mod incomplete;
-pub mod metrics;
-pub mod roommates;
 
 pub use error::MatchingError;
 pub use matching::{enumerate_stable_matchings, BlockingPair, Matching, Side};

@@ -54,7 +54,6 @@ pub struct BlockingPair {
 /// The structure maintains symmetry as an invariant: `left_to_right[i] == Some(j)` iff
 /// `right_to_left[j] == Some(i)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matching {
     left_to_right: Vec<Option<usize>>,
     right_to_left: Vec<Option<usize>>,
@@ -118,10 +117,7 @@ impl Matching {
         self.right_to_left.get(j).copied().flatten()
     }
 
-    /// Matches left agent `i` with right agent `j`.
-    ///
-    /// Both must currently be unmatched; use [`Matching::separate_left`] /
-    /// [`Matching::separate_right`] first to re-match agents.
+    /// Matches left agent `i` with right agent `j`. Both must currently be unmatched.
     ///
     /// # Errors
     ///
@@ -146,24 +142,6 @@ impl Matching {
         Ok(())
     }
 
-    /// Unmatches left agent `i`, returning its former partner.
-    pub fn separate_left(&mut self, i: usize) -> Option<usize> {
-        let partner = self.left_to_right.get_mut(i)?.take();
-        if let Some(j) = partner {
-            self.right_to_left[j] = None;
-        }
-        partner
-    }
-
-    /// Unmatches right agent `j`, returning its former partner.
-    pub fn separate_right(&mut self, j: usize) -> Option<usize> {
-        let partner = self.right_to_left.get_mut(j)?.take();
-        if let Some(i) = partner {
-            self.left_to_right[i] = None;
-        }
-        partner
-    }
-
     /// Number of matched pairs.
     pub fn matched_pairs(&self) -> usize {
         self.left_to_right.iter().filter(|p| p.is_some()).count()
@@ -177,16 +155,6 @@ impl Matching {
     /// Iterates over matched pairs `(left, right)` in ascending left order.
     pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.left_to_right.iter().enumerate().filter_map(|(i, partner)| partner.map(|j| (i, j)))
-    }
-
-    /// The left-side assignment vector (`result[i]` is the partner of left agent `i`).
-    pub fn left_assignment(&self) -> &[Option<usize>] {
-        &self.left_to_right
-    }
-
-    /// The right-side assignment vector (`result[j]` is the partner of right agent `j`).
-    pub fn right_assignment(&self) -> &[Option<usize>] {
-        &self.right_to_left
     }
 
     /// Finds all blocking pairs of this matching with respect to `profile`.
@@ -305,20 +273,18 @@ mod tests {
     }
 
     #[test]
-    fn join_and_separate_maintain_symmetry() {
+    fn join_maintains_symmetry() {
         let mut m = Matching::empty(3).unwrap();
         m.join(0, 2).unwrap();
         assert_eq!(m.right_of(0), Some(2));
         assert_eq!(m.left_of(2), Some(0));
+        assert_eq!(m.right_of(1), None);
+        assert_eq!(m.left_of(1), None);
         // Double-matching is rejected.
         assert!(m.join(0, 1).is_err());
         assert!(m.join(1, 2).is_err());
         assert!(m.join(5, 1).is_err());
         assert!(m.join(1, 5).is_err());
-        assert_eq!(m.separate_left(0), Some(2));
-        assert_eq!(m.left_of(2), None);
-        assert_eq!(m.separate_right(1), None);
-        assert_eq!(m.separate_left(9), None);
     }
 
     #[test]

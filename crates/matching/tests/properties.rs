@@ -2,7 +2,6 @@
 
 use bsm_matching::gale_shapley::{gale_shapley, is_proposer_optimal, ProposingSide};
 use bsm_matching::generators::{similar_profile, uniform_profile};
-use bsm_matching::roommates::{solve_roommates, solve_roommates_brute_force, RoommatesInstance};
 use bsm_matching::{enumerate_stable_matchings, Matching, PreferenceList, PreferenceProfile};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -193,28 +192,5 @@ proptest! {
         let mut seen = vec![false; k];
         for p in list.iter() { seen[p] = true; }
         prop_assert!(seen.into_iter().all(|s| s));
-    }
-
-    /// Irving's algorithm agrees with brute force on solvability and returns stable
-    /// matchings when it succeeds.
-    #[test]
-    fn roommates_agrees_with_brute_force((half, seed) in (1usize..=3, any::<u64>())) {
-        let n = 2 * half;
-        let mut rng = StdRng::seed_from_u64(seed);
-        use rand::seq::SliceRandom;
-        let prefs: Vec<Vec<usize>> = (0..n)
-            .map(|a| {
-                let mut others: Vec<usize> = (0..n).filter(|&b| b != a).collect();
-                others.shuffle(&mut rng);
-                others
-            })
-            .collect();
-        let instance = RoommatesInstance::new(prefs).unwrap();
-        let irving = solve_roommates(&instance);
-        let brute = solve_roommates_brute_force(&instance);
-        prop_assert_eq!(irving.is_some(), brute.is_some());
-        if let Some(m) = irving {
-            prop_assert!(instance.is_stable(&m));
-        }
     }
 }

@@ -134,11 +134,6 @@ impl PartySet {
         self.side(Side::Left)
     }
 
-    /// Iterates over the right-side parties.
-    pub fn right(&self) -> impl Iterator<Item = PartyId> + '_ {
-        self.side(Side::Right)
-    }
-
     /// Returns `true` if `party` is a valid member of this set.
     pub fn contains(&self, party: PartyId) -> bool {
         party.idx() < self.k
@@ -187,7 +182,7 @@ mod tests {
         assert_eq!(all[0], PartyId::left(0));
         assert_eq!(all[3], PartyId::right(0));
         assert_eq!(set.left().count(), 3);
-        assert_eq!(set.right().count(), 3);
+        assert_eq!(set.side(Side::Right).count(), 3);
         assert!(set.contains(PartyId::left(2)));
         assert!(!set.contains(PartyId::right(3)));
     }

@@ -4,9 +4,9 @@ use crate::{Envelope, Outgoing, PartyId, Process, Time};
 ///
 /// Most of the paper's building blocks (`ΠKing`, `ΠBA`, `ΠBB`, Dolev–Strong) are round
 /// protocols: in round `r` a party sends messages that are guaranteed to be delivered
-/// before round `r + 1` starts. [`RoundDriver`] adapts a `RoundProtocol` to the
-/// slot-level [`Process`] interface, with a configurable number of slots per round to
-/// account for relayed channels (2 slots per hop, Lemmas 6/8/10).
+/// before round `r + 1` starts. [`RoundDriver`] runs a `RoundProtocol` on the
+/// slot-level [`Process`] interface, one slot per round; core's `PartyRuntime` runs
+/// the longer rounds of relayed channels (Lemmas 6/8/10).
 ///
 /// The round contract is what lets protocols compose without copying messages:
 ///
@@ -38,35 +38,22 @@ pub trait RoundProtocol {
     fn output(&self) -> Option<Self::Output>;
 }
 
-/// Adapts a [`RoundProtocol`] to the slot-driven [`Process`] interface.
+/// Adapts a [`RoundProtocol`] to the slot-driven [`Process`] interface, one slot per
+/// round (direct channels).
 ///
-/// With `slots_per_round = s`, logical round `r` starts at slot `r · s`; messages
-/// received during any slot of round `r` are buffered and lent to the protocol at the
-/// start of round `r + 1`, and each message the protocol sends is pushed onto the
-/// simulator's send buffer as it is sent.
+/// Logical round `r` runs at slot `r`, on the inbox of that slot (the messages sent
+/// in round `r − 1`), which the driver lends to the protocol; each message the
+/// protocol sends is pushed onto the simulator's send buffer as it is sent.
 #[derive(Debug)]
-pub struct RoundDriver<P: RoundProtocol> {
+pub struct RoundDriver<P> {
     id: PartyId,
     protocol: P,
-    slots_per_round: u64,
-    buffer: Vec<(PartyId, P::Msg)>,
 }
 
 impl<P: RoundProtocol> RoundDriver<P> {
-    /// Wraps `protocol` for party `id` with one slot per round (direct channels).
+    /// Wraps `protocol` for party `id`.
     pub fn new(id: PartyId, protocol: P) -> Self {
-        Self::with_slots_per_round(id, protocol, 1)
-    }
-
-    /// Wraps `protocol` with a custom round length in slots (e.g. 2 for relayed
-    /// channels).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots_per_round == 0`.
-    pub fn with_slots_per_round(id: PartyId, protocol: P, slots_per_round: u64) -> Self {
-        assert!(slots_per_round > 0, "a round must span at least one slot");
-        Self { id, protocol, slots_per_round, buffer: Vec::new() }
+        Self { id, protocol }
     }
 }
 
@@ -87,14 +74,9 @@ impl<P: RoundProtocol> Process<P::Msg, P::Output> for RoundDriver<P> {
         inbox: &mut Vec<Envelope<P::Msg>>,
         out: &mut Vec<Outgoing<P::Msg>>,
     ) {
-        self.buffer.extend(inbox.drain(..).map(|env| (env.from, env.payload)));
-        if now.slot().is_multiple_of(self.slots_per_round) {
-            let round = now.slot() / self.slots_per_round;
-            let inbox = self.buffer.iter().map(|(from, msg)| (*from, msg));
-            self.protocol.round(round, inbox, &mut |to, msg| out.push(Outgoing::new(to, msg)));
-            // Cleared, not taken: the buffer keeps its capacity for the next round.
-            self.buffer.clear();
-        }
+        let lent = inbox.iter().map(|env| (env.from, &env.payload));
+        self.protocol.round(now.slot(), lent, &mut |to, msg| out.push(Outgoing::new(to, msg)));
+        inbox.clear();
     }
 
     fn output(&self) -> Option<P::Output> {
@@ -137,38 +119,26 @@ mod tests {
     }
 
     #[test]
-    fn driver_buffers_between_round_boundaries() {
+    fn driver_lends_each_slots_inbox_to_that_round() {
         let me = PartyId::left(0);
         let peer = PartyId::right(0);
-        let mut driver = RoundDriver::with_slots_per_round(
-            me,
-            SumProtocol { me, peers: vec![peer], output: None },
-            2,
-        );
+        let mut driver = RoundDriver::new(me, SumProtocol { me, peers: vec![peer], output: None });
 
-        // Slot 0: round 0 → send.
+        // Slot 0 is round 0: send.
         let out = driver.step(Time(0), &mut vec![]);
         assert_eq!(out.len(), 1);
-        // Slot 1: mid-round, messages received are buffered, nothing sent.
-        let env =
-            Envelope { from: peer, to: me, sent_at: Time(0), deliver_at: Time(1), payload: 5 };
-        assert!(driver.step(Time(1), &mut vec![env]).is_empty());
         assert_eq!(Process::<u64, u64>::output(&driver), None);
-        // Slot 2: round 1 → consume the buffered message and decide.
-        let env2 =
-            Envelope { from: peer, to: me, sent_at: Time(1), deliver_at: Time(2), payload: 7 };
-        assert!(driver.step(Time(2), &mut vec![env2]).is_empty());
+        // Slot 1 is round 1: the messages delivered at slot 1 are its inbox.
+        let env = |payload| Envelope {
+            from: peer,
+            to: me,
+            sent_at: Time(0),
+            deliver_at: Time(1),
+            payload,
+        };
+        let mut inbox = vec![env(5), env(7)];
+        assert!(driver.step(Time(1), &mut inbox).is_empty());
+        assert!(inbox.is_empty(), "the driver leaves the inbox empty");
         assert_eq!(Process::<u64, u64>::output(&driver), Some(12));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one slot")]
-    fn zero_slots_per_round_panics() {
-        let me = PartyId::left(0);
-        let _ = RoundDriver::with_slots_per_round(
-            me,
-            SumProtocol { me, peers: vec![], output: None },
-            0,
-        );
     }
 }

@@ -227,26 +227,6 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
         self.parties
     }
 
-    /// The topology in force.
-    pub fn topology(&self) -> Topology {
-        self.topology
-    }
-
-    /// The current slot.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Parties currently corrupted.
-    pub fn corrupted(&self) -> &BTreeSet<PartyId> {
-        &self.corrupted
-    }
-
-    /// Message accounting so far.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
     /// Registers the protocol state machine for one party.
     ///
     /// # Errors
@@ -903,11 +883,7 @@ mod tests {
     #[test]
     fn debug_and_accessors() {
         let net = gossip_network(2, Topology::Bipartite, CorruptionBudget::new(1, 1));
-        assert_eq!(net.topology(), Topology::Bipartite);
         assert_eq!(net.parties().k(), 2);
-        assert_eq!(net.now(), Time::ZERO);
-        assert!(net.corrupted().is_empty());
-        assert_eq!(net.metrics().total_messages(), 0);
         assert!(format!("{net:?}").contains("SyncNetwork"));
     }
 

@@ -3,7 +3,7 @@
 //! This facade crate re-exports the workspace's public API so downstream users (and the
 //! examples and integration tests in this repository) can depend on a single crate:
 //!
-//! * [`matching`] — preference lists, Gale–Shapley, blocking pairs, stable roommates,
+//! * [`matching`] — preference lists, Gale–Shapley, blocking pairs, workload generators,
 //! * [`crypto`] — the simulated PKI and signatures,
 //! * [`net`] — the synchronous network simulator (topologies, adversary, faults),
 //! * [`broadcast`] — Dolev–Strong, phase-king, `ΠBA`/`ΠBB`, committee broadcast,
