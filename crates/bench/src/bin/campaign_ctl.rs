@@ -44,8 +44,7 @@
 //! it as `report.json` and the stream is removed. `merge` k-way-merges shard exports
 //! in constant memory into `report.json` + `report.csv`, **byte-identical** to an
 //! unsharded run; it takes `report.jsonl` streams and `report.json` documents
-//! (detected by extension, case-insensitively), and accepts `--stream`, which
-//! selects nothing:
+//! (detected by extension, case-insensitively):
 //!
 //! ```sh
 //! campaign_ctl run --smoke --stream --shard 1/3 --out shards/1   # ... 2/3, 3/3
@@ -112,7 +111,7 @@
 //! wall time. The sidecar is strictly a side channel — every report artifact is
 //! byte-identical with and without it. Independently of `--metrics`, every run
 //! heartbeats `progress.json` in its out-dir (done/total, rate, last coordinate,
-//! counter delta) every few cells through an atomic rename — the liveness signal
+//! pid and attempt) every few cells through an atomic rename — the liveness signal
 //! `supervise` polls for dead shards. `stats` aggregates a sidecar into quantiles,
 //! top-N cells and per-axis rollups; on an out-dir without one it prints just the
 //! heartbeat:
@@ -530,7 +529,7 @@ fn supervise(args: &BenchArgs) -> Result<CtlCode, CtlError> {
         max_attempts: args.max_attempts.unwrap_or(DEFAULT_MAX_ATTEMPTS),
         backoff_base_ms: args.backoff_ms.unwrap_or(DEFAULT_BACKOFF_MS),
         poll_ms: args.poll_ms.unwrap_or(DEFAULT_POLL_MS),
-        stall_polls: args.stall_polls.unwrap_or(DEFAULT_STALL_POLLS),
+        stall_polls: DEFAULT_STALL_POLLS,
         chaos: args.chaos.clone().unwrap_or(ChaosSpec::NONE),
     };
     if !config.chaos.is_empty() {
@@ -745,8 +744,7 @@ fn replay_script(path: &Path, freeze: bool) -> Result<bool, String> {
     }
 }
 
-/// `merge`: [`merge_reports`] over the given shard exports. `--stream` is accepted
-/// (scripts and CI pass it) and selects nothing: every merge streams.
+/// `merge`: [`merge_reports`] over the given shard exports.
 fn merge(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     if args.files.is_empty() {
         return Err(CtlError::Usage(
@@ -764,12 +762,13 @@ fn merge(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     Ok(CtlCode::Success)
 }
 
-/// The one merge, behind `merge` (with or without `--stream`), `supervise` and a
-/// non-streamed `run`: a k-way merge of shard exports into `report.json` +
-/// `report.csv` under `out`, holding one pending cell per shard.
+/// The one merge, behind `merge`, `supervise` and a non-streamed `run`: a k-way
+/// merge of shard exports into `report.json` + `report.csv` under `out`, holding one
+/// pending cell per shard.
 ///
 /// Pass 1 learns every shard's totals (the JSON document puts totals before the
-/// cells, so the merge must know them up front) and its scenario tag — shards from
+/// cells, so the merge must know them up front; their sum saturates, since footers
+/// are untrusted) and its scenario tag — shards from
 /// different scenarios refuse to merge; pass 2 streams the cells of all shards
 /// through [`CellMerge`] into `report.json` + `report.csv`. The writers verify the
 /// summed totals against the cells actually merged, so a lying footer or truncated
@@ -886,8 +885,8 @@ fn stats(args: &BenchArgs) -> Result<CtlCode, CtlError> {
         // The liveness verdict the supervisor automates: a shard that published
         // its report is complete (the heartbeat's count reaches the total before
         // the footer and the rename), a beating pid is running, a dead pid means
-        // the run died and `resume` (or `supervise`) can finish it. Old
-        // pre-supervision heartbeats parse with pid 0 — liveness unknown.
+        // the run died and `resume` (or `supervise`) can finish it. Off Linux,
+        // liveness is unknown.
         let published =
             ["report.jsonl", "report.json"].iter().any(|name| target.join(name).exists())
                 && !target.join("report.jsonl.partial").exists();

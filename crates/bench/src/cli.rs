@@ -53,13 +53,12 @@ pub const COMMANDS: [Row; 12] = [
     Row {
         command: "campaign_ctl supervise",
         usage: "[--smoke] [--scenario FILE] [--threads N] [--out DIR] [--shards K] \
-                [--chaos SPEC] [--max-attempts N] [--backoff-ms MS] [--poll-ms MS] \
-                [--stall-polls N]",
+                [--chaos SPEC] [--max-attempts N] [--backoff-ms MS] [--poll-ms MS]",
     },
     // A fixed campaign, so that its snapshot stays comparable across runs.
     Row { command: "campaign_ctl bench", usage: "[--smoke] [--threads N] [--out DIR]" },
-    // Every merge streams; `--stream` selects nothing, but scripts pass it.
-    Row { command: "campaign_ctl merge", usage: "[PATH...] [--out DIR] [--stream]" },
+    // Every merge streams, so there is no `--stream` to select it.
+    Row { command: "campaign_ctl merge", usage: "[PATH...] [--out DIR]" },
     Row { command: "campaign_ctl diff", usage: "[PATH...]" },
     Row { command: "campaign_ctl stats", usage: "[PATH...]" },
     Row {
@@ -107,7 +106,7 @@ pub struct BenchArgs {
     /// `docs/SCENARIOS.md`).
     pub scenario: Option<PathBuf>,
     /// `true` when `--stream` was passed (`run` keeps `report.jsonl` instead of
-    /// rendering `report.json`; `merge` accepts it and always streams).
+    /// rendering `report.json`).
     pub stream: bool,
     /// `true` when `--metrics` was passed (write the `metrics.jsonl` telemetry
     /// sidecar alongside the report artifacts).
@@ -135,9 +134,6 @@ pub struct BenchArgs {
     /// Heartbeat poll interval in milliseconds from `--poll-ms` (`campaign_ctl
     /// supervise`).
     pub poll_ms: Option<u64>,
-    /// No-advance polls before a worker is declared stalled, from
-    /// `--stall-polls` (`campaign_ctl supervise`).
-    pub stall_polls: Option<u32>,
     /// Non-numeric positional arguments, in order (paths, for a row with
     /// `[PATH...]`).
     pub files: Vec<String>,
@@ -168,7 +164,6 @@ impl Default for BenchArgs {
             max_attempts: None,
             backoff_ms: None,
             poll_ms: None,
-            stall_polls: None,
             files: Vec::new(),
             unknown: Vec::new(),
         }
@@ -286,10 +281,6 @@ impl BenchArgs {
                     Some(ms) if ms > 0 => parsed.poll_ms = Some(ms),
                     _ => parsed.unknown.push("--poll-ms (expects positive milliseconds)".into()),
                 },
-                "--stall-polls" => match value(&mut iter).and_then(|v| v.parse::<u32>().ok()) {
-                    Some(n) if n > 0 => parsed.stall_polls = Some(n),
-                    _ => parsed.unknown.push("--stall-polls (expects a positive integer)".into()),
-                },
                 // A flag no row lists: the row check below files it.
                 other if other.starts_with("--") => {}
                 other => match other.parse::<usize>() {
@@ -321,8 +312,8 @@ impl BenchArgs {
         self.k.unwrap_or(default)
     }
 
-    /// A campaign executor honoring `--threads` (and otherwise `BSM_THREADS` /
-    /// available parallelism, per [`Executor::new`]).
+    /// A campaign executor honoring `--threads` (and otherwise the available
+    /// parallelism, per [`Executor::new`]).
     pub fn executor(&self) -> Executor {
         let executor = Executor::new();
         match self.threads {
@@ -486,8 +477,6 @@ mod tests {
             "0",
             "--poll-ms",
             "25",
-            "--stall-polls",
-            "8",
         ]);
         assert_eq!(parsed.shards, Some(3));
         let chaos = parsed.chaos.as_ref().expect("--chaos parses");
@@ -495,7 +484,6 @@ mod tests {
         assert_eq!(parsed.max_attempts, Some(2));
         assert_eq!(parsed.backoff_ms, Some(0), "--backoff-ms 0 is legal (retry immediately)");
         assert_eq!(parsed.poll_ms, Some(25));
-        assert_eq!(parsed.stall_polls, Some(8));
         assert!(parsed.unknown.is_empty());
         let defaults = args(&[]);
         assert_eq!(defaults.shards, None);
@@ -503,14 +491,12 @@ mod tests {
         assert_eq!(defaults.max_attempts, None);
         assert_eq!(defaults.backoff_ms, None);
         assert_eq!(defaults.poll_ms, None);
-        assert_eq!(defaults.stall_polls, None);
         // Bad values are collected, never fatal, never stealing a following flag.
         assert_eq!(args(&["--shards", "0"]).unknown.len(), 1);
         assert_eq!(args(&["--chaos", "2:0:early"]).unknown.len(), 1);
         assert_eq!(args(&["--chaos", "nonsense"]).unknown.len(), 1);
         assert_eq!(args(&["--max-attempts", "0"]).unknown.len(), 1);
         assert_eq!(args(&["--poll-ms", "0"]).unknown.len(), 1);
-        assert_eq!(args(&["--stall-polls", "0"]).unknown.len(), 1);
         let starved = args(&["--shards", "--smoke"]);
         assert_eq!(starved.shards, None);
         assert!(starved.smoke);
@@ -535,7 +521,7 @@ mod tests {
     }
 
     /// Each flag that takes a value, and whether `value` is well formed for it.
-    const VALUE_FLAGS: [&str; 14] = [
+    const VALUE_FLAGS: [&str; 13] = [
         "--threads",
         "--seeds",
         "--shard",
@@ -549,7 +535,6 @@ mod tests {
         "--max-attempts",
         "--backoff-ms",
         "--poll-ms",
-        "--stall-polls",
     ];
 
     fn well_formed(flag: &str, value: &str) -> bool {
@@ -558,7 +543,7 @@ mod tests {
         match flag {
             "--threads" | "--shards" => value.parse::<usize>().is_ok_and(|n| n > 0),
             "--seeds" | "--budget" | "--poll-ms" => positive(value),
-            "--max-attempts" | "--stall-polls" => positive_u32(value),
+            "--max-attempts" => positive_u32(value),
             "--seed" | "--backoff-ms" => value.parse::<u64>().is_ok(),
             "--shard" => value.parse::<ShardPlan>().is_ok(),
             "--chaos" => value.parse::<ChaosSpec>().is_ok(),
@@ -583,7 +568,6 @@ mod tests {
             "--max-attempts" => parsed.max_attempts.is_none(),
             "--backoff-ms" => parsed.backoff_ms.is_none(),
             "--poll-ms" => parsed.poll_ms.is_none(),
-            "--stall-polls" => parsed.stall_polls.is_none(),
             other => unreachable!("{other} takes no value"),
         }
     }
@@ -629,8 +613,6 @@ mod tests {
             "0",
             "--poll-ms",
             "25",
-            "--stall-polls",
-            "4",
             "--no-verify",
             "a.json",
         ]
@@ -714,7 +696,7 @@ mod tests {
             .skip(1)
             .map(|entry| entry.trim_end_matches([']', ' ']))
             .collect();
-        assert_eq!(arguments.len(), 2 + 19, "k, PATH... and 19 flags: {arguments:?}");
+        assert_eq!(arguments.len(), 2 + 18, "k, PATH... and 18 flags: {arguments:?}");
         for row in COMMANDS {
             assert_eq!(Row::of(row.command), Some(row));
             for argument in &arguments {

@@ -207,6 +207,8 @@ fn usage_errors_are_2() {
         &["run", "--smoke", "--no-verify", "--out", out],
         &["merge", "--shard", "1/2", a, "--out", out],
         &["merge", "--scenario", "missing.toml", a, "--out", out],
+        &["merge", "--stream", a, "--out", out],
+        &["supervise", "--smoke", "--shards", "2", "--stall-polls", "8", "--out", out],
         &["diff", "--out", out, a, a],
         &["fuzz", "--budget", "2", "--threads", "2", "--out", out],
         &["bench", "--smoke", "--no-verify", "--out", out],

@@ -45,8 +45,8 @@ fn reference(dir: &Path) {
 fn supervised(dir: &Path, chaos: Option<&str>, extra: &[&str]) -> Output {
     let dir = dir.to_str().unwrap();
     let mut args = vec!["supervise", "--smoke", "--shards", "3", "--out", dir];
-    // Fast retries and fast completion detection; the stall deadline stays at
-    // its (poll-scaled) default unless a test overrides it.
+    // Fast retries and fast completion detection; the stall deadline is the
+    // default number of polls, scaled by the poll interval.
     args.extend(["--backoff-ms", "0", "--poll-ms", "25"]);
     if let Some(spec) = chaos {
         args.extend(["--chaos", spec]);
@@ -186,9 +186,10 @@ fn hung_worker_is_killed_by_the_stall_watchdog_and_the_retry_completes() {
     let (reference_dir, supervised_dir) = (base.join("ref"), base.join("sup"));
     reference(&reference_dir);
     // Shard 2 stops beating after cell 3 without exiting; only the watchdog
-    // (here: no heartbeat advance across 80 × 25 ms) can end it. The generous
-    // deadline keeps slow-but-healthy workers safe on loaded CI machines.
-    let out = supervised(&supervised_dir, Some("2:1:hang3"), &["--stall-polls", "80"]);
+    // (here: no heartbeat advance across the default 150 polls × 25 ms) can end
+    // it. The generous deadline keeps slow-but-healthy workers safe on loaded CI
+    // machines.
+    let out = supervised(&supervised_dir, Some("2:1:hang3"), &[]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     assert_identical(&reference_dir, &supervised_dir);
     let summary = summary(&supervised_dir);

@@ -153,11 +153,6 @@ pub struct ScenarioOutcome {
     pub metrics: Metrics,
     /// Number of signatures produced during this run (honest parties and adversary
     /// alike; 0 for unauthenticated plans).
-    ///
-    /// Counted as a before/after delta on the scenario's shared PKI, so concurrent
-    /// `run()` calls on the *same* `Scenario` value may attribute signatures across
-    /// each other's counts. Sequential re-runs are exact, and campaign workers build
-    /// one `Scenario` per run, which keeps the accounting exact there too.
     pub signatures: u64,
 }
 
@@ -277,10 +272,10 @@ impl Scenario {
         adversary: Box<dyn Adversary<WireMsg>>,
     ) -> Result<ScenarioOutcome, HarnessError> {
         let env = &self.env;
-        // Snapshot the signature counter so repeated runs of the same scenario (which
-        // share one PKI) still report the per-run cost; taken before the runtimes are
-        // registered because protocol constructors may already sign.
-        let signatures_before = env.directory.pki().signatures_issued();
+        // The run executes on this thread alone, so the thread's signature-count
+        // delta is exactly its cost. Taken before the runtimes are registered
+        // because protocol constructors may already sign.
+        let signatures_before = bsm_crypto::counters::thread_signatures_issued();
         let slots_per_round = env.slots_per_round();
         let total_rounds = env.total_rounds(plan);
         // Under a fault schedule the budget is extended by the worst case the plan can
@@ -312,7 +307,7 @@ impl Scenario {
 
         let (outcome, buffers) = net.run_keeping_buffers(max_slots)?;
         NET_BUFFERS.set(buffers);
-        let signatures = env.directory.pki().signatures_issued() - signatures_before;
+        let signatures = bsm_crypto::counters::thread_signatures_issued() - signatures_before;
         let instance = BsmInstance::new(self.profile.clone(), outcome.corrupted.clone());
         let violations = check_bsm(&instance, &outcome.outputs);
         Ok(ScenarioOutcome {
@@ -642,9 +637,21 @@ mod tests {
         let first = scenario.run().unwrap();
         assert!(first.signatures > 0, "Dolev-Strong runs must sign");
         // A repeat run on the same scenario (same shared PKI) reports the same
-        // per-run signature count, not a cumulative total.
+        // per-run signature count, not a cumulative total, and so do runs of it on
+        // several threads at once.
         let second = scenario.run().unwrap();
         assert_eq!(first.signatures, second.signatures);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let run = || {
+                start.wait();
+                (0..3).map(|_| scenario.run().unwrap().signatures).collect::<Vec<_>>()
+            };
+            let runs: Vec<_> = (0..4).map(|_| scope.spawn(run)).collect();
+            for run in runs {
+                assert_eq!(run.join().unwrap(), [first.signatures; 3]);
+            }
+        });
 
         let unauth = setting(3, Topology::Bipartite, AuthMode::Unauthenticated, 0, 1);
         let outcome = Scenario::builder(unauth).seed(9).build().unwrap().run().unwrap();

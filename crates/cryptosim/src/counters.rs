@@ -1,4 +1,4 @@
-//! Process-global counters for the crypto hot path.
+//! Per-thread counters for the crypto hot path.
 //!
 //! The scenario engine's performance is dominated by SHA-256 work: every digest
 //! computed and every signature verified costs a fixed number of compression rounds.
@@ -7,37 +7,31 @@
 //! that removes redundant hashing shows up as a hard counter drop even on
 //! single-core CI hardware where wall-clock is noisy.
 //!
-//! The counters are monotone, process-wide and updated with relaxed atomics: they
-//! never participate in protocol logic or exported reports (which stay byte-identical
-//! whatever the counters say) and impose one uncontended `fetch_add` per event.
-//!
-//! Each event is additionally mirrored into a per-thread counter (a const-initialized
-//! `Cell<u64>`, ~1 cheap non-atomic add). [`thread_snapshot`] reads the calling
-//! thread's totals, which is what lets the campaign engine attribute crypto work to an
-//! individual grid cell: each cell runs entirely on one worker thread, so the
-//! thread-local delta around a cell is *exactly* that cell's work even while other
-//! workers hammer the global counters concurrently.
+//! Each counter is a const-initialized thread-local `Cell<u64>`, so counting an
+//! event is one non-atomic add on the calling thread. The counters never participate
+//! in protocol logic or exported reports (which stay byte-identical whatever the
+//! counters say). They are read as deltas on one thread: [`thread_snapshot`] reads
+//! the digest, verification and memo-hit counts, and [`thread_signatures_issued`] the
+//! signature count. A campaign cell runs entirely on one worker thread, so the delta
+//! around a cell is *exactly* that cell's work, whatever other threads do meanwhile.
+//! A scenario run (`bsm_core::harness`) takes its signature count the same way, so
+//! that count stays exact even while other threads run the same scenario.
 
 use std::cell::Cell;
-use std::ops::Sub;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static DIGESTS_COMPUTED: AtomicU64 = AtomicU64::new(0);
-static SIGNATURES_VERIFIED: AtomicU64 = AtomicU64::new(0);
-static VERIFY_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
+use std::ops::{AddAssign, Sub};
 
 thread_local! {
-    static TL_DIGESTS_COMPUTED: Cell<u64> = const { Cell::new(0) };
-    static TL_SIGNATURES_VERIFIED: Cell<u64> = const { Cell::new(0) };
-    static TL_VERIFY_CACHE_HITS: Cell<u64> = const { Cell::new(0) };
+    static DIGESTS_COMPUTED: Cell<u64> = const { Cell::new(0) };
+    static SIGNATURES_VERIFIED: Cell<u64> = const { Cell::new(0) };
+    static VERIFY_CACHE_HITS: Cell<u64> = const { Cell::new(0) };
+    static SIGNATURES_ISSUED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// A point-in-time reading of the three crypto counters.
+/// A point-in-time reading of the calling thread's digest and verification counters.
 ///
-/// Snapshots are taken either process-wide ([`snapshot`]) or for the calling thread
-/// only ([`thread_snapshot`]); subtracting two snapshots of the same kind yields the
-/// work performed in between. All fields are monotone, so the subtraction in
-/// [`Sub`] never underflows when `earlier <= later` snapshots are ordered correctly.
+/// Subtracting two snapshots taken on the same thread yields the work performed in
+/// between; adding deltas sums the work of several cells. Both saturate, so neither
+/// can wrap or panic whatever the operands.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// Digests computed (SHA-256 finalizations).
@@ -64,26 +58,36 @@ impl Sub for CounterSnapshot {
     }
 }
 
-/// A snapshot of the process-global counters.
-pub fn snapshot() -> CounterSnapshot {
-    CounterSnapshot {
-        digests_computed: digests_computed(),
-        signatures_verified: signatures_verified(),
-        verify_cache_hits: verify_cache_hits(),
+impl AddAssign for CounterSnapshot {
+    /// Field-wise sum, saturating so deltas read from untrusted input cannot wrap.
+    fn add_assign(&mut self, other: CounterSnapshot) {
+        self.digests_computed = self.digests_computed.saturating_add(other.digests_computed);
+        self.signatures_verified =
+            self.signatures_verified.saturating_add(other.signatures_verified);
+        self.verify_cache_hits = self.verify_cache_hits.saturating_add(other.verify_cache_hits);
     }
 }
 
-/// A snapshot of the calling thread's own counters.
-///
-/// Unlike [`snapshot`], this is immune to concurrent work on other threads: the delta
-/// between two `thread_snapshot` calls on the same thread is exactly the work that
-/// thread performed in between.
+/// A snapshot of the calling thread's counters: the delta between two calls on the
+/// same thread is exactly the work that thread performed in between.
 pub fn thread_snapshot() -> CounterSnapshot {
     CounterSnapshot {
-        digests_computed: TL_DIGESTS_COMPUTED.get(),
-        signatures_verified: TL_SIGNATURES_VERIFIED.get(),
-        verify_cache_hits: TL_VERIFY_CACHE_HITS.get(),
+        digests_computed: DIGESTS_COMPUTED.get(),
+        signatures_verified: SIGNATURES_VERIFIED.get(),
+        verify_cache_hits: VERIFY_CACHE_HITS.get(),
     }
+}
+
+/// Signatures produced on the calling thread so far ([`SigningKey::sign`] calls,
+/// repeat signatures over the same content included).
+///
+/// [`SigningKey::sign`]: crate::pki::SigningKey::sign
+pub fn thread_signatures_issued() -> u64 {
+    SIGNATURES_ISSUED.get()
+}
+
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    counter.set(counter.get() + 1);
 }
 
 /// Records one finished digest computation ([`DigestWriter::finish`] or
@@ -92,36 +96,22 @@ pub fn thread_snapshot() -> CounterSnapshot {
 /// [`DigestWriter::finish`]: crate::digest::DigestWriter::finish
 /// [`Digest::of_bytes`]: crate::digest::Digest::of_bytes
 pub(crate) fn count_digest() {
-    DIGESTS_COMPUTED.fetch_add(1, Ordering::Relaxed);
-    TL_DIGESTS_COMPUTED.set(TL_DIGESTS_COMPUTED.get() + 1);
+    bump(&DIGESTS_COMPUTED);
 }
 
 /// Records one full (uncached) signature verification.
 pub(crate) fn count_verification() {
-    SIGNATURES_VERIFIED.fetch_add(1, Ordering::Relaxed);
-    TL_SIGNATURES_VERIFIED.set(TL_SIGNATURES_VERIFIED.get() + 1);
+    bump(&SIGNATURES_VERIFIED);
 }
 
 /// Records one verification answered from a [`Verifier`](crate::pki::Verifier) memo.
 pub(crate) fn count_cache_hit() {
-    VERIFY_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-    TL_VERIFY_CACHE_HITS.set(TL_VERIFY_CACHE_HITS.get() + 1);
+    bump(&VERIFY_CACHE_HITS);
 }
 
-/// Total digests computed by this process so far.
-pub fn digests_computed() -> u64 {
-    DIGESTS_COMPUTED.load(Ordering::Relaxed)
-}
-
-/// Total full signature verifications performed by this process so far (memo hits
-/// excluded).
-pub fn signatures_verified() -> u64 {
-    SIGNATURES_VERIFIED.load(Ordering::Relaxed)
-}
-
-/// Total signature verifications answered from a per-verifier memo so far.
-pub fn verify_cache_hits() -> u64 {
-    VERIFY_CACHE_HITS.load(Ordering::Relaxed)
+/// Records one signature produced by [`SigningKey::sign`](crate::pki::SigningKey::sign).
+pub(crate) fn count_signature() {
+    bump(&SIGNATURES_ISSUED);
 }
 
 #[cfg(test)]
@@ -130,49 +120,66 @@ mod tests {
 
     #[test]
     fn counters_are_monotone() {
-        let d0 = digests_computed();
-        let v0 = signatures_verified();
-        let h0 = verify_cache_hits();
+        let before = thread_snapshot();
+        let signatures = thread_signatures_issued();
         count_digest();
         count_verification();
         count_cache_hit();
-        assert!(digests_computed() > d0);
-        assert!(signatures_verified() > v0);
-        assert!(verify_cache_hits() > h0);
+        count_signature();
+        let after = thread_snapshot();
+        assert!(after.digests_computed > before.digests_computed);
+        assert!(after.signatures_verified > before.signatures_verified);
+        assert!(after.verify_cache_hits > before.verify_cache_hits);
+        assert!(thread_signatures_issued() > signatures);
     }
 
     #[test]
     fn thread_snapshot_delta_is_exact_despite_other_threads() {
-        // Another thread hammering the counters must not leak into this thread's
-        // delta: this is the property that makes per-cell attribution exact.
+        // Another thread counting must not leak into this thread's delta: this is
+        // the property that makes per-cell attribution exact.
         let noise = std::thread::spawn(|| {
             for _ in 0..10_000 {
                 count_digest();
                 count_verification();
                 count_cache_hit();
+                count_signature();
             }
         });
         let before = thread_snapshot();
+        let signatures = thread_signatures_issued();
         count_digest();
         count_digest();
         count_verification();
         count_cache_hit();
+        count_signature();
         let delta = thread_snapshot() - before;
+        let signed = thread_signatures_issued() - signatures;
         noise.join().unwrap();
         assert_eq!(delta.digests_computed, 2);
         assert_eq!(delta.signatures_verified, 1);
         assert_eq!(delta.verify_cache_hits, 1);
+        assert_eq!(signed, 1);
     }
 
     #[test]
     fn snapshot_matches_accessors_and_sub_saturates() {
-        let snap = snapshot();
-        assert!(snap.digests_computed <= digests_computed());
-        let later = snapshot();
-        let delta = later - snap;
-        assert!(delta.digests_computed <= later.digests_computed);
+        let before = thread_snapshot();
+        count_digest();
+        let delta = thread_snapshot() - before;
+        assert_eq!(delta, CounterSnapshot { digests_computed: 1, ..CounterSnapshot::default() });
         // Swapped operands saturate to zero rather than wrapping.
-        let bigger = CounterSnapshot { digests_computed: 7, ..CounterSnapshot::default() };
-        assert_eq!((CounterSnapshot::default() - bigger).digests_computed, 0);
+        assert_eq!(before - thread_snapshot(), CounterSnapshot::default());
+        // Sums saturate at the top rather than wrapping or panicking.
+        let mut sum = CounterSnapshot { verify_cache_hits: u64::MAX, ..delta };
+        sum += delta;
+        sum += CounterSnapshot { verify_cache_hits: 1, ..CounterSnapshot::default() };
+        assert_eq!(
+            sum,
+            CounterSnapshot {
+                digests_computed: 2,
+                signatures_verified: 0,
+                verify_cache_hits: u64::MAX,
+            }
+        );
     }
 }

@@ -17,6 +17,9 @@
 //!   cannot be forged, which the registry makes true by construction rather than
 //!   computationally hard, with no key generation or modular arithmetic per message
 //!   and no randomness that would break the simulator's determinism.
+//! * [`counters`] — the crate's only work accounting: per-thread counts of digests,
+//!   verifications, memo hits and signatures, read as deltas around work done on one
+//!   thread (a campaign cell, a scenario run).
 //!
 //! # Hashing cost and the one `unsafe` block
 //!

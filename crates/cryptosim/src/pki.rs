@@ -1,7 +1,6 @@
 use crate::digest::{Digest, DigestWriter};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Identifier of a key pair in the [`Pki`] directory (one per party).
@@ -73,25 +72,16 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// One key pair's slice of the signing registry.
+/// One key pair's slice of the signing registry: the digests actually signed with
+/// this key via a [`SigningKey`], each mapped to its [`expected_tag`].
 ///
-/// The registry is sharded **per key**: signing with key `i` touches only shard `i`,
-/// so parties signing concurrently never contend on a shared lock (the former design
-/// funneled every `sign` and `verify` through one `RwLock<HashSet>`). The digest maps
-/// are append-only, which is what makes [`Verifier`] memoization sound.
-///
-/// Each signed digest maps to the content tag computed at signing time, so
-/// verification compares the claimed tag against the stored one instead of re-hashing
-/// — [`Pki::verify_detailed`] performs **zero** digest computations.
-#[derive(Debug, Default)]
-struct KeyShard {
-    /// Digests actually signed with this key via a [`SigningKey`], each mapped to its
-    /// [`expected_tag`].
-    signed: RwLock<HashMap<Digest, Digest>>,
-    /// Number of [`SigningKey::sign`] calls with this key (repeat signatures over the
-    /// same content count every time).
-    issued: AtomicU64,
-}
+/// The registry is sharded **per key**, one lock each: signing with key `i` touches
+/// only shard `i`, so parties signing concurrently never contend on a shared lock.
+/// The digest maps are append-only, which is what makes [`Verifier`] memoization
+/// sound. Because each signed digest maps to the content tag computed at signing
+/// time, verification compares the claimed tag against the stored one instead of
+/// re-hashing — [`Pki::verify_detailed`] performs **zero** digest computations.
+type KeyShard = RwLock<HashMap<Digest, Digest>>;
 
 /// A simulated public key infrastructure with idealized unforgeable signatures.
 ///
@@ -147,14 +137,6 @@ impl Pki {
         Verifier { pki: self.clone(), seen: HashSet::new() }
     }
 
-    /// Total number of signing operations performed with keys of this directory.
-    ///
-    /// The cost experiments read this before and after a run to report how many
-    /// signatures a protocol execution actually produced.
-    pub fn signatures_issued(&self) -> u64 {
-        self.shards.iter().map(|shard| shard.issued.load(Ordering::Relaxed)).sum()
-    }
-
     /// Verifies that `signature` is a valid signature by `signature.signer()` over
     /// `digest`. Returns `false` on any failure; use [`Pki::verify_detailed`] for the
     /// reason.
@@ -188,7 +170,7 @@ impl Pki {
         if signature.digest != digest {
             return Err(VerifyError::DigestMismatch);
         }
-        let signed = shard.signed.read().expect("registry lock is never poisoned");
+        let signed = shard.read().expect("registry lock is never poisoned");
         match signed.get(&digest) {
             Some(tag) if *tag == signature.tag => Ok(()),
             _ => Err(VerifyError::Forged),
@@ -275,14 +257,15 @@ impl SigningKey {
 
     /// Signs a digest. Touches only this key's registry shard, so concurrent signers
     /// with different keys never contend; re-signing already-signed content reuses the
-    /// stored tag instead of re-hashing.
+    /// stored tag instead of re-hashing. Every call counts once in the calling
+    /// thread's [`thread_signatures_issued`](crate::counters::thread_signatures_issued).
     pub fn sign(&self, digest: Digest) -> Signature {
-        let shard = &self.shards[self.id.0 as usize];
-        let tag = {
-            let mut signed = shard.signed.write().expect("registry lock is never poisoned");
-            *signed.entry(digest).or_insert_with(|| expected_tag(self.id, digest))
-        };
-        shard.issued.fetch_add(1, Ordering::Relaxed);
+        let tag = *self.shards[self.id.0 as usize]
+            .write()
+            .expect("registry lock is never poisoned")
+            .entry(digest)
+            .or_insert_with(|| expected_tag(self.id, digest));
+        crate::counters::count_signature();
         Signature { signer: self.id, digest, tag }
     }
 }
@@ -385,16 +368,18 @@ mod tests {
 
     #[test]
     fn signature_counter_counts_every_sign_call() {
+        use crate::counters::thread_signatures_issued;
         let pki = Pki::new(2);
-        assert_eq!(pki.signatures_issued(), 0);
+        let before = thread_signatures_issued();
         let key = pki.signing_key(0).unwrap();
         let digest = Digest::of_bytes(b"counted");
         key.sign(digest);
         key.sign(digest); // repeat signatures over the same content still count
-        pki.signing_key(1).unwrap().sign(Digest::of_bytes(b"other"));
-        assert_eq!(pki.signatures_issued(), 3);
-        // Clones observe the same counter.
-        assert_eq!(pki.clone().signatures_issued(), 3);
+        pki.clone().signing_key(1).unwrap().sign(Digest::of_bytes(b"other"));
+        assert_eq!(thread_signatures_issued() - before, 3);
+        // Verifying signs nothing.
+        assert!(pki.verify(&key.sign(digest), digest));
+        assert_eq!(thread_signatures_issued() - before, 4);
     }
 
     #[test]

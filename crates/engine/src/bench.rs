@@ -118,9 +118,7 @@ pub fn run(executor: &Executor, quick: bool) -> BenchSnapshot {
     let campaign = dolev_strong_campaign(quick);
     let mut crypto = CounterSnapshot::default();
     let Ok((totals, _)) = executor.run_streaming_telemetry(&campaign, |_, telemetry| {
-        crypto.digests_computed += telemetry.crypto.digests_computed;
-        crypto.signatures_verified += telemetry.crypto.signatures_verified;
-        crypto.verify_cache_hits += telemetry.crypto.verify_cache_hits;
+        crypto += telemetry.crypto;
         Ok::<(), Infallible>(())
     });
     BenchSnapshot {

@@ -8,8 +8,8 @@
 //! sink, [`Executor::run`] collects that stream, and [`Executor::map`] runs arbitrary
 //! jobs; shard or resume with [`Campaign::shard`] or [`Campaign::slice`].
 //!
-//! The thread count comes from (in order of precedence) [`Executor::threads`], the
-//! `BSM_THREADS` environment variable, and the machine's available parallelism.
+//! The thread count is [`Executor::threads`] when set, otherwise the machine's
+//! available parallelism.
 
 use crate::campaign::Campaign;
 use crate::grid::{ScenarioSpec, ShardPlan};
@@ -20,9 +20,6 @@ use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::sync::{mpsc, Mutex};
 use std::time::Instant;
-
-/// Name of the environment variable that overrides the default worker-thread count.
-pub const THREADS_ENV: &str = "BSM_THREADS";
 
 /// Runs campaigns (and arbitrary order-preserving parallel maps) on a worker pool.
 #[derive(Debug, Clone)]
@@ -37,12 +34,10 @@ impl Default for Executor {
 }
 
 impl Executor {
-    /// Creates an executor with the default thread count: `BSM_THREADS` when set to a
-    /// positive integer, otherwise the machine's available parallelism.
+    /// Creates an executor with the default thread count: the machine's available
+    /// parallelism.
     pub fn new() -> Self {
-        let threads = parse_threads(std::env::var(THREADS_ENV).ok().as_deref())
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        Self { threads }
+        Self { threads: std::thread::available_parallelism().map_or(1, |n| n.get()) }
     }
 
     /// Overrides the worker-thread count (clamped to at least 1).
@@ -278,11 +273,6 @@ fn run_cell_instrumented(spec: ScenarioSpec) -> (CellRecord, CellTelemetry) {
     (CellRecord { spec, outcome }, telemetry)
 }
 
-/// Parses a `BSM_THREADS`-style value; `None` for unset, empty, zero or non-numeric.
-fn parse_threads(value: Option<&str>) -> Option<usize> {
-    value.and_then(|v| v.trim().parse::<usize>().ok()).filter(|&n| n > 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,17 +280,6 @@ mod tests {
     use bsm_core::harness::AdversarySpec;
     use bsm_core::problem::AuthMode;
     use bsm_net::Topology;
-
-    #[test]
-    fn parse_threads_accepts_positive_integers_only() {
-        assert_eq!(parse_threads(Some("4")), Some(4));
-        assert_eq!(parse_threads(Some(" 2 ")), Some(2));
-        assert_eq!(parse_threads(Some("0")), None);
-        assert_eq!(parse_threads(Some("-1")), None);
-        assert_eq!(parse_threads(Some("lots")), None);
-        assert_eq!(parse_threads(Some("")), None);
-        assert_eq!(parse_threads(None), None);
-    }
 
     #[test]
     fn map_preserves_input_order() {
@@ -502,5 +481,30 @@ mod tests {
 
         let invalid = ScenarioSpec { t_l: 99, ..solvable };
         assert!(matches!(run_cell(invalid).outcome, CellOutcome::Failed { .. }));
+    }
+
+    /// Attribution is exact: a cell's crypto delta is its own work, whichever worker
+    /// ran it and whatever the other workers did meanwhile.
+    #[test]
+    fn cell_deltas_at_four_threads_equal_each_cell_run_alone() {
+        let campaign = CampaignBuilder::new()
+            .sizes([2, 3])
+            .topologies(Topology::ALL)
+            .auth_modes(AuthMode::ALL)
+            .corruptions([(0, 0), (1, 1)])
+            .adversaries(AdversarySpec::ALL)
+            .seeds(0..2)
+            .build();
+        let mut cells = Vec::new();
+        let Ok(_) = Executor::new().threads(4).run_streaming_telemetry(&campaign, |_, cell| {
+            cells.push(cell);
+            Ok::<(), Infallible>(())
+        });
+        assert_eq!(cells.len(), campaign.len());
+        for cell in &cells {
+            let (_, alone) = run_cell_instrumented(cell.spec);
+            assert_eq!(cell.crypto, alone.crypto, "{}", cell.spec);
+        }
+        assert!(cells.iter().any(|cell| cell.crypto.signatures_verified > 0));
     }
 }

@@ -901,7 +901,7 @@ mod tests {
     use super::*;
     use crate::campaign::CampaignBuilder;
     use crate::executor::Executor;
-    use crate::export::{to_json, StreamingExporter};
+    use crate::export::{cell_json, to_json, totals_json, StreamingExporter};
     use bsm_core::harness::AdversarySpec;
     use bsm_core::problem::AuthMode;
     use bsm_core::solvability::ProtocolPlan;
@@ -1140,6 +1140,73 @@ mod tests {
         let collected = from_jsonl(text.as_bytes()).unwrap();
         assert_eq!(collected.scenario(), Some(tag));
         assert_eq!(collected, report);
+    }
+
+    /// Two completed cells whose slots sum past `u64::MAX`, and the totals they
+    /// saturate to.
+    fn cells_summing_past_u64_max() -> (Vec<CellRecord>, Totals) {
+        let cell = |seed| CellRecord {
+            spec: ScenarioSpec {
+                k: 3,
+                topology: Topology::FullyConnected,
+                auth: AuthMode::Authenticated,
+                t_l: 1,
+                t_r: 1,
+                adversary: AdversarySpec::Crash,
+                faults: FaultSpec::NONE,
+                seed,
+            },
+            outcome: CellOutcome::Completed(CellStats {
+                plan: ProtocolPlan::ALL[0],
+                all_honest_decided: true,
+                violations: 0,
+                slots: u64::MAX,
+                messages: 1,
+                signatures: 1,
+            }),
+        };
+        let totals = Totals {
+            scenarios: 2,
+            completed: 2,
+            solved_clean: 2,
+            slots: u64::MAX,
+            messages: 2,
+            signatures: 2,
+            ..Totals::default()
+        };
+        (vec![cell(0), cell(1)], totals)
+    }
+
+    #[test]
+    fn a_document_summing_past_u64_max_imports_saturated_and_re_exports() {
+        let (cells, totals) = cells_summing_past_u64_max();
+        let rows: Vec<String> =
+            cells.iter().map(|cell| format!("    {}", cell_json(cell))).collect();
+        let json = format!(
+            "{{\n  \"totals\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
+            totals_json(&totals),
+            rows.join(",\n")
+        );
+        let report = from_json(&json).unwrap();
+        assert_eq!((report.cells(), report.totals()), (&cells[..], totals));
+        assert_eq!(to_json(&report), json);
+    }
+
+    #[test]
+    fn a_stream_summing_past_u64_max_reads_saturated_and_re_exports() {
+        let (cells, totals) = cells_summing_past_u64_max();
+        let mut text: String = cells.iter().map(|cell| format!("{}\n", cell_json(cell))).collect();
+        text.push_str(&format!("{{\"totals\": {}}}\n", totals_json(&totals)));
+        let mut stream = StreamingCells::new(text.as_bytes());
+        let read: Vec<CellRecord> = (&mut stream).collect::<Result<_, _>>().unwrap();
+        assert_eq!((&read, stream.totals()), (&cells, totals));
+        let mut buf = Vec::new();
+        let mut exporter = StreamingExporter::new(&mut buf);
+        for cell in &read {
+            exporter.write_cell(cell).unwrap();
+        }
+        assert_eq!(exporter.finish().unwrap(), totals);
+        assert_eq!(String::from_utf8(buf).unwrap(), text);
     }
 
     #[test]

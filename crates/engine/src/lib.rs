@@ -8,8 +8,8 @@
 //!   (and re-runnable) on any worker thread,
 //! * [`campaign`] — the [`CampaignBuilder`] DSL: expand sizes × topologies × auth
 //!   modes × corruption pairs × adversaries × seeds into an ordered work list,
-//! * [`executor`] — scoped worker threads over a shared work queue (`BSM_THREADS`
-//!   or [`Executor::threads`]) and one ordered core: a bounded channel plus a
+//! * [`executor`] — scoped worker threads over a shared work queue (all cores, or
+//!   [`Executor::threads`]) and one ordered core: a bounded channel plus a
 //!   reorder buffer hand results on in canonical order, so aggregation is
 //!   **bit-identical across thread counts**; [`Executor::run`] collects the stream
 //!   that [`Executor::run_streaming_telemetry`] emits,
@@ -168,7 +168,7 @@ pub mod telemetry;
 pub use bench::BenchSnapshot;
 pub use campaign::{Campaign, CampaignBuilder};
 pub use diff::{CampaignDiff, CellDiff};
-pub use executor::{Executor, THREADS_ENV};
+pub use executor::Executor;
 pub use export::{
     atomic_write, cell_json, csv_row, sweep_stale_tmp, to_csv, to_json, totals_json, AtomicFile,
     MergedJsonWriter, StreamError, StreamingCsvWriter, StreamingExporter,

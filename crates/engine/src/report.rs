@@ -108,7 +108,8 @@ impl Totals {
     /// This is the streaming counterpart of [`CampaignReport::new`]'s aggregation: the
     /// streamed export path folds every completed cell into a rolling `Totals` instead
     /// of retaining the full [`CellRecord`] vector, and both paths produce the same
-    /// totals for the same cells.
+    /// totals for the same cells. The summed costs saturate, since imported cells
+    /// carry untrusted numbers.
     pub fn record(&mut self, outcome: &CellOutcome) {
         self.scenarios += 1;
         match outcome {
@@ -117,10 +118,10 @@ impl Totals {
                 if stats.violations == 0 && stats.all_honest_decided {
                     self.solved_clean += 1;
                 }
-                self.violations += stats.violations;
-                self.slots += stats.slots;
-                self.messages += stats.messages;
-                self.signatures += stats.signatures;
+                self.violations = self.violations.saturating_add(stats.violations);
+                self.slots = self.slots.saturating_add(stats.slots);
+                self.messages = self.messages.saturating_add(stats.messages);
+                self.signatures = self.signatures.saturating_add(stats.signatures);
             }
             CellOutcome::Unsolvable { .. } => self.unsolvable += 1,
             CellOutcome::Failed { .. } => self.failed += 1,
@@ -128,19 +129,19 @@ impl Totals {
     }
 }
 
-/// Field-wise addition, used to pre-compute merged totals from per-shard footers
-/// before any merged cell has been streamed.
+/// Field-wise saturating addition, used to pre-compute merged totals from per-shard
+/// footers (untrusted input) before any merged cell has been streamed.
 impl AddAssign for Totals {
     fn add_assign(&mut self, other: Totals) {
-        self.scenarios += other.scenarios;
-        self.completed += other.completed;
-        self.solved_clean += other.solved_clean;
-        self.unsolvable += other.unsolvable;
-        self.failed += other.failed;
-        self.violations += other.violations;
-        self.slots += other.slots;
-        self.messages += other.messages;
-        self.signatures += other.signatures;
+        self.scenarios = self.scenarios.saturating_add(other.scenarios);
+        self.completed = self.completed.saturating_add(other.completed);
+        self.solved_clean = self.solved_clean.saturating_add(other.solved_clean);
+        self.unsolvable = self.unsolvable.saturating_add(other.unsolvable);
+        self.failed = self.failed.saturating_add(other.failed);
+        self.violations = self.violations.saturating_add(other.violations);
+        self.slots = self.slots.saturating_add(other.slots);
+        self.messages = self.messages.saturating_add(other.messages);
+        self.signatures = self.signatures.saturating_add(other.signatures);
     }
 }
 

@@ -98,8 +98,8 @@ pub fn backoff_ms(base_ms: u64, attempt: u32) -> u64 {
 }
 
 /// Whether the process `pid` is currently alive: `Some(true/false)` on Linux
-/// (via `/proc`), `None` when the question cannot be answered (pid 0 — the
-/// "unknown" placeholder old heartbeats parse to — or a non-Linux platform).
+/// (via `/proc`), `None` when the question cannot be answered (pid 0, which names
+/// no worker, or a non-Linux platform).
 pub fn pid_alive(pid: u32) -> Option<bool> {
     if pid == 0 {
         return None;

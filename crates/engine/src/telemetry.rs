@@ -442,8 +442,8 @@ impl AxisRollup {
     fn record(&mut self, cell: &CellTelemetry) {
         self.cells += 1;
         self.wall_nanos = self.wall_nanos.saturating_add(cell.wall_nanos);
-        self.messages += cell.messages;
-        self.digests += cell.crypto.digests_computed;
+        self.messages = self.messages.saturating_add(cell.messages);
+        self.digests = self.digests.saturating_add(cell.crypto.digests_computed);
     }
 
     /// Mean wall nanoseconds per cell, rounded down; zero for an empty group.
@@ -468,7 +468,7 @@ pub struct CampaignStats {
     pub messages: Histogram,
     /// Histogram of per-cell digest counts (deterministic).
     pub digests: Histogram,
-    /// Sum of the per-cell crypto deltas (equals the campaign's global counter delta).
+    /// Sum of the per-cell crypto deltas.
     pub crypto: CounterSnapshot,
     /// Rollup by market size `k`.
     pub by_k: BTreeMap<usize, AxisRollup>,
@@ -488,9 +488,7 @@ impl CampaignStats {
         self.wall.record(cell.wall_nanos);
         self.messages.record(cell.messages);
         self.digests.record(cell.crypto.digests_computed);
-        self.crypto.digests_computed += cell.crypto.digests_computed;
-        self.crypto.signatures_verified += cell.crypto.signatures_verified;
-        self.crypto.verify_cache_hits += cell.crypto.verify_cache_hits;
+        self.crypto += cell.crypto;
         self.by_k.entry(cell.spec.k).or_default().record(cell);
         self.by_adversary.entry(cell.spec.adversary.to_string()).or_default().record(cell);
         self.by_topology.entry(cell.spec.topology.to_string()).or_default().record(cell);
@@ -593,10 +591,11 @@ pub const HEARTBEAT_EVERY: usize = 32;
 /// file always parses as complete JSON (each rewrite is a temp-file +
 /// atomic-rename, never an in-place write, so a reader can never observe a torn
 /// document), and a shard whose heartbeat stops advancing is dead. The document
-/// carries `done`/`total`, the rate, the last finished coordinate, the process-global
-/// crypto-counter delta since the heartbeat started, and the wall time; the two
-/// non-integer timing values are rendered as decimal *strings* so the document stays
-/// inside the integers-only JSON subset the engine's parsers accept.
+/// carries `done`/`total`, the rewrite counter `seq`, the worker's `pid` and
+/// `attempt`, the rate of the cells this process ran, the wall time and the last
+/// finished coordinate; the two non-integer timing values are rendered as decimal
+/// *strings* so the document stays inside the integers-only JSON subset the engine's
+/// parsers accept.
 ///
 /// `progress.json` is not a report artifact: it exists only while telemetry of a live
 /// run is useful and never participates in merges or byte-identity comparisons.
@@ -606,11 +605,13 @@ pub struct Heartbeat {
     every: usize,
     total: usize,
     done: usize,
+    /// Cells counted in `done` before this process started (a resumed shard's
+    /// salvaged prefix): they are not part of the rate.
+    salvaged: usize,
     seq: u64,
     attempt: u32,
     last: Option<ScenarioSpec>,
     start: Instant,
-    base: CounterSnapshot,
 }
 
 impl Heartbeat {
@@ -627,24 +628,26 @@ impl Heartbeat {
             every: every.max(1),
             total,
             done: 0,
+            salvaged: 0,
             seq: 0,
             attempt: 1,
             last: None,
             start: Instant::now(),
-            base: bsm_crypto::counters::snapshot(),
         };
         heartbeat.write()?;
         Ok(heartbeat)
     }
 
     /// Pre-counts `done` cells as already finished (a resumed shard's salvaged
-    /// prefix) and rewrites the beat to reflect them.
+    /// prefix) and rewrites the beat to reflect them. They count in `done` but not
+    /// in the rate, which covers the cells this process runs.
     ///
     /// # Errors
     ///
     /// Any I/O error rewriting the beat.
     pub fn starting_at(mut self, done: usize) -> std::io::Result<Self> {
         self.done = done;
+        self.salvaged = done;
         self.write()?;
         Ok(self)
     }
@@ -698,17 +701,15 @@ impl Heartbeat {
     fn write(&mut self) -> std::io::Result<()> {
         self.seq += 1;
         let wall = self.start.elapsed().as_secs_f64();
-        let rate = if wall > 0.0 { self.done as f64 / wall } else { 0.0 };
-        let delta = bsm_crypto::counters::snapshot() - self.base;
+        let ran = self.done - self.salvaged;
+        let rate = if wall > 0.0 { ran as f64 / wall } else { 0.0 };
         let last = match &self.last {
             Some(spec) => format!(", \"last\": {{{}}}", spec_fields_json(spec)),
             None => String::new(),
         };
         let doc = format!(
             "{{\"done\": {}, \"total\": {}, \"seq\": {}, \"pid\": {}, \"attempt\": {}, \
-             \"rate_per_sec\": \"{:.1}\", \
-             \"wall_seconds\": \"{:.3}\"{}, \"crypto\": {{\"digests\": {}, \
-             \"verified\": {}, \"cache_hits\": {}}}}}\n",
+             \"rate_per_sec\": \"{:.1}\", \"wall_seconds\": \"{:.3}\"{}}}\n",
             self.done,
             self.total,
             self.seq,
@@ -717,9 +718,6 @@ impl Heartbeat {
             rate,
             wall,
             last,
-            delta.digests_computed,
-            delta.signatures_verified,
-            delta.verify_cache_hits,
         );
         crate::export::atomic_write(&self.path, doc)
     }
@@ -734,22 +732,24 @@ pub struct ProgressSnapshot {
     /// Cells the shard owns in total.
     pub total: usize,
     /// Monotone rewrite counter — the advancement signal a stall watchdog keys
-    /// on (0 when parsed from a pre-`seq` heartbeat file).
+    /// on.
     pub seq: u64,
-    /// The writing worker's process id (0 when parsed from a pre-`pid` file —
-    /// [`crate::supervise::pid_alive`] treats 0 as "unknown").
+    /// The writing worker's process id.
     pub pid: u32,
-    /// The supervisor-assigned attempt number (1 when absent or unsupervised).
+    /// The supervisor-assigned attempt number (1 when unsupervised).
     pub attempt: u32,
-    /// Cells per second, as written (timing — informational).
+    /// Cells per second this process ran, as written (timing — informational; a
+    /// resumed shard's salvaged cells are not part of it).
     pub rate_per_sec: f64,
     /// Wall seconds since the heartbeat started (timing — informational).
     pub wall_seconds: f64,
     /// The last finished coordinate (`None` before the first beat-covered cell).
     pub last: Option<ScenarioSpec>,
-    /// Process-global crypto-counter delta since the heartbeat started.
-    pub crypto: CounterSnapshot,
 }
+
+/// The keys of a heartbeat document: counts, liveness, timing and the last cell.
+const PROGRESS_KEYS: [&[&str]; 4] =
+    [&["done", "total"], &["seq", "pid", "attempt"], &["rate_per_sec", "wall_seconds"], &["last"]];
 
 /// Parses a `progress.json` heartbeat document.
 ///
@@ -757,7 +757,8 @@ pub struct ProgressSnapshot {
 ///
 /// [`ImportError::Syntax`] for malformed JSON (including a torn write, which the
 /// atomic-rename discipline makes impossible to observe from `Heartbeat` itself),
-/// [`ImportError::Schema`] for a well-formed document that is not a heartbeat.
+/// [`ImportError::Schema`] for a well-formed document that is not a heartbeat (a
+/// missing or unexpected key, a timing value that is not a decimal string).
 pub fn parse_progress(text: &str) -> Result<ProgressSnapshot, ImportError> {
     let value = Parser::new(text.trim_end()).parse_document()?;
     let fields = as_object(&value, "progress document")?;
@@ -770,34 +771,22 @@ pub fn parse_progress(text: &str) -> Result<ProgressSnapshot, ImportError> {
         Some((_, value)) => Some(parse_spec(as_object(value, "last")?)?),
         None => None,
     };
-    // Supervision fields arrived after the format's first release; a heartbeat
-    // written by an older engine parses with "unknown" defaults instead of
-    // failing, so a mixed-version fleet stays observable.
-    let optional = |name: &str, default: u64| -> Result<u64, ImportError> {
-        match fields.iter().any(|(key, _)| key == name) {
-            true => number(fields, name),
-            false => Ok(default),
-        }
+    let narrow = |name: &str| -> Result<u32, ImportError> {
+        u32::try_from(number(fields, name)?)
+            .map_err(|_| schema(format!("{name}: value exceeds u32")))
     };
-    let narrow = |name: &str, value: u64| -> Result<u32, ImportError> {
-        u32::try_from(value).map_err(|_| schema(format!("{name}: value exceeds u32")))
-    };
-    let crypto = as_object(field(fields, "crypto")?, "crypto")?;
-    Ok(ProgressSnapshot {
+    let progress = ProgressSnapshot {
         done: usize_field(fields, "done")?,
         total: usize_field(fields, "total")?,
-        seq: optional("seq", 0)?,
-        pid: narrow("pid", optional("pid", 0)?)?,
-        attempt: narrow("attempt", optional("attempt", 1)?)?,
+        seq: number(fields, "seq")?,
+        pid: narrow("pid")?,
+        attempt: narrow("attempt")?,
         rate_per_sec: timing_float("rate_per_sec")?,
         wall_seconds: timing_float("wall_seconds")?,
         last,
-        crypto: CounterSnapshot {
-            digests_computed: number(crypto, "digests")?,
-            signatures_verified: number(crypto, "verified")?,
-            verify_cache_hits: number(crypto, "cache_hits")?,
-        },
-    })
+    };
+    no_stray_key(fields, &PROGRESS_KEYS, "progress document")?;
+    Ok(progress)
 }
 
 #[cfg(test)]
@@ -1055,39 +1044,63 @@ mod tests {
     }
 
     #[test]
-    fn pre_supervision_heartbeats_parse_with_defaults() {
-        // A heartbeat written before seq/pid/attempt existed must still parse —
-        // a mixed-version fleet stays observable.
-        let old = "{\"done\": 4, \"total\": 9, \"rate_per_sec\": \"2.0\", \
-                   \"wall_seconds\": \"2.000\", \"crypto\": {\"digests\": 0, \
-                   \"verified\": 0, \"cache_hits\": 0}}";
-        let parsed = parse_progress(old).unwrap();
-        assert_eq!((parsed.done, parsed.total), (4, 9));
-        assert_eq!((parsed.seq, parsed.pid, parsed.attempt), (0, 0, 1));
-    }
-
-    #[test]
     fn resumed_heartbeat_starts_at_the_salvaged_count() {
         let dir = std::env::temp_dir().join("bsm-engine-telemetry-tests").join("heartbeat_resume");
         let _ = std::fs::remove_dir_all(&dir);
-        let heartbeat = Heartbeat::new(&dir, 10, 32).unwrap().starting_at(6).unwrap();
-        let beat = parse_progress(&std::fs::read_to_string(heartbeat.path()).unwrap()).unwrap();
-        assert_eq!((beat.done, beat.total), (6, 10));
+        let mut heartbeat = Heartbeat::new(&dir, 100, 1).unwrap().starting_at(40).unwrap();
+        let read = |path: &Path| parse_progress(&std::fs::read_to_string(path).unwrap()).unwrap();
+        // The salvaged cells count as done but not in the rate: this process ran none.
+        let beat = read(heartbeat.path());
+        assert_eq!((beat.done, beat.total, beat.rate_per_sec), (40, 100, 0.0));
+        heartbeat.tick(spec(0)).unwrap();
+        let beat = read(heartbeat.path());
+        assert_eq!(beat.done, 41);
+        assert!(beat.rate_per_sec > 0.0, "one cell ran");
     }
 
     #[test]
     fn progress_documents_reject_wrong_shapes() {
+        let dir = std::env::temp_dir().join("bsm-engine-telemetry-tests").join("heartbeat_shapes");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut heartbeat = Heartbeat::new(&dir, 10, 1).unwrap();
+        heartbeat.tick(spec(0)).unwrap();
+        let good = std::fs::read_to_string(heartbeat.path()).unwrap();
+        let beat = parse_progress(&good).unwrap();
+        let pid = format!("\"pid\": {}, ", beat.pid);
         for bad in [
-            "",
-            "[1]",
-            "{\"done\": 1}",
+            String::new(),
+            "[1]".into(),
+            "{\"done\": 1}".into(),
             // rate as a bare number would be a float — the schema wants a string.
-            "{\"done\": 1, \"total\": 2, \"rate_per_sec\": 1, \"wall_seconds\": \"0.1\", \
-             \"crypto\": {\"digests\": 0, \"verified\": 0, \"cache_hits\": 0}}",
-            "{\"done\": 1, \"total\": 2, \"rate_per_sec\": \"x\", \"wall_seconds\": \"0.1\", \
-             \"crypto\": {\"digests\": 0, \"verified\": 0, \"cache_hits\": 0}}",
+            good.replace(&format!("\"{:.1}\"", beat.rate_per_sec), "1"),
+            good.replace(&format!("\"{:.1}\"", beat.rate_per_sec), "\"x\""),
+            // Every writer writes seq, pid and attempt.
+            good.replace("\"seq\": 2, ", ""),
+            good.replace(&pid, ""),
+            good.replace("\"attempt\": 1, ", ""),
+            // A key no writer writes.
+            good.replace("{\"done\"", "{\"crypto\": {}, \"done\""),
         ] {
-            assert!(parse_progress(bad).is_err(), "{bad:?} should not parse");
+            assert_ne!(bad, good);
+            assert!(parse_progress(&bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    /// Sums over untrusted sidecar lines saturate instead of overflowing.
+    #[test]
+    fn stats_over_lines_summing_past_u64_max_saturate() {
+        let line = |seed| {
+            let mut cell = CellTelemetry { messages: u64::MAX, ..telemetry(seed) };
+            cell.crypto.digests_computed = u64::MAX;
+            cell.to_json()
+        };
+        let text = format!("{}\n{}\n", line(0), line(1));
+        let stats = CampaignStats::from_stream(text.as_bytes()).unwrap();
+        assert_eq!(stats.cells, 2);
+        assert_eq!(stats.crypto.digests_computed, u64::MAX);
+        for rollup in [&stats.by_k[&3], &stats.by_adversary["crash"]] {
+            assert_eq!((rollup.messages, rollup.digests), (u64::MAX, u64::MAX));
+        }
+        assert!(stats.render(5).contains(&format!("messages={}", u64::MAX)));
     }
 }

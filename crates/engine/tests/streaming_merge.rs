@@ -47,7 +47,7 @@ fn streamed_shard(campaign: &Campaign, index: usize, count: usize, threads: usiz
 }
 
 /// Streams a k-way merge of shard exports into (`report.json`, `report.csv`) bytes,
-/// exactly as `campaign_ctl merge --stream` does: footer pass first, then one lazy
+/// exactly as `campaign_ctl merge` does: footer pass first, then one lazy
 /// pass over the cells.
 fn streamed_merge(shards: &[Vec<u8>]) -> (String, String) {
     let mut declared = Totals::default();
