@@ -52,7 +52,9 @@
 //!     shards/1/report.jsonl shards/2/report.jsonl shards/3/report.jsonl
 //! ```
 //!
-//! `diff` accepts both formats too.
+//! `diff` takes both formats too, and merge-joins the two exports' cells as it
+//! reads them. Every reader refuses a document or stream whose cells are not in
+//! strictly increasing coordinate order.
 //!
 //! # Crash recovery (`resume`)
 //!
@@ -143,7 +145,7 @@ use bsm_core::script::{Script, Verdict};
 use bsm_engine::export::{
     atomic_write, AtomicFile, MergedJsonWriter, StreamingCsvWriter, StreamingExporter,
 };
-use bsm_engine::import::{footer_meta, from_json, ImportError, StreamingCells};
+use bsm_engine::import::{footer_meta, from_json, StreamingCells};
 use bsm_engine::supervise::{
     attempt_from_env, pid_alive, run_supervisor, ChaosSpec, CrashPoint, SuperviseConfig,
     DEFAULT_BACKOFF_MS, DEFAULT_MAX_ATTEMPTS, DEFAULT_POLL_MS, DEFAULT_STALL_POLLS,
@@ -152,8 +154,8 @@ use bsm_engine::telemetry::{
     parse_progress, CampaignStats, CellTelemetry, Heartbeat, TelemetryExporter, HEARTBEAT_EVERY,
 };
 use bsm_engine::{
-    run_fuzz, Campaign, CampaignBuilder, CampaignDiff, CampaignReport, CellMerge, CellRecord,
-    ExecutionStats, FuzzConfig, ScenarioFile, ShardPlan, StreamError, Totals,
+    run_fuzz, Campaign, CampaignBuilder, CampaignDiff, CellMerge, CellRecord, ExecutionStats,
+    FuzzConfig, ScenarioFile, ShardPlan, StreamError, Totals,
 };
 use std::ffi::OsString;
 use std::fs::File;
@@ -199,20 +201,24 @@ fn build_campaign(args: &BenchArgs) -> Result<(Campaign, Option<String>), CtlErr
     Ok((campaign, None))
 }
 
-/// One export's cells, in coordinate order.
-type ExportCells = Box<dyn Iterator<Item = Result<CellRecord, ImportError>>>;
+/// One export's cells, in coordinate order; a read error names the export.
+type ExportCells = Box<dyn Iterator<Item = Result<CellRecord, String>>>;
 
-/// Opens one exported report: its totals, its scenario tag and its cells. A
-/// `report.jsonl` shard stream (detected by extension, case-insensitively) yields its
-/// footer in a constant-memory pass and its cells lazily; anything else is imported
-/// whole as a `report.json` document.
+/// Opens one exported report: its totals, its scenario tag and its cells, in the
+/// coordinate order both readers verify. A `report.jsonl` shard stream (detected by
+/// extension, case-insensitively) yields its footer in a constant-memory pass and its
+/// cells lazily; anything else is imported whole as a `report.json` document.
 fn open_export(path: &Path) -> Result<(Totals, Option<String>, ExportCells), String> {
     let shown = path.display();
     if path.extension().is_some_and(|ext| ext.eq_ignore_ascii_case("jsonl")) {
         let open = || File::open(path).map_err(|err| format!("cannot read {shown}: {err}"));
         let (totals, tag) = footer_meta(BufReader::new(open()?))
             .map_err(|err| format!("cannot read footer of {shown}: {err}"))?;
-        return Ok((totals, tag, Box::new(StreamingCells::new(BufReader::new(open()?)))));
+        let cells = StreamingCells::new(BufReader::new(open()?));
+        let shown = shown.to_string();
+        let cells =
+            cells.map(move |cell| cell.map_err(|err| format!("cannot read {shown}: {err}")));
+        return Ok((totals, tag, Box::new(cells)));
     }
     let text =
         std::fs::read_to_string(path).map_err(|err| format!("cannot read {shown}: {err}"))?;
@@ -222,24 +228,8 @@ fn open_export(path: &Path) -> Result<(Totals, Option<String>, ExportCells), Str
              report.jsonl exports are detected by their .jsonl extension)"
         )
     })?;
-    // A document merges in coordinate order whatever order its cells were written in.
-    let mut cells = report.cells().to_vec();
-    cells.sort_by_key(|cell| cell.spec);
     let tag = report.scenario().map(str::to_owned);
-    Ok((report.totals(), tag, Box::new(cells.into_iter().map(Ok))))
-}
-
-/// Imports one exported report whole (see [`open_export`]).
-fn import_report(path: &Path) -> Result<CampaignReport, String> {
-    let (_, tag, cells) = open_export(path)?;
-    let cells = cells
-        .collect::<Result<_, _>>()
-        .map_err(|err| format!("cannot import streamed export {}: {err}", path.display()))?;
-    let report = CampaignReport::new(cells);
-    Ok(match tag {
-        Some(tag) => report.with_scenario(tag),
-        None => report,
-    })
+    Ok((report.totals(), tag, Box::new(report.cells().to_vec().into_iter().map(Ok))))
 }
 
 /// Removes a stale artifact left by an earlier run, tolerating its absence.
@@ -827,27 +817,31 @@ fn merge_reports(files: &[impl AsRef<Path>], out: &Path) -> Result<Totals, Strin
     Ok(totals)
 }
 
-/// Returns [`CtlCode::Findings`] when the reports differ in any cell.
+/// `diff`: merge-joins the cells of two exports as they are read (see
+/// [`open_export`]) and prints the cells that differ. Returns [`CtlCode::Findings`]
+/// when any cell differs.
 fn diff(args: &BenchArgs) -> Result<CtlCode, CtlError> {
     let [left, right] = args.files.as_slice() else {
         return Err(CtlError::Usage(format!(
-            "diff: expected exactly two report.json paths, got {}",
+            "diff: expected exactly two report.json or report.jsonl paths, got {}",
             args.files.len()
         )));
     };
-    let (left, right) = (import_report(Path::new(left))?, import_report(Path::new(right))?);
-    if left.scenario() != right.scenario() {
+    let (_, left_tag, left_cells) = open_export(Path::new(left))?;
+    let (_, right_tag, right_cells) = open_export(Path::new(right))?;
+    if left_tag != right_tag {
         // Cells of different scenarios are different experiments; a cell-level diff
         // would be meaningless (and, under different grids, mostly "missing cell").
-        let render = |t: Option<&str>| t.map_or("no scenario tag".into(), |t| format!("{t:?}"));
+        let render =
+            |t: &Option<String>| t.as_ref().map_or("no scenario tag".into(), |t| format!("{t:?}"));
         return Err(format!(
             "cannot diff reports from different scenarios: {} vs {}",
-            render(left.scenario()),
-            render(right.scenario())
+            render(&left_tag),
+            render(&right_tag)
         )
         .into());
     }
-    let diff = CampaignDiff::between(&left, &right);
+    let diff = CampaignDiff::join(left_cells, right_cells)?;
     let _ = write!(std::io::stdout(), "{diff}");
     Ok(if diff.is_empty() { CtlCode::Success } else { CtlCode::Findings })
 }

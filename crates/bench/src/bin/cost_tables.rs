@@ -3,8 +3,8 @@
 //! Dolev–Strong versus committee-broadcast ablation.
 //!
 //! Every table is a small explicit campaign run on the `bsm-engine` executor, so the
-//! rows of all four tables are computed in parallel while printing stays in canonical
-//! order.
+//! rows of all four tables are computed in parallel while each table prints its rows
+//! in the order it lists them.
 //!
 //! Usage: `cost_tables [--threads N]`
 
@@ -44,9 +44,12 @@ fn cost_row(record: &CellRecord, with_topology: bool) -> Vec<String> {
     cells
 }
 
+/// Runs `specs` and returns their cells in the order given: the report holds them in
+/// coordinate order, so each row's cell is looked up by its coordinates.
 fn run(executor: &Executor, specs: Vec<bsm_engine::ScenarioSpec>) -> Vec<CellRecord> {
-    let (report, _) = executor.run(&Campaign::from_specs(specs));
-    report.cells().to_vec()
+    let (report, _) = executor.run(&Campaign::from_specs(specs.clone()));
+    let cell = |spec| report.cells().iter().find(|cell| cell.spec == spec).cloned();
+    specs.into_iter().map(|spec| cell(spec).expect("every spec has its cell")).collect()
 }
 
 fn main() {

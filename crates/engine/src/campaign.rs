@@ -26,12 +26,11 @@ impl Campaign {
     ///
     /// This is the escape hatch for experiments whose cells do not form a cross
     /// product (e.g. the cost tables, which pick one corruption budget per size).
-    /// Note that [`CampaignReport::merge`] recombines shard reports in *coordinate*
-    /// order; if the given order differs from it, a merged export is deterministic
-    /// but not byte-identical to an unsharded export of this campaign (built
-    /// campaigns always agree — [`CampaignBuilder::build`] normalizes its axes).
+    /// The executor runs the cells in the given order, but a [`CampaignReport`]
+    /// holds them in *coordinate* order, whatever the work list's (built campaigns
+    /// always agree — [`CampaignBuilder::build`] normalizes its axes).
     ///
-    /// [`CampaignReport::merge`]: crate::report::CampaignReport::merge
+    /// [`CampaignReport`]: crate::report::CampaignReport
     pub fn from_specs(specs: Vec<ScenarioSpec>) -> Self {
         Self { specs }
     }
@@ -205,7 +204,7 @@ impl CampaignBuilder {
     ///
     /// Each axis is treated as a **set**: values are sorted and deduplicated before
     /// expansion, so the canonical order coincides exactly with the coordinate order
-    /// of [`ScenarioSpec`]'s `Ord` — the order [`CampaignReport::merge`] restores.
+    /// of [`ScenarioSpec`]'s `Ord` — the order every [`CampaignReport`] holds.
     /// This is what makes the shard-merge byte-identity guarantee unconditional for
     /// built campaigns, regardless of the order axes were passed in.
     ///
@@ -213,7 +212,7 @@ impl CampaignBuilder {
     /// dropped; with [`skip_unsolvable`](Self::skip_unsolvable), provably unsolvable
     /// cells are dropped too.
     ///
-    /// [`CampaignReport::merge`]: crate::report::CampaignReport::merge
+    /// [`CampaignReport`]: crate::report::CampaignReport
     pub fn build(self) -> Campaign {
         fn axis<T: Ord + Copy>(values: &[T]) -> Vec<T> {
             let mut values = values.to_vec();

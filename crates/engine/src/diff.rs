@@ -1,18 +1,20 @@
 //! Cell-level comparison of two campaign reports.
 //!
-//! [`CampaignDiff`] lines up two [`CampaignReport`]s by grid coordinate and keeps
-//! only the cells whose outcomes differ — the tool for before/after comparisons when
-//! a protocol, adversary or characterization change lands: run the same campaign on
-//! both revisions, export, import, diff, and read exactly the cells that moved.
+//! [`CampaignDiff`] merge-joins two coordinate-ordered cell streams and keeps only
+//! the cells whose outcomes differ — the tool for before/after comparisons when a
+//! protocol, adversary or characterization change lands: run the same campaign on
+//! both revisions, export, diff, and read exactly the cells that moved.
+//! [`CampaignDiff::between`] feeds it two reports; `campaign_ctl diff` feeds it two
+//! exports as they are read, `report.json` documents and `report.jsonl` streams alike.
 //!
-//! The diff is symmetric in structure (each entry carries the left and right outcome,
-//! either of which may be absent when the reports cover different grids) and
-//! deterministic: entries are ordered by grid coordinate, so the same pair of reports
-//! always renders the same text.
+//! Each entry carries the left and right outcome, either of which may be absent when
+//! the sides cover different grids, and entries come in coordinate order, so the same
+//! pair of inputs always renders the same text.
 
 use crate::grid::ScenarioSpec;
-use crate::report::{CampaignReport, CellOutcome};
-use std::collections::BTreeMap;
+use crate::report::{CampaignReport, CellOutcome, CellRecord};
+use std::borrow::Borrow;
+use std::convert::Infallible;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -35,53 +37,59 @@ pub struct CampaignDiff {
 }
 
 impl CampaignDiff {
-    /// Compares two reports cell by cell, keyed by grid coordinate.
+    /// Compares two reports cell by cell (see [`join`](Self::join)); the diff of a
+    /// report against itself is empty.
+    pub fn between(left: &CampaignReport, right: &CampaignReport) -> CampaignDiff {
+        let (left, right) = (left.cells().iter(), right.cells().iter());
+        let Ok(diff) = Self::join(left.map(Ok::<_, Infallible>), right.map(Ok));
+        diff
+    }
+
+    /// Merge-joins two cell streams, each in coordinate order, keyed by grid
+    /// coordinate.
     ///
-    /// A cell differs when it appears in only one report, or in both with unequal
-    /// outcomes. Identical cells are dropped; the diff of a report against itself is
-    /// empty. Reports built by [`CampaignBuilder`] have unique coordinates, but a
-    /// hand-assembled work list may repeat one — the n-th occurrence on the left is
-    /// then compared against the n-th occurrence on the right, so no record is
-    /// silently collapsed.
+    /// A cell differs when it appears on only one side, or on both with unequal
+    /// outcomes; identical cells are dropped. Reports built by [`CampaignBuilder`]
+    /// have unique coordinates, but a hand-assembled work list may repeat one — the
+    /// n-th occurrence on the left is then compared against the n-th occurrence on
+    /// the right, so no record is silently collapsed.
+    ///
+    /// # Errors
+    ///
+    /// The first error either stream yields.
     ///
     /// [`CampaignBuilder`]: crate::campaign::CampaignBuilder
-    pub fn between(left: &CampaignReport, right: &CampaignReport) -> CampaignDiff {
-        // Key every record by (coordinates, occurrence index) so duplicate
-        // coordinates line up pairwise instead of overwriting each other in the map.
-        fn keyed(report: &CampaignReport) -> BTreeMap<(ScenarioSpec, usize), &CellOutcome> {
-            let mut seen: BTreeMap<ScenarioSpec, usize> = BTreeMap::new();
-            report
-                .cells()
-                .iter()
-                .map(|c| {
-                    let occurrence = seen.entry(c.spec).or_insert(0);
-                    let key = (c.spec, *occurrence);
-                    *occurrence += 1;
-                    (key, &c.outcome)
-                })
-                .collect()
+    pub fn join<C: Borrow<CellRecord>, E>(
+        left: impl IntoIterator<Item = Result<C, E>>,
+        right: impl IntoIterator<Item = Result<C, E>>,
+    ) -> Result<CampaignDiff, E> {
+        /// The outcome of `cell` when it sits at `spec`.
+        fn at<C: Borrow<CellRecord>>(cell: &Option<C>, spec: ScenarioSpec) -> Option<&CellOutcome> {
+            cell.as_ref().map(Borrow::borrow).filter(|c| c.spec == spec).map(|c| &c.outcome)
         }
-        let left_cells = keyed(left);
-        let right_cells = keyed(right);
-        let keys: std::collections::BTreeSet<(ScenarioSpec, usize)> =
-            left_cells.keys().chain(right_cells.keys()).copied().collect();
-        let cells_compared = keys.len();
-        let diffs = keys
-            .into_iter()
-            .filter_map(|key| {
-                let l = left_cells.get(&key);
-                let r = right_cells.get(&key);
-                if l == r {
-                    return None;
-                }
-                Some(CellDiff {
-                    spec: key.0,
-                    left: l.map(|o| (*o).clone()),
-                    right: r.map(|o| (*o).clone()),
-                })
-            })
-            .collect();
-        CampaignDiff { diffs, cells_compared }
+        let (mut left, mut right) = (left.into_iter(), right.into_iter());
+        let (mut l, mut r) = (left.next().transpose()?, right.next().transpose()?);
+        let mut diff = CampaignDiff { diffs: Vec::new(), cells_compared: 0 };
+        loop {
+            let spec = match (&l, &r) {
+                (None, None) => return Ok(diff),
+                (Some(cell), None) | (None, Some(cell)) => cell.borrow().spec,
+                (Some(a), Some(b)) => a.borrow().spec.min(b.borrow().spec),
+            };
+            // The side(s) whose next cell sits at the smaller coordinates step.
+            let (on_left, on_right) = (at(&l, spec), at(&r, spec));
+            if on_left != on_right {
+                let (left, right) = (on_left.cloned(), on_right.cloned());
+                diff.diffs.push(CellDiff { spec, left, right });
+            }
+            diff.cells_compared += 1;
+            if on_left.is_some() {
+                l = left.next().transpose()?;
+            }
+            if on_right.is_some() {
+                r = right.next().transpose()?;
+            }
+        }
     }
 
     /// The differing cells, ordered by grid coordinate.
@@ -99,7 +107,8 @@ impl CampaignDiff {
         self.diffs.is_empty()
     }
 
-    /// Number of distinct grid coordinates across both reports.
+    /// Number of cells compared: each pair at equal coordinates counts once, each
+    /// cell on one side only counts once.
     pub fn cells_compared(&self) -> usize {
         self.cells_compared
     }

@@ -51,8 +51,9 @@ impl Executor {
         self.threads
     }
 
-    /// Runs every cell of `campaign` and collects the records, in canonical order,
-    /// into a report (the stream of [`run_streaming_telemetry`](Self::run_streaming_telemetry)).
+    /// Runs every cell of `campaign` and collects the records (the stream of
+    /// [`run_streaming_telemetry`](Self::run_streaming_telemetry)) into a report, which
+    /// holds them in coordinate order.
     ///
     /// Unsolvable cells are recorded (not errors); cells that fail to build or run are
     /// recorded as failed. The returned [`ExecutionStats`] carries the wall-clock side

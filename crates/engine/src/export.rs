@@ -1,29 +1,30 @@
 //! Structured result export: hand-rolled JSON and CSV writers (no serde).
 //!
-//! Both document writers are pure functions of a [`CampaignReport`]: key order, number
+//! Both document layouts are pure functions of the cell sequence: key order, number
 //! formatting and row order are all fixed, so two runs of the same campaign — with any
 //! thread counts — export byte-identical documents. Timing data never appears here by
 //! construction (it lives in [`crate::report::ExecutionStats`]).
 //!
-//! # Streaming writers
+//! # One writer per layout
 //!
-//! Campaigns too large to hold every [`CellRecord`] in memory use the streaming
-//! writers instead of the in-memory [`to_json`]/[`to_csv`] pair:
+//! Each layout has one writer, which takes cells one at a time, so a campaign too
+//! large to hold every [`CellRecord`] in memory never materializes; [`to_json`] and
+//! [`to_csv`] render a whole [`CampaignReport`] through the same writers:
 //!
 //! * [`StreamingExporter`] — the **shard side**: writes one [`cell_json`] line per
-//!   completed cell (in strictly increasing coordinate order, enforced) and closes the
-//!   stream with a rolling-[`Totals`] footer line. The format is JSON lines, read back
-//!   lazily by [`crate::import::StreamingCells`].
+//!   completed cell and closes the stream with a rolling-[`Totals`] footer line. The
+//!   format is JSON lines, read back lazily by [`crate::import::StreamingCells`].
 //! * [`MergedJsonWriter`] — the **coordinator side**: given the merged totals up front
-//!   (summed from shard footers), reproduces the [`to_json`] document byte for byte
-//!   from a stream of merged cells, verifying the folded totals at
+//!   (summed from shard footers), writes the [`to_json`] document from a stream of
+//!   merged cells, verifying the folded totals at
 //!   [`finish`](MergedJsonWriter::finish).
-//! * [`StreamingCsvWriter`] — reproduces the [`to_csv`] document byte for byte from
-//!   the same merged stream (CSV has no totals, so no up-front knowledge is needed).
+//! * [`StreamingCsvWriter`] — writes the [`to_csv`] document from the same merged
+//!   stream (CSV has no totals, so no up-front knowledge is needed).
 //!
-//! All three enforce the canonical-coordinate-order invariant: cells must arrive in
-//! strictly increasing [`ScenarioSpec`] order, which is what makes the streamed merge
-//! byte-identical to the in-memory [`CampaignReport::merge`] path.
+//! All three enforce the canonical-coordinate-order invariant on their streams: cells
+//! must arrive in strictly increasing [`ScenarioSpec`] order, which is what makes a
+//! streamed merge byte-identical to the unsharded run. (A report is in that order by
+//! construction, so `to_json` and `to_csv` write its cells as they are.)
 //!
 //! # Crash-safe artifact writes
 //!
@@ -37,8 +38,6 @@
 //! and renamed into place when complete, so an interrupted stream is salvageable by
 //! [`crate::import::StreamingCells::salvage`] instead of being mistaken for a finished
 //! export.)
-//!
-//! [`CampaignReport::merge`]: crate::report::CampaignReport::merge
 
 use crate::grid::ScenarioSpec;
 use crate::report::{CampaignReport, CellOutcome, CellRecord, Totals};
@@ -148,29 +147,22 @@ pub fn cell_json(cell: &CellRecord) -> String {
 ///
 /// Layout: a `totals` object with the aggregate counters ([`totals_json`]), then a
 /// `cells` array with one [`cell_json`] object per cell in canonical order. The
-/// streaming counterpart — identical bytes without materializing the report — is
-/// [`MergedJsonWriter`].
+/// document is rendered by [`MergedJsonWriter`], which streams the same bytes without
+/// materializing a report.
 pub fn to_json(report: &CampaignReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    // The scenario header key comes first, and only when the report carries one, so
-    // scenario-less reports render byte-identically to pre-scenario exports.
-    if let Some(scenario) = report.scenario() {
-        let _ = writeln!(out, "  \"scenario\": \"{}\",", json_escape(scenario));
+    let mut out = Vec::new();
+    let scenario = report.scenario().map(str::to_owned);
+    let mut writer =
+        MergedJsonWriter::with_scenario(&mut out, report.totals(), scenario).expect(IN_MEMORY);
+    for cell in report.cells() {
+        writer.append(cell).expect(IN_MEMORY);
     }
-    let _ = writeln!(out, "  \"totals\": {},", totals_json(&report.totals()));
-    out.push_str("  \"cells\": [\n");
-    for (i, cell) in report.cells().iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {}{}",
-            cell_json(cell),
-            if i + 1 == report.cells().len() { "" } else { "," }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    writer.finish().expect("a report's totals are folded from its cells");
+    String::from_utf8(out).expect("the JSON writer emits UTF-8")
 }
+
+/// Why writing a document into memory cannot fail.
+const IN_MEMORY: &str = "writes into a Vec<u8> cannot fail";
 
 /// The CSV header row shared by every export.
 pub const CSV_HEADER: &str =
@@ -233,15 +225,14 @@ pub fn csv_row(cell: &CellRecord) -> String {
 }
 
 /// Renders a campaign report as CSV: [`CSV_HEADER`] then one [`csv_row`] per cell in
-/// canonical order. The streaming counterpart is [`StreamingCsvWriter`].
+/// canonical order, through [`StreamingCsvWriter`].
 pub fn to_csv(report: &CampaignReport) -> String {
-    let mut out = String::new();
-    out.push_str(CSV_HEADER);
-    out.push('\n');
+    let mut out = Vec::new();
+    let mut writer = StreamingCsvWriter::new(&mut out).expect(IN_MEMORY);
     for cell in report.cells() {
-        let _ = writeln!(out, "{}", csv_row(cell));
+        writer.append(cell).expect(IN_MEMORY);
     }
-    out
+    String::from_utf8(out).expect("the CSV writer emits UTF-8")
 }
 
 // ---------------------------------------------------------------------------
@@ -409,8 +400,8 @@ impl<W: Write> StreamingExporter<W> {
     }
 }
 
-/// The coordinator-side streaming writer: reproduces the [`to_json`] document byte
-/// for byte from a stream of merged cells, without materializing a report.
+/// The writer of the `report.json` layout: the [`to_json`] document, from a stream of
+/// merged cells, without materializing a report.
 ///
 /// The [`to_json`] layout puts the totals *before* the cells, so a streaming writer
 /// must know them up front: the coordinator sums the per-shard footer totals (see
@@ -426,10 +417,6 @@ pub struct MergedJsonWriter<W: Write> {
     declared: Totals,
     folded: Totals,
     last: Option<ScenarioSpec>,
-    /// The previous cell's rendered line, held back until we know whether a comma
-    /// follows it (`to_json` separates cells with commas but leaves none after the
-    /// last).
-    pending: Option<String>,
 }
 
 impl<W: Write> MergedJsonWriter<W> {
@@ -459,8 +446,8 @@ impl<W: Write> MergedJsonWriter<W> {
         if let Some(scenario) = &scenario {
             writeln!(writer, "  \"scenario\": \"{}\",", json_escape(scenario))?;
         }
-        write!(writer, "  \"totals\": {},\n  \"cells\": [\n", totals_json(&totals))?;
-        Ok(Self { writer, declared: totals, folded: Totals::default(), last: None, pending: None })
+        write!(writer, "  \"totals\": {},\n  \"cells\": [", totals_json(&totals))?;
+        Ok(Self { writer, declared: totals, folded: Totals::default(), last: None })
     }
 
     /// Appends one merged cell (strictly increasing coordinate order required).
@@ -471,10 +458,16 @@ impl<W: Write> MergedJsonWriter<W> {
     /// failure.
     pub fn write_cell(&mut self, cell: &CellRecord) -> Result<(), StreamError> {
         check_order(&mut self.last, cell.spec)?;
-        if let Some(previous) = self.pending.take() {
-            writeln!(self.writer, "{previous},")?;
-        }
-        self.pending = Some(format!("    {}", cell_json(cell)));
+        self.append(cell)
+    }
+
+    /// Appends one cell, after the separator that ends the line before it: the
+    /// header's, or the previous cell's with its comma. [`to_json`] calls this
+    /// directly, since a report is in coordinate order by construction but may repeat
+    /// a coordinate.
+    fn append(&mut self, cell: &CellRecord) -> Result<(), StreamError> {
+        let separator = if self.folded.scenarios == 0 { "\n" } else { ",\n" };
+        write!(self.writer, "{separator}    {}", cell_json(cell))?;
         self.folded.record(&cell.outcome);
         Ok(())
     }
@@ -488,10 +481,7 @@ impl<W: Write> MergedJsonWriter<W> {
     /// declared totals (the written document is invalid and should be discarded);
     /// [`StreamError::Io`] on write or flush failure.
     pub fn finish(mut self) -> Result<Totals, StreamError> {
-        if let Some(previous) = self.pending.take() {
-            writeln!(self.writer, "{previous}")?;
-        }
-        write!(self.writer, "  ]\n}}\n")?;
+        write!(self.writer, "\n  ]\n}}\n")?;
         self.writer.flush()?;
         if self.declared != self.folded {
             return Err(StreamError::TotalsMismatch {
@@ -503,8 +493,8 @@ impl<W: Write> MergedJsonWriter<W> {
     }
 }
 
-/// Streaming counterpart of [`to_csv`]: the header row at construction, then one
-/// [`csv_row`] per cell in canonical order — byte-identical to the in-memory export.
+/// The writer of the `report.csv` layout: the header row at construction, then one
+/// [`csv_row`] per cell in canonical order — the [`to_csv`] document.
 ///
 /// CSV carries no totals, so unlike [`MergedJsonWriter`] nothing needs to be known up
 /// front.
@@ -533,6 +523,12 @@ impl<W: Write> StreamingCsvWriter<W> {
     /// failure.
     pub fn write_cell(&mut self, cell: &CellRecord) -> Result<(), StreamError> {
         check_order(&mut self.last, cell.spec)?;
+        self.append(cell)
+    }
+
+    /// Appends one cell row; [`to_csv`] calls this directly (see
+    /// [`MergedJsonWriter`]'s `append`).
+    fn append(&mut self, cell: &CellRecord) -> Result<(), StreamError> {
         writeln!(self.writer, "{}", csv_row(cell))?;
         Ok(())
     }

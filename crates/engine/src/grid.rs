@@ -21,14 +21,14 @@ use std::str::FromStr;
 ///
 /// The derived `Ord` (field order below: size, topology, auth, corruption pair,
 /// adversary, fault plan, seed) **is** the canonical coordinate order — the order
-/// [`CampaignBuilder::build`] expands in, [`CampaignReport::merge`] restores, the
-/// streaming writers enforce, and the k-way [`CellMerge`] yields. Reordering these
-/// fields would silently change every export; the determinism tests
+/// [`CampaignBuilder::build`] expands in, every [`CampaignReport`] holds, the
+/// streaming writers and the readers enforce, and the k-way [`CellMerge`] yields.
+/// Reordering these fields would silently change every export; the determinism tests
 /// (`campaign_determinism.rs`, `shard_merge.rs`, `streaming_merge.rs`) exist to catch
 /// exactly that.
 ///
 /// [`CampaignBuilder::build`]: crate::campaign::CampaignBuilder::build
-/// [`CampaignReport::merge`]: crate::report::CampaignReport::merge
+/// [`CampaignReport`]: crate::report::CampaignReport
 /// [`CellMerge`]: crate::report::CellMerge
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ScenarioSpec {

@@ -3,26 +3,24 @@
 //!
 //! [`from_json`] is the inverse of [`crate::export::to_json`]: it parses an exported
 //! campaign document back into a [`CampaignReport`], reconstructing every
-//! [`CellRecord`] — grid coordinates, outcome shape and all outcome fields. This is
-//! what makes campaigns *shardable across processes*: each shard exports its report as
-//! JSON, and the merge step imports the shard documents and recombines them with
-//! [`CampaignReport::merge`] into a report byte-identical to a single-process run.
+//! [`CellRecord`] — grid coordinates, outcome shape and all outcome fields.
 //!
-//! The reader accepts any JSON that the writer can produce (plus insignificant
-//! whitespace and reordered keys) and rejects everything else with a positioned
-//! [`ImportError`]. Totals in the document are *verified* against the cells rather
-//! than trusted, so a hand-edited or truncated document cannot smuggle in
-//! inconsistent aggregates.
+//! Both readers keep one contract. They accept any document the writers can produce
+//! (plus insignificant whitespace and reordered keys) and reject everything else with
+//! a positioned [`ImportError`]: the cells must be in strictly increasing coordinate
+//! order, and the totals are *verified* against the cells rather than trusted, so a
+//! hand-edited or truncated document can neither reorder its cells nor smuggle in
+//! inconsistent aggregates. Every document they accept re-exports byte for byte.
 //!
 //! # Streaming import
 //!
 //! Streamed shard exports (JSON lines written by [`crate::export::StreamingExporter`])
 //! are read back with [`StreamingCells`], an iterator that parses one cell per line
 //! without ever loading the whole document — the lazy per-shard cell source the k-way
-//! [`crate::report::CellMerge`] runs over. The totals footer closing the stream is
-//! verified against the cells actually yielded, and [`footer_meta`] reads just that
-//! footer (one O(1)-memory pass) so a merge coordinator can pre-compute the merged
-//! totals before streaming a single cell.
+//! [`crate::report::CellMerge`] and the [`crate::diff::CampaignDiff`] merge-join run
+//! over. The totals footer closing the stream is verified against the cells actually
+//! yielded, and [`footer_meta`] reads just that footer (one O(1)-memory pass) so a
+//! merge coordinator can pre-compute the merged totals before streaming a single cell.
 //!
 //! # Crash salvage
 //!
@@ -35,6 +33,7 @@
 //! tail of the shard's canonical range, and splices the two back into a complete
 //! footered export byte-identical to an uninterrupted run.
 
+use crate::export::check_order;
 use crate::grid::ScenarioSpec;
 use crate::report::{CampaignReport, CellOutcome, CellRecord, CellStats, Totals};
 use std::fmt;
@@ -547,19 +546,31 @@ fn verify_totals(fields: &[(String, Value)], recomputed: Totals) -> Result<(), I
 
 /// Parses a document produced by [`crate::export::to_json`] back into the report.
 ///
-/// Round-trip contract: `from_json(&to_json(&report))` reconstructs a report equal to
-/// the original (`==`), and re-exporting it yields byte-identical JSON and CSV.
+/// Round-trip contract: every document this accepts is re-exported byte for byte by
+/// `to_json` of the report it returns, and `from_json(&to_json(&report))` equals
+/// `report` for every report with distinct coordinates. The cells must be in strictly
+/// increasing coordinate order, as [`StreamingCells`] requires of a stream.
 ///
 /// # Errors
 ///
 /// [`ImportError::Syntax`] for malformed JSON, [`ImportError::Schema`] for well-formed
 /// JSON that does not match the export layout (unknown axis names, a missing or
-/// unexpected key, totals inconsistent with the cells).
+/// unexpected key, a cell at or before its predecessor's coordinates, totals
+/// inconsistent with the cells).
 pub fn from_json(json: &str) -> Result<CampaignReport, ImportError> {
     let document = Parser::new(json).parse_document()?;
     let root = as_object(&document, "document root")?;
-    let cells = as_array(field(root, "cells")?, "cells")?;
-    let cells = cells.iter().map(parse_cell).collect::<Result<Vec<_>, _>>()?;
+    let mut last = None;
+    let cells = as_array(field(root, "cells")?, "cells")?
+        .iter()
+        .enumerate()
+        .map(|(index, value)| {
+            let cell = parse_cell(value)?;
+            check_order(&mut last, cell.spec)
+                .map_err(|err| schema(format!("cells[{index}]: {err}")))?;
+            Ok(cell)
+        })
+        .collect::<Result<Vec<_>, ImportError>>()?;
     let mut report = CampaignReport::new(cells);
     // Reports exported from a declarative scenario file carry the canonical
     // scenario text as an optional root key; scenario-less documents omit it.
@@ -606,6 +617,78 @@ fn parse_stream_line(text: &str) -> Result<StreamLine, ImportError> {
     Ok(StreamLine::Footer(totals, scenario))
 }
 
+/// A parsed line of a JSON-lines stream: the coordinates it sits at, if it is a cell.
+pub(crate) trait Located {
+    /// The line's coordinates; `None` for a line that is not a cell (a footer).
+    fn spec(&self) -> Option<ScenarioSpec>;
+}
+
+impl Located for StreamLine {
+    fn spec(&self) -> Option<ScenarioSpec> {
+        match self {
+            StreamLine::Cell(record) => Some(record.spec),
+            StreamLine::Footer(..) => None,
+        }
+    }
+}
+
+/// The line loop of the JSON-lines readers, [`StreamingCells`] and
+/// [`TelemetryCells`](crate::telemetry::TelemetryCells): one line at a time through
+/// a reused buffer, each parsed and numbered, blank lines refused, and the
+/// coordinates of the cell lines checked to strictly increase. Every failure is an
+/// [`ImportError::Stream`] at the line's 1-based number. [`footer_meta`] reads its
+/// lines through it too.
+#[derive(Debug)]
+pub(crate) struct OrderedLines<R> {
+    reader: R,
+    /// Line buffer reused across the whole stream (one allocation, not one per line).
+    buf: String,
+    line: usize,
+    last: Option<ScenarioSpec>,
+}
+
+impl<R: BufRead> OrderedLines<R> {
+    pub(crate) fn new(reader: R) -> Self {
+        Self { reader, buf: String::new(), line: 0, last: None }
+    }
+
+    /// An [`ImportError::Stream`] at the current line.
+    pub(crate) fn error(&self, message: impl Into<String>) -> ImportError {
+        ImportError::Stream { line: self.line, message: message.into() }
+    }
+
+    /// Reads the next line into the buffer; `Ok(false)` at EOF.
+    fn read(&mut self) -> Result<bool, ImportError> {
+        self.buf.clear();
+        let read =
+            self.reader.read_line(&mut self.buf).map_err(|err| ImportError::Io(err.to_string()))?;
+        if read == 0 {
+            return Ok(false);
+        }
+        self.line += 1;
+        Ok(true)
+    }
+
+    /// The next line through `parse`; `Ok(None)` at EOF.
+    pub(crate) fn next<T: Located>(
+        &mut self,
+        parse: fn(&str) -> Result<T, ImportError>,
+    ) -> Result<Option<T>, ImportError> {
+        if !self.read()? {
+            return Ok(None);
+        }
+        if self.buf.trim().is_empty() {
+            return Err(self.error("blank line"));
+        }
+        let text = self.buf.trim_end_matches(['\n', '\r']);
+        let item = parse(text).map_err(|err| self.error(err.to_string()))?;
+        if let Some(spec) = item.spec() {
+            check_order(&mut self.last, spec).map_err(|err| self.error(err.to_string()))?;
+        }
+        Ok(Some(item))
+    }
+}
+
 /// A lazy cell iterator over a streamed shard export — the inverse of
 /// [`crate::export::StreamingExporter`], reading one line at a time so a document of
 /// any size is imported in constant memory.
@@ -622,12 +705,8 @@ fn parse_stream_line(text: &str) -> Result<StreamLine, ImportError> {
 /// ([`crate::report::CellMerge`]) runs over.
 #[derive(Debug)]
 pub struct StreamingCells<R: BufRead> {
-    reader: R,
-    /// Line buffer reused across the whole stream (one allocation, not one per line).
-    buf: String,
-    line: usize,
+    lines: OrderedLines<R>,
     folded: Totals,
-    last: Option<ScenarioSpec>,
     scenario: Option<String>,
     state: StreamState,
 }
@@ -647,11 +726,8 @@ impl<R: BufRead> StreamingCells<R> {
     /// [`next`](Iterator::next)).
     pub fn new(reader: R) -> Self {
         Self {
-            reader,
-            buf: String::new(),
-            line: 0,
+            lines: OrderedLines::new(reader),
             folded: Totals::default(),
-            last: None,
             scenario: None,
             state: StreamState::Cells,
         }
@@ -675,30 +751,36 @@ impl<R: BufRead> StreamingCells<R> {
         self.scenario.as_deref()
     }
 
-    /// Fails the stream: fuses the iterator and yields `err`.
-    fn fail(&mut self, err: ImportError) -> Option<Result<CellRecord, ImportError>> {
-        self.state = StreamState::Failed;
-        Some(Err(err))
-    }
-
-    /// A [`ImportError::Stream`] at the current line.
-    fn stream_error(&self, message: impl Into<String>) -> ImportError {
-        ImportError::Stream { line: self.line, message: message.into() }
-    }
-
-    /// Reads the next line into the reused buffer (`self.buf`); `Ok(false)` at EOF.
-    fn read_line(&mut self) -> Result<bool, ImportError> {
-        self.buf.clear();
-        let read =
-            self.reader.read_line(&mut self.buf).map_err(|err| ImportError::Io(err.to_string()))?;
-        if read == 0 {
-            return Ok(false);
+    /// Reads one line: `Ok(Some(cell))` for a cell, `Ok(None)` once the footer has
+    /// been verified as the stream's last line.
+    fn step(&mut self) -> Result<Option<CellRecord>, ImportError> {
+        match self.lines.next(parse_stream_line)? {
+            Some(StreamLine::Cell(record)) => {
+                self.folded.record(&record.outcome);
+                Ok(Some(record))
+            }
+            Some(StreamLine::Footer(declared, scenario)) => {
+                let folded = self.folded;
+                if declared != folded {
+                    return Err(self.lines.error(format!(
+                        "totals footer does not match the streamed cells: declared \
+                         [{declared}], folded [{folded}]"
+                    )));
+                }
+                // The footer must be the last line of the stream.
+                while self.lines.read()? {
+                    if !self.lines.buf.trim().is_empty() {
+                        return Err(self.lines.error("content after the totals footer"));
+                    }
+                }
+                self.scenario = scenario;
+                Ok(None)
+            }
+            None => Err(ImportError::Stream {
+                line: 0,
+                message: "stream ended without a totals footer (truncated export?)".into(),
+            }),
         }
-        self.line += 1;
-        while self.buf.ends_with('\n') || self.buf.ends_with('\r') {
-            self.buf.pop();
-        }
-        Ok(true)
     }
 }
 
@@ -709,67 +791,15 @@ impl<R: BufRead> Iterator for StreamingCells<R> {
         if self.state != StreamState::Cells {
             return None;
         }
-        match self.read_line() {
-            Err(err) => return self.fail(err),
-            Ok(false) => {
-                return self.fail(ImportError::Stream {
-                    line: 0,
-                    message: "stream ended without a totals footer (truncated export?)".into(),
-                });
-            }
-            Ok(true) => {}
-        }
-        if self.buf.trim().is_empty() {
-            return self.fail(self.stream_error("blank line in cell stream"));
-        }
-        let parsed = match parse_stream_line(&self.buf) {
-            Ok(parsed) => parsed,
-            Err(err) => {
-                let err = self.stream_error(err.to_string());
-                return self.fail(err);
-            }
-        };
-        match parsed {
-            StreamLine::Footer(declared, scenario) => {
-                if declared != self.folded {
-                    let (folded, line) = (self.folded, self.line);
-                    return self.fail(ImportError::Stream {
-                        line,
-                        message: format!(
-                            "totals footer does not match the streamed cells: declared \
-                             [{declared}], folded [{folded}]"
-                        ),
-                    });
-                }
-                // The footer must be the last line of the stream.
-                loop {
-                    match self.read_line() {
-                        Err(err) => return self.fail(err),
-                        Ok(false) => break,
-                        Ok(true) if self.buf.trim().is_empty() => {}
-                        Ok(true) => {
-                            let err = self.stream_error("content after the totals footer");
-                            return self.fail(err);
-                        }
-                    }
-                }
-                self.scenario = scenario;
+        match self.step() {
+            Ok(Some(record)) => Some(Ok(record)),
+            Ok(None) => {
                 self.state = StreamState::Done;
                 None
             }
-            StreamLine::Cell(record) => {
-                if let Some(previous) = self.last {
-                    if record.spec <= previous {
-                        let err = self.stream_error(format!(
-                            "cells out of canonical coordinate order: {} after {previous}",
-                            record.spec
-                        ));
-                        return self.fail(err);
-                    }
-                }
-                self.last = Some(record.spec);
-                self.folded.record(&record.outcome);
-                Some(Ok(record))
+            Err(err) => {
+                self.state = StreamState::Failed;
+                Some(Err(err))
             }
         }
     }
@@ -845,20 +875,13 @@ impl<R: BufRead> StreamingCells<R> {
 ///
 /// [`ImportError::Io`] on read failure, [`ImportError::Stream`] when the stream is
 /// empty or its last line is not a well-formed `{"totals": {...}}` footer.
-pub fn footer_meta<R: BufRead>(mut reader: R) -> Result<(Totals, Option<String>), ImportError> {
-    let mut buf = String::new();
-    let mut last = String::new();
-    let (mut line, mut last_line) = (0usize, 0usize);
-    loop {
-        buf.clear();
-        let read = reader.read_line(&mut buf).map_err(|err| ImportError::Io(err.to_string()))?;
-        if read == 0 {
-            break;
-        }
-        line += 1;
-        if !buf.trim().is_empty() {
-            std::mem::swap(&mut last, &mut buf);
-            last_line = line;
+pub fn footer_meta<R: BufRead>(reader: R) -> Result<(Totals, Option<String>), ImportError> {
+    let mut lines = OrderedLines::new(reader);
+    let (mut last, mut last_line) = (String::new(), 0);
+    while lines.read()? {
+        if !lines.buf.trim().is_empty() {
+            std::mem::swap(&mut last, &mut lines.buf);
+            last_line = lines.line;
         }
     }
     if last_line == 0 {
@@ -967,6 +990,36 @@ mod tests {
         );
         let err = from_json(&tampered).unwrap_err();
         assert!(err.to_string().contains("totals do not match"), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_swapped_cells_naming_the_cell() {
+        let (report, _) = streamed_report();
+        let json = to_json(&report);
+        let (first, second) = (cell_json(&report.cells()[0]), cell_json(&report.cells()[1]));
+        let swapped = json
+            .replacen(&first, "FIRST", 1)
+            .replacen(&second, &first, 1)
+            .replacen("FIRST", &second, 1);
+        let err = from_json(&swapped).unwrap_err();
+        let (a, b) = (report.cells()[0].spec, report.cells()[1].spec);
+        let named = format!("cells[1]: cell out of canonical coordinate order: {a} after {b}");
+        assert_eq!(err, schema(named), "{swapped}");
+    }
+
+    #[test]
+    fn from_json_rejects_a_repeated_cell_even_with_matching_totals() {
+        let (report, _) = streamed_report();
+        let mut cells = report.cells().to_vec();
+        cells.insert(3, cells[2].clone());
+        // The writer folds its totals over the repeated cell too, so only the
+        // order check can refuse the document.
+        let json = to_json(&CampaignReport::new(cells));
+        let err = from_json(&json).unwrap_err();
+        let spec = report.cells()[2].spec;
+        let named =
+            format!("cells[3]: cell out of canonical coordinate order: {spec} after {spec}");
+        assert_eq!(err, schema(named), "{json}");
     }
 
     #[test]

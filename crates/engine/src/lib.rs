@@ -14,17 +14,19 @@
 //!   **bit-identical across thread counts**; [`Executor::run`] collects the stream
 //!   that [`Executor::run_streaming_telemetry`] emits,
 //! * [`report`] — [`CampaignReport`]: per-cell outcome stats (plan, violations,
-//!   slots, messages, signatures) plus aggregate [`Totals`]; wall-clock throughput
-//!   lives in the separate [`ExecutionStats`],
-//! * [`export`] — hand-rolled JSON and CSV writers (no serde) whose output is a pure
-//!   function of the report, plus the streaming writers ([`StreamingExporter`],
-//!   [`MergedJsonWriter`], [`StreamingCsvWriter`]) for campaigns that never
-//!   materialize,
-//! * [`import`] — the inverse hand-rolled JSON readers: parse an exported document
-//!   back into a [`CampaignReport`] (round-trip exact), or iterate a streamed shard
-//!   export lazily with [`StreamingCells`],
-//! * [`diff`] — [`CampaignDiff`]: cell-level comparison of two reports, rendering
-//!   only the differing cells,
+//!   slots, messages, signatures) in coordinate order by construction, plus aggregate
+//!   [`Totals`] and the one k-way [`CellMerge`]; wall-clock throughput lives in the
+//!   separate [`ExecutionStats`],
+//! * [`export`] — hand-rolled JSON and CSV writers (no serde), one per layout
+//!   ([`StreamingExporter`], [`MergedJsonWriter`], [`StreamingCsvWriter`]), taking
+//!   cells one at a time; [`to_json`]/[`to_csv`] render a whole report through them,
+//! * [`import`] — the inverse hand-rolled JSON readers, which refuse cells out of
+//!   coordinate order: parse an exported document back into a [`CampaignReport`]
+//!   (round-trip exact), or iterate a streamed shard export lazily with
+//!   [`StreamingCells`],
+//! * [`diff`] — [`CampaignDiff`]: one merge-join over two coordinate-ordered cell
+//!   streams (two reports, or two exports as they are read), keeping only the
+//!   differing cells,
 //! * [`scenario_file`] — [`ScenarioFile`]: the declarative TOML-subset scenario
 //!   format behind `campaign_ctl run --scenario FILE` (see `docs/SCENARIOS.md`);
 //!   a file names the grid axes plus a schedule of network faults (partitions,
@@ -51,10 +53,11 @@
 //!
 //! A campaign can be split across processes or machines with a [`ShardPlan`]: every
 //! process expands the same campaign (deterministically — no coordination), runs its
-//! contiguous slice of the canonical work list, and exports its shard report.
-//! [`CampaignReport::merge`] recombines imported shard reports in canonical
-//! coordinate order, so the merged export is **byte-identical** to a single-process
-//! run:
+//! contiguous slice of the canonical work list, and exports its shard report. Every
+//! report is in canonical coordinate order by construction, and
+//! [`CampaignReport::merge`] recombines shard reports through the same k-way
+//! [`CellMerge`] that merges shard streams (below), so the merged export is
+//! **byte-identical** to a single-process run:
 //!
 //! ```rust
 //! use bsm_engine::{CampaignBuilder, CampaignReport, Executor, ShardPlan};
@@ -78,9 +81,11 @@
 //! which writes one coordinate-sorted JSON line per cell plus a totals footer. The
 //! coordinator reads shard streams back lazily with [`StreamingCells`], merges them
 //! with the k-way [`CellMerge`] (a binary heap holding one pending cell per shard),
-//! and re-renders the canonical document with [`MergedJsonWriter`] /
-//! [`StreamingCsvWriter`] — byte-identical to the in-memory [`CampaignReport::merge`]
-//! path, as `crates/engine/tests/streaming_merge.rs` proves:
+//! and renders the canonical document with [`MergedJsonWriter`] /
+//! [`StreamingCsvWriter`], the writers [`to_json`]/[`to_csv`] render a whole report
+//! through — so the bytes are the unsharded run's, as
+//! `crates/engine/tests/streaming_merge.rs` proves. [`CampaignDiff::join`] runs its
+//! merge-join over such streams the same way, one pending cell per side:
 //!
 //! ```rust
 //! use bsm_engine::{
@@ -177,8 +182,8 @@ pub use fuzz::{run_fuzz, shrink, violation_signature, FoundViolation, FuzzConfig
 pub use grid::{ScenarioSpec, ShardPlan, ShardPlanError};
 pub use import::{footer_meta, from_json, from_jsonl, ImportError, SalvagedPrefix, StreamingCells};
 pub use report::{
-    CampaignReport, CellMerge, CellMergeError, CellOutcome, CellRecord, CellStats, ExecutionStats,
-    MergeError, Totals,
+    CampaignReport, CellMerge, CellOutcome, CellRecord, CellStats, ExecutionStats, MergeError,
+    Totals,
 };
 pub use scenario_file::ScenarioFile;
 pub use supervise::{

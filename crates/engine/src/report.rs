@@ -1,15 +1,18 @@
 //! Deterministic aggregation of campaign results.
 //!
-//! A [`CampaignReport`] holds one [`CellRecord`] per campaign cell, in the campaign's
-//! canonical order, plus aggregate [`Totals`] derived from them. Everything in the
-//! report is a pure function of the campaign definition — wall-clock timing and thread
-//! counts live in [`ExecutionStats`], which is deliberately kept *outside* the report
-//! so that exports stay bit-identical across thread counts and machines.
+//! A [`CampaignReport`] holds one [`CellRecord`] per campaign cell, in canonical
+//! coordinate order by construction, plus aggregate [`Totals`] derived from them.
+//! Shard reports and shard streams recombine through one k-way [`CellMerge`].
+//! Everything in the report is a pure function of the campaign definition —
+//! wall-clock timing and thread counts live in [`ExecutionStats`], which is
+//! deliberately kept *outside* the report so that exports stay bit-identical across
+//! thread counts and machines.
 
 use crate::grid::ScenarioSpec;
 use bsm_core::solvability::ProtocolPlan;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::convert::Infallible;
 use std::fmt;
 use std::ops::AddAssign;
 use std::time::Duration;
@@ -164,7 +167,7 @@ impl fmt::Display for Totals {
     }
 }
 
-/// The aggregated result of one campaign run, in canonical cell order.
+/// The aggregated result of one campaign run, in canonical coordinate order.
 ///
 /// The report is a pure function of the campaign definition: running the same campaign
 /// with any number of worker threads produces an identical (`==`, and byte-identical
@@ -177,8 +180,16 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Builds a report from per-cell records already in canonical order.
-    pub fn new(cells: Vec<CellRecord>) -> Self {
+    /// Builds a report from per-cell records, putting them in coordinate order.
+    ///
+    /// Built campaigns, merges and both readers already deliver their cells in that
+    /// order, which the stable sort leaves as it is. A hand-assembled
+    /// [`Campaign::from_specs`] work list in another order is reordered, and cells
+    /// that share coordinates keep their given order.
+    ///
+    /// [`Campaign::from_specs`]: crate::campaign::Campaign::from_specs
+    pub fn new(mut cells: Vec<CellRecord>) -> Self {
+        cells.sort_by_key(|cell| cell.spec);
         let mut totals = Totals::default();
         for cell in &cells {
             totals.record(&cell.outcome);
@@ -203,17 +214,13 @@ impl CampaignReport {
 
     /// Recombines shard reports into one report in canonical coordinate order.
     ///
-    /// The shards may be given in any order: cells are re-sorted by their grid
-    /// coordinates (the same nesting the canonical expansion uses — size, topology,
-    /// auth, corruption pair, adversary, fault plan, seed) and the totals are recomputed from the
-    /// union. [`CampaignBuilder::build`] normalizes its axes so expansion order *is*
-    /// coordinate order, which makes exporting the merged report reproduce the
-    /// unsharded `to_json`/`to_csv` documents byte for byte. (A hand-assembled
-    /// [`Campaign::from_specs`] work list in non-coordinate order is still merged
-    /// deterministically, but in coordinate order rather than its original order.)
+    /// The shards may be given in any order: this is the k-way [`CellMerge`] over
+    /// their cells, the same merge `campaign_ctl merge` runs over shard files, and the
+    /// totals are recomputed from the union. [`CampaignBuilder::build`] normalizes its
+    /// axes so expansion order *is* coordinate order, which makes exporting the merged
+    /// report reproduce the unsharded `to_json`/`to_csv` documents byte for byte.
     ///
     /// [`CampaignBuilder::build`]: crate::campaign::CampaignBuilder::build
-    /// [`Campaign::from_specs`]: crate::campaign::Campaign::from_specs
     ///
     /// # Examples
     ///
@@ -233,29 +240,19 @@ impl CampaignReport {
     ///
     /// # Errors
     ///
-    /// [`MergeError::DuplicateCell`] when two shards carry the same coordinates —
-    /// overlapping shard ranges, or the same shard imported twice — and
+    /// [`MergeError::DuplicateCell`] when two cells carry the same coordinates —
+    /// overlapping shard ranges, or the same shard given twice — and
     /// [`MergeError::ScenarioMismatch`] when the shards carry different scenario tags
     /// (the common tag, if any, is propagated to the merged report).
     pub fn merge(shards: impl IntoIterator<Item = CampaignReport>) -> Result<Self, MergeError> {
         let shards: Vec<CampaignReport> = shards.into_iter().collect();
-        let mut scenario: Option<String> = None;
-        for (i, shard) in shards.iter().enumerate() {
-            if i > 0 && shard.scenario != scenario {
-                return Err(MergeError::ScenarioMismatch {
-                    first: scenario,
-                    other: shard.scenario.clone(),
-                });
-            }
-            scenario.clone_from(&shard.scenario);
+        let scenario = shards.first().and_then(|shard| shard.scenario.clone());
+        if let Some(other) = shards.iter().find(|shard| shard.scenario != scenario) {
+            let other = other.scenario.clone();
+            return Err(MergeError::ScenarioMismatch { first: scenario, other });
         }
-        let mut cells: Vec<CellRecord> =
-            shards.into_iter().flat_map(|report| report.cells).collect();
-        cells.sort_by_key(|cell| cell.spec);
-        if let Some(dup) = cells.windows(2).find(|pair| pair[0].spec == pair[1].spec) {
-            return Err(MergeError::DuplicateCell(dup[0].spec));
-        }
-        let mut merged = Self::new(cells);
+        let streams = shards.into_iter().map(|shard| shard.cells.into_iter().map(Ok)).collect();
+        let mut merged = Self::new(CellMerge::new(streams).collect::<Result<_, _>>()?);
         merged.scenario = scenario;
         Ok(merged)
     }
@@ -271,53 +268,13 @@ impl CampaignReport {
     }
 }
 
-/// Errors recombining shard reports with [`CampaignReport::merge`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MergeError {
-    /// Two shards carried a cell with the same grid coordinates.
-    DuplicateCell(ScenarioSpec),
-    /// Shards carried different scenario tags — artifacts of different scenario files
-    /// (or a mix of tagged and untagged artifacts) must not be combined.
-    ScenarioMismatch {
-        /// The scenario tag of the first shard(s).
-        first: Option<String>,
-        /// The conflicting tag.
-        other: Option<String>,
-    },
-}
-
-impl fmt::Display for MergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MergeError::DuplicateCell(spec) => {
-                write!(f, "duplicate cell across shards: {spec}")
-            }
-            MergeError::ScenarioMismatch { first, other } => {
-                let name = |s: &Option<String>| match s {
-                    Some(tag) => format!("{tag:?}"),
-                    None => "no scenario tag".to_string(),
-                };
-                write!(
-                    f,
-                    "shards come from different scenarios: {} vs {}",
-                    name(first),
-                    name(other)
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
-
 /// A streaming k-way merge of coordinate-sorted [`CellRecord`] streams.
 ///
-/// This is [`CampaignReport::merge`] without the memory: instead of materializing
-/// every shard report, the coordinator holds **one pending cell per shard** in a
-/// binary heap and yields the union in canonical coordinate order. Feeding the merged
-/// stream through the streaming writers in [`crate::export`] reproduces the unsharded
-/// in-memory export byte for byte, which is the contract
-/// `crates/engine/tests/streaming_merge.rs` proves.
+/// The coordinator holds **one pending cell per shard** in a binary heap and yields
+/// the union in canonical coordinate order. Feeding the merged stream through the
+/// streaming writers in [`crate::export`] reproduces the unsharded export byte for
+/// byte, which is the contract `crates/engine/tests/streaming_merge.rs` proves;
+/// [`CampaignReport::merge`] runs it over in-memory shard reports.
 ///
 /// Each input stream must yield cells in strictly increasing coordinate order (the
 /// order [`crate::import::StreamingCells`] verifies and
@@ -377,14 +334,14 @@ where
     }
 
     /// Pulls the next cell of shard `shard` into the heap; surfaces read errors.
-    fn refill(&mut self, shard: usize) -> Result<(), CellMergeError<E>> {
+    fn refill(&mut self, shard: usize) -> Result<(), MergeError<E>> {
         match self.shards[shard].next() {
             None => Ok(()),
             Some(Ok(record)) => {
                 self.heap.push(Reverse(MergeEntry { record, shard }));
                 Ok(())
             }
-            Some(Err(error)) => Err(CellMergeError::Shard { shard, error }),
+            Some(Err(error)) => Err(MergeError::Shard { shard, error }),
         }
     }
 }
@@ -393,7 +350,7 @@ impl<I, E> Iterator for CellMerge<I, E>
 where
     I: Iterator<Item = Result<CellRecord, E>>,
 {
-    type Item = Result<CellRecord, CellMergeError<E>>;
+    type Item = Result<CellRecord, MergeError<E>>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.done {
@@ -420,11 +377,11 @@ where
             match entry.record.spec.cmp(&previous) {
                 std::cmp::Ordering::Equal => {
                     self.done = true;
-                    return Some(Err(CellMergeError::DuplicateCell(entry.record.spec)));
+                    return Some(Err(MergeError::DuplicateCell(entry.record.spec)));
                 }
                 std::cmp::Ordering::Less => {
                     self.done = true;
-                    return Some(Err(CellMergeError::OutOfOrder {
+                    return Some(Err(MergeError::OutOfOrder {
                         shard: entry.shard,
                         spec: entry.record.spec,
                     }));
@@ -437,9 +394,10 @@ where
     }
 }
 
-/// Errors of a streaming [`CellMerge`].
+/// Errors of a merge: a [`CellMerge`] over shard streams whose reads fail with `E`,
+/// or [`CampaignReport::merge`] over in-memory shards, whose reads cannot fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CellMergeError<E> {
+pub enum MergeError<E = Infallible> {
     /// Reading shard `shard`'s cell stream failed.
     Shard {
         /// 0-based index of the failing stream (the order given to [`CellMerge::new`]).
@@ -447,8 +405,8 @@ pub enum CellMergeError<E> {
         /// The underlying stream error.
         error: E,
     },
-    /// Two streams carried a cell with the same grid coordinates — overlapping shard
-    /// ranges, or the same shard merged twice.
+    /// Two cells carried the same grid coordinates — overlapping shard ranges, or the
+    /// same shard merged twice.
     DuplicateCell(ScenarioSpec),
     /// A stream yielded cells out of canonical coordinate order.
     OutOfOrder {
@@ -457,25 +415,45 @@ pub enum CellMergeError<E> {
         /// The coordinates that arrived after a larger coordinate.
         spec: ScenarioSpec,
     },
+    /// Shards carried different scenario tags — artifacts of different scenario files
+    /// (or a mix of tagged and untagged artifacts) must not be combined.
+    ScenarioMismatch {
+        /// The scenario tag of the first shard.
+        first: Option<String>,
+        /// The conflicting tag.
+        other: Option<String>,
+    },
 }
 
-impl<E: fmt::Display> fmt::Display for CellMergeError<E> {
+impl<E: fmt::Display> fmt::Display for MergeError<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CellMergeError::Shard { shard, error } => {
+            MergeError::Shard { shard, error } => {
                 write!(f, "shard stream {shard} failed: {error}")
             }
-            CellMergeError::DuplicateCell(spec) => {
-                write!(f, "duplicate cell across shard streams: {spec}")
+            MergeError::DuplicateCell(spec) => {
+                write!(f, "duplicate cell across shards: {spec}")
             }
-            CellMergeError::OutOfOrder { shard, spec } => {
+            MergeError::OutOfOrder { shard, spec } => {
                 write!(f, "shard stream {shard} is out of canonical coordinate order at {spec}")
+            }
+            MergeError::ScenarioMismatch { first, other } => {
+                let name = |s: &Option<String>| match s {
+                    Some(tag) => format!("{tag:?}"),
+                    None => "no scenario tag".to_string(),
+                };
+                write!(
+                    f,
+                    "shards come from different scenarios: {} vs {}",
+                    name(first),
+                    name(other)
+                )
             }
         }
     }
 }
 
-impl<E: fmt::Debug + fmt::Display> std::error::Error for CellMergeError<E> {}
+impl<E: fmt::Debug + fmt::Display> std::error::Error for MergeError<E> {}
 
 /// Wall-clock statistics of one executor run. Kept separate from [`CampaignReport`] so
 /// exports stay deterministic.
@@ -594,7 +572,7 @@ mod tests {
         let mut late = completed(1);
         late.spec.seed = 9;
         let early = completed(0);
-        // Shards given out of order; the merge re-sorts by coordinates.
+        // Shards given out of order; the k-way merge restores coordinate order.
         let shards =
             vec![CampaignReport::new(vec![late.clone()]), CampaignReport::new(vec![early.clone()])];
         let merged = CampaignReport::merge(shards).unwrap();
@@ -713,14 +691,14 @@ mod tests {
         assert_eq!(merge.next().unwrap().unwrap().spec.seed, 0);
         assert_eq!(merge.next().unwrap().unwrap().spec.seed, 1);
         let err = merge.next().unwrap().unwrap_err();
-        assert!(matches!(err, CellMergeError::DuplicateCell(_)), "{err}");
+        assert!(matches!(err, MergeError::DuplicateCell(_)), "{err}");
         assert!(err.to_string().contains("duplicate cell"), "{err}");
         assert!(merge.next().is_none(), "merge must fuse after an error");
 
         let mut merge = CellMerge::new(vec![stream(&[5, 2])]);
         assert_eq!(merge.next().unwrap().unwrap().spec.seed, 5);
         let err = merge.next().unwrap().unwrap_err();
-        assert!(matches!(err, CellMergeError::OutOfOrder { shard: 0, .. }), "{err}");
+        assert!(matches!(err, MergeError::OutOfOrder { shard: 0, .. }), "{err}");
         assert!(err.to_string().contains("out of canonical coordinate order"), "{err}");
         assert!(merge.next().is_none());
     }
@@ -736,7 +714,7 @@ mod tests {
             Err(err) => err,
             Ok(_) => merge.next().unwrap().unwrap_err(),
         };
-        assert!(matches!(err, CellMergeError::Shard { shard: 1, .. }), "{err}");
+        assert!(matches!(err, MergeError::Shard { shard: 1, .. }), "{err}");
         assert!(err.to_string().contains("shard stream 1 failed"), "{err}");
         assert!(merge.next().is_none());
     }

@@ -37,7 +37,7 @@ use crate::export::{check_order, spec_fields_json, StreamError};
 use crate::grid::ScenarioSpec;
 use crate::import::{
     as_object, field, no_stray_key, number, parse_spec, schema, string, usize_field, ImportError,
-    Parser, SPEC_KEYS,
+    Located, OrderedLines, Parser, SPEC_KEYS,
 };
 use bsm_crypto::CounterSnapshot;
 use bsm_net::{FanoutSummary, RoleFanout};
@@ -264,22 +264,20 @@ impl<W: Write> TelemetryExporter<W> {
 /// published, so a partial file is never observable at its final path).
 #[derive(Debug)]
 pub struct TelemetryCells<R: BufRead> {
-    reader: R,
-    buf: String,
-    line: usize,
-    last: Option<ScenarioSpec>,
+    lines: OrderedLines<R>,
     failed: bool,
 }
 
 impl<R: BufRead> TelemetryCells<R> {
     /// Starts reading sidecar lines from `reader`.
     pub fn new(reader: R) -> Self {
-        Self { reader, buf: String::new(), line: 0, last: None, failed: false }
+        Self { lines: OrderedLines::new(reader), failed: false }
     }
+}
 
-    fn fail(&mut self, err: ImportError) -> Option<Result<CellTelemetry, ImportError>> {
-        self.failed = true;
-        Some(Err(err))
+impl Located for CellTelemetry {
+    fn spec(&self) -> Option<ScenarioSpec> {
+        Some(self.spec)
     }
 }
 
@@ -290,40 +288,9 @@ impl<R: BufRead> Iterator for TelemetryCells<R> {
         if self.failed {
             return None;
         }
-        self.buf.clear();
-        match self.reader.read_line(&mut self.buf) {
-            Err(err) => return self.fail(ImportError::Io(err.to_string())),
-            Ok(0) => return None,
-            Ok(_) => {}
-        }
-        self.line += 1;
-        let line = self.line;
-        let text = self.buf.trim_end_matches(['\n', '\r']);
-        if text.trim().is_empty() {
-            return self.fail(ImportError::Stream {
-                line,
-                message: "blank line in telemetry stream".into(),
-            });
-        }
-        let cell = match parse_telemetry_line(text) {
-            Ok(cell) => cell,
-            Err(err) => {
-                return self.fail(ImportError::Stream { line, message: err.to_string() });
-            }
-        };
-        if let Some(previous) = self.last {
-            if cell.spec <= previous {
-                return self.fail(ImportError::Stream {
-                    line,
-                    message: format!(
-                        "telemetry out of canonical coordinate order: {} after {previous}",
-                        cell.spec
-                    ),
-                });
-            }
-        }
-        self.last = Some(cell.spec);
-        Some(Ok(cell))
+        let item = self.lines.next(parse_telemetry_line).transpose();
+        self.failed = matches!(item, Some(Err(_)));
+        item
     }
 }
 

@@ -1,5 +1,5 @@
 use crate::PartyId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Message and round accounting for one simulation run.
 ///
@@ -23,8 +23,9 @@ pub struct Metrics {
     pub rejected_by_topology: u64,
     /// Number of slots executed.
     pub slots: u64,
-    /// Messages sent per party (honest and byzantine).
-    pub sent_per_party: BTreeMap<PartyId, u64>,
+    /// Messages sent per party (honest and byzantine), indexed by
+    /// [`PartyId::dense`]: one entry per party of the market, zero for a silent one.
+    pub sent_per_party: Vec<u64>,
 }
 
 impl Metrics {
@@ -33,14 +34,14 @@ impl Metrics {
         self.honest_messages + self.byzantine_messages
     }
 
-    /// Records an accepted message from `sender`.
-    pub(crate) fn record_sent(&mut self, sender: PartyId, byzantine: bool) {
+    /// Records an accepted message from the party with dense index `sender`.
+    pub(crate) fn record_sent(&mut self, sender: usize, byzantine: bool) {
         if byzantine {
             self.byzantine_messages += 1;
         } else {
             self.honest_messages += 1;
         }
-        *self.sent_per_party.entry(sender).or_insert(0) += 1;
+        self.sent_per_party[sender] += 1;
     }
 
     /// Collapses [`sent_per_party`](Self::sent_per_party) into per-role fan-out
@@ -53,8 +54,9 @@ impl Metrics {
     /// left to the consumer (`total / senders`) so the summary stays integer-exact.
     pub fn fanout_by_role(&self, corrupted: &BTreeSet<PartyId>) -> FanoutSummary {
         let mut summary = FanoutSummary::default();
-        for (&party, &sent) in &self.sent_per_party {
-            let role = if corrupted.contains(&party) {
+        let k = self.sent_per_party.len() / 2;
+        for (dense, &sent) in self.sent_per_party.iter().enumerate().filter(|(_, &sent)| sent > 0) {
+            let role = if corrupted.contains(&PartyId::from_dense(dense, k)) {
                 &mut summary.byzantine
             } else {
                 &mut summary.honest
@@ -78,9 +80,8 @@ pub struct FanoutSummary {
 
 /// Send accounting for one role (honest or byzantine) in a [`FanoutSummary`].
 ///
-/// Only parties that sent at least one message appear in
-/// [`Metrics::sent_per_party`], so `senders` counts *active* senders; a silent
-/// (e.g. crashed) party contributes nothing.
+/// Only parties that sent at least one message count, so `senders` counts *active*
+/// senders; a silent (e.g. crashed) party contributes nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoleFanout {
     /// Distinct parties of this role that sent at least one message.
@@ -95,30 +96,34 @@ pub struct RoleFanout {
 mod tests {
     use super::*;
 
+    /// Dense index of `party` in a market of size 2.
+    fn dense(party: PartyId) -> usize {
+        party.dense(2)
+    }
+
     #[test]
     fn counters_accumulate() {
-        let mut m = Metrics::default();
-        m.record_sent(PartyId::left(0), false);
-        m.record_sent(PartyId::left(0), false);
-        m.record_sent(PartyId::right(1), true);
+        let mut m = Metrics { sent_per_party: vec![0; 4], ..Metrics::default() };
+        m.record_sent(dense(PartyId::left(0)), false);
+        m.record_sent(dense(PartyId::left(0)), false);
+        m.record_sent(dense(PartyId::right(1)), true);
         assert_eq!(m.honest_messages, 2);
         assert_eq!(m.byzantine_messages, 1);
         assert_eq!(m.total_messages(), 3);
-        assert_eq!(m.sent_per_party[&PartyId::left(0)], 2);
-        assert_eq!(m.sent_per_party[&PartyId::right(1)], 1);
+        assert_eq!(m.sent_per_party, [2, 0, 0, 1]);
     }
 
     #[test]
     fn fanout_splits_by_corruption_and_summarizes() {
-        let mut m = Metrics::default();
+        let mut m = Metrics { sent_per_party: vec![0; 4], ..Metrics::default() };
         for _ in 0..5 {
-            m.record_sent(PartyId::left(0), false);
+            m.record_sent(dense(PartyId::left(0)), false);
         }
         for _ in 0..3 {
-            m.record_sent(PartyId::left(1), false);
+            m.record_sent(dense(PartyId::left(1)), false);
         }
         for _ in 0..9 {
-            m.record_sent(PartyId::right(0), true);
+            m.record_sent(dense(PartyId::right(0)), true);
         }
         let corrupted: BTreeSet<PartyId> = [PartyId::right(0)].into_iter().collect();
         let summary = m.fanout_by_role(&corrupted);

@@ -214,7 +214,7 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
             in_flight: take_front(&mut buffers.in_flight, parties.n()),
             outputs: BTreeMap::new(),
             now: Time::ZERO,
-            metrics: Metrics::default(),
+            metrics: Metrics { sent_per_party: vec![0; parties.n()], ..Metrics::default() },
             inboxes: take_front(&mut buffers.inboxes, parties.n()),
             lent: BTreeMap::new(),
             sends: std::mem::take(&mut buffers.sends),
@@ -288,8 +288,9 @@ impl<M: Clone, O: Clone> SyncNetwork<M, O> {
             deliver_at: self.now + 1,
             payload: outgoing.payload,
         };
-        self.metrics.record_sent(from, byzantine);
-        let queue = &mut self.in_flight[from.dense(self.parties.k())];
+        let sender = from.dense(self.parties.k());
+        self.metrics.record_sent(sender, byzantine);
+        let queue = &mut self.in_flight[sender];
         let action = match &mut self.faults {
             Some(faults) => faults.action(&envelope, self.now),
             None => FaultAction::Deliver,
