@@ -276,7 +276,7 @@ impl Scenario {
         // delta is exactly its cost. Taken before the runtimes are registered
         // because protocol constructors may already sign.
         let signatures_before = bsm_crypto::counters::thread_signatures_issued();
-        let slots_per_round = env.slots_per_round();
+        let slots_per_round = env.relay_mode().slots_per_round();
         let total_rounds = env.total_rounds(plan);
         // Under a fault schedule the budget is extended by the worst case the plan can
         // cost (partitioned slots, crash outage, jitter per round) — a pure function of
@@ -435,14 +435,6 @@ impl ScenarioEnv {
         Self { setting: *setting, parties, directory }
     }
 
-    pub(crate) fn slots_per_round(&self) -> u64 {
-        if self.setting.topology() == Topology::FullyConnected {
-            1
-        } else {
-            2
-        }
-    }
-
     pub(crate) fn committee(&self, side: Side) -> Committee {
         let members = self.parties.side(side).collect();
         Committee::new(members, self.setting.t_of(side))
@@ -515,7 +507,6 @@ impl ScenarioEnv {
         let mode = self.relay_mode();
         let signing_key = matches!(mode, RelayMode::Signed { .. }).then(|| self.signing_key(me));
         let relay = RelayEngine::new(me, self.parties, self.setting.topology(), mode, signing_key);
-        let spr = self.slots_per_round();
         let k = self.setting.k();
         let my_pref = Self::preference_of(profile, me);
         let flavor = match plan {
@@ -526,10 +517,10 @@ impl ScenarioEnv {
             ProtocolPlan::BipartiteAuthLocal { committee_side } => {
                 let t = self.setting.t_of(committee_side);
                 let protocol = BipartiteAuthBsm::new(me, k, committee_side, t, my_pref);
-                return Box::new(PartyRuntime::new(me, relay, protocol, spr));
+                return Box::new(PartyRuntime::new(me, relay, protocol));
             }
         };
-        Box::new(PartyRuntime::new(me, relay, BroadcastBsm::new(me, k, my_pref, flavor), spr))
+        Box::new(PartyRuntime::new(me, relay, BroadcastBsm::new(me, k, my_pref, flavor)))
     }
 }
 

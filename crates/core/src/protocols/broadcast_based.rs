@@ -61,12 +61,29 @@ impl InstanceState {
     }
 }
 
+/// One slot of a round's routing: a lent message and its sender (`None` only until
+/// the counting sort places it).
+type Routed<'m> = Option<(PartyId, &'m ProtoMsg)>;
+
+/// Empties `buffer` and hands back its allocation for borrows of another lifetime,
+/// so that one allocation serves every round's routing. The element types differ only
+/// in lifetime, so the standard library collects the mapped iterator in place.
+fn recycle<'a, 'b>(mut buffer: Vec<Routed<'a>>) -> Vec<Routed<'b>> {
+    buffer.clear();
+    buffer.into_iter().map(|_| None).collect()
+}
+
 /// The Lemma 1 protocol, parameterized by the broadcast flavor.
 pub struct BroadcastBsm {
     me: PartyId,
     k: usize,
     /// One broadcast per party, indexed by the instance id (the sender's dense index).
     instances: Vec<InstanceState>,
+    /// The round's routing cursors, one per instance (kept for their capacity).
+    cursors: Vec<usize>,
+    /// The round's routed messages, kept empty between rounds for its capacity (see
+    /// [`recycle`]).
+    routed: Vec<Routed<'static>>,
     decision: Option<MatchDecision>,
 }
 
@@ -129,7 +146,7 @@ impl BroadcastBsm {
             };
             instances.push(state);
         }
-        Self { me, k, instances, decision: None }
+        Self { me, k, instances, cursors: Vec::new(), routed: Vec::new(), decision: None }
     }
 
     /// Number of logical rounds until every instance has produced its output.
@@ -199,10 +216,40 @@ impl RoundProtocol for BroadcastBsm {
         if self.decision.is_some() {
             return;
         }
-        // Each instance reads its own messages, in inbox order, straight out of the
-        // inbox, and its sends are tagged with its instance id on the way out.
-        for (instance, state) in (0u32..).zip(self.instances.iter_mut()) {
-            let incoming = inbox.clone().filter(move |(_, msg)| msg.instance == instance);
+        // Route each message to its instance with one stable counting sort: a first walk
+        // of the inbox counts each instance's messages, a second places them, so every
+        // instance reads its own messages, in inbox order, as one slice of `routed`. A
+        // message whose instance is not below `2k` reaches no instance. Each instance's
+        // sends are tagged with its instance id on the way out.
+        let cursors = &mut self.cursors;
+        cursors.clear();
+        cursors.resize(self.instances.len(), 0);
+        for (_, msg) in inbox.clone() {
+            if let Some(count) = cursors.get_mut(msg.instance as usize) {
+                *count += 1;
+            }
+        }
+        // Turn the counts into each instance's first position in `routed`.
+        let mut total = 0;
+        for cursor in cursors.iter_mut() {
+            let count = *cursor;
+            *cursor = total;
+            total += count;
+        }
+        let mut routed = recycle(std::mem::take(&mut self.routed));
+        routed.resize(total, None);
+        for (from, msg) in inbox {
+            if let Some(cursor) = cursors.get_mut(msg.instance as usize) {
+                routed[*cursor] = Some((from, msg));
+                *cursor += 1;
+            }
+        }
+        // Each cursor now sits at the end of its instance's slice.
+        let mut start = 0;
+        for ((instance, state), &end) in (0u32..).zip(self.instances.iter_mut()).zip(cursors.iter())
+        {
+            let incoming = routed[start..end].iter().flatten().copied();
+            start = end;
             match state {
                 InstanceState::Ds(protocol) => {
                     let typed = incoming.filter_map(|(from, msg)| match &msg.body {
@@ -224,6 +271,7 @@ impl RoundProtocol for BroadcastBsm {
                 }
             }
         }
+        self.routed = recycle(routed);
         self.try_decide();
     }
 
@@ -235,11 +283,20 @@ impl RoundProtocol for BroadcastBsm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsm_crypto::{KeyId, Pki};
+    use bsm_broadcast::{CommitteeMsg, DolevStrongMsg};
+    use bsm_crypto::{KeyId, Pki, SigChain};
     use bsm_matching::generators::uniform_profile;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::Cell;
     use std::collections::BTreeMap;
+
+    fn list_of(profile: &PreferenceProfile, p: PartyId) -> PreferenceList {
+        match p.side {
+            Side::Left => profile.left(p.idx()).clone(),
+            Side::Right => profile.right(p.idx()).clone(),
+        }
+    }
 
     /// Drives a full set of honest BroadcastBsm parties in lock step without a network
     /// (all messages delivered next round), and returns each party's decision.
@@ -251,13 +308,7 @@ mod tests {
         let parties: Vec<PartyId> = PartySet::new(k).iter().collect();
         let mut protocols: BTreeMap<PartyId, BroadcastBsm> = parties
             .iter()
-            .map(|&p| {
-                let list = match p.side {
-                    Side::Left => profile.left(p.idx()).clone(),
-                    Side::Right => profile.right(p.idx()).clone(),
-                };
-                (p, BroadcastBsm::new(p, k, list, flavor_of(p)))
-            })
+            .map(|&p| (p, BroadcastBsm::new(p, k, list_of(profile, p), flavor_of(p))))
             .collect();
         let mut pending: BTreeMap<PartyId, Vec<(PartyId, ProtoMsg)>> = BTreeMap::new();
         let total = 4 * (k as u64) + 20;
@@ -327,6 +378,120 @@ mod tests {
             };
             assert_eq!(decision, expected_partner, "party {party}");
         }
+    }
+
+    /// An inbox that counts the items pulled from it and from each of its clones.
+    #[derive(Clone)]
+    struct Counted<'c, I> {
+        inner: I,
+        pulls: &'c Cell<usize>,
+    }
+
+    impl<I: Iterator> Iterator for Counted<'_, I> {
+        type Item = I::Item;
+
+        fn next(&mut self) -> Option<I::Item> {
+            let item = self.inner.next();
+            if item.is_some() {
+                self.pulls.set(self.pulls.get() + 1);
+            }
+            item
+        }
+    }
+
+    #[test]
+    fn each_lent_message_is_routed_once_to_its_instance() {
+        let k = 3usize;
+        let flavor_of = ds_flavor(k);
+        let profile = uniform_profile(k, &mut StdRng::seed_from_u64(5));
+        let parties: Vec<PartyId> = PartySet::new(k).iter().collect();
+        let bsm_of = |p: PartyId| BroadcastBsm::new(p, k, list_of(&profile, p), flavor_of(p));
+        // Round 0: every sender sends its own instance's value; keep what reaches L1.
+        let me = PartyId::left(1);
+        let mut sent_to_me = Vec::new();
+        for &p in &parties {
+            bsm_of(p).round(0, std::iter::empty(), &mut |to, msg| {
+                if to == me {
+                    sent_to_me.push((p, msg));
+                }
+            });
+        }
+        // A second value for L0's instance, validly signed by L0: an equivocation, so
+        // that instance extracts and relays two values in the order it reads them.
+        let sender_key = KeyId(dense_key_index(PartyId::left(0), k));
+        let second: PrefVec = (0..k as u64).rev().collect();
+        let digest = DolevStrong::<PrefVec>::digest_for(0, sender_key, &second);
+        let BroadcastFlavor::DolevStrong { signing_key, .. } = flavor_of(PartyId::left(0)) else {
+            unreachable!("a Dolev–Strong flavor");
+        };
+        let signature = signing_key.sign(digest);
+        let equivocation = ProtoMsg {
+            instance: 0,
+            body: ProtoBody::Ds(DolevStrongMsg {
+                value: second,
+                chain: SigChain::single(signature),
+            }),
+        };
+        // The inbox interleaves the instances (each value arrives twice, the copies
+        // apart), holds the equivocation between L0's two copies, and holds one message
+        // for an instance out of range and one body of the committee flavor.
+        let mut inbox: Vec<(PartyId, ProtoMsg)> = sent_to_me.iter().rev().cloned().collect();
+        let out_of_range = ProtoMsg { instance: 2 * k as u32, ..inbox[0].1.clone() };
+        inbox.insert(2, (PartyId::right(2), out_of_range));
+        inbox.push((PartyId::left(2), equivocation));
+        let committee_body = ProtoBody::Cb(CommitteeMsg::Input(default_pref_vec(k)));
+        inbox.push((PartyId::right(0), ProtoMsg { instance: 0, body: committee_body }));
+        inbox.extend(sent_to_me.iter().cloned());
+        assert!(inbox.iter().filter(|(_, msg)| msg.instance == 0).count() >= 3);
+
+        // The routed round, pulling from a counted inbox.
+        let mut routed = bsm_of(me);
+        routed.round(0, std::iter::empty(), &mut |_, _| {});
+        let pulls = Cell::new(0);
+        let counted =
+            Counted { inner: inbox.iter().map(|(from, msg)| (*from, msg)), pulls: &pulls };
+        let mut routed_sends = Vec::new();
+        routed.round(1, counted, &mut |to, msg| routed_sends.push((to, msg)));
+        assert!(
+            pulls.get() <= 2 * inbox.len(),
+            "{} pulls for {} messages",
+            pulls.get(),
+            inbox.len()
+        );
+
+        // The reference: each instance runs on its own filtered view of the inbox.
+        let mut reference = bsm_of(me);
+        reference.round(0, std::iter::empty(), &mut |_, _| {});
+        let mut reference_sends = Vec::new();
+        for (instance, state) in (0u32..).zip(reference.instances.iter_mut()) {
+            let InstanceState::Ds(protocol) = state else { panic!("a Dolev–Strong instance") };
+            let view = inbox.iter().filter(|(_, msg)| msg.instance == instance);
+            let typed = view.filter_map(|(from, msg)| match &msg.body {
+                ProtoBody::Ds(m) => Some((*from, m)),
+                _ => None,
+            });
+            protocol.round(1, typed, &mut |to, m| {
+                reference_sends.push((to, ProtoMsg { instance, body: ProtoBody::Ds(m) }));
+            });
+        }
+        assert_eq!(routed_sends, reference_sends);
+        // Not vacuous: L1 relayed both of L0's values, in the order it read them.
+        let relayed_for_l0: Vec<&PrefVec> = routed_sends
+            .iter()
+            .filter_map(|(_, msg)| match &msg.body {
+                ProtoBody::Ds(m) if msg.instance == 0 => Some(&m.value),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(relayed_for_l0.len(), 2 * (parties.len() - 1));
+        assert_ne!(relayed_for_l0[0], relayed_for_l0[relayed_for_l0.len() - 1]);
+    }
+
+    #[test]
+    fn recycling_keeps_the_routing_allocation() {
+        let buffer: Vec<Routed<'static>> = Vec::with_capacity(64);
+        let recycled: Vec<Routed<'_>> = recycle(buffer);
+        assert_eq!(recycled.capacity(), 64);
     }
 
     #[test]

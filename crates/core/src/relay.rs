@@ -17,7 +17,7 @@
 
 use crate::wire::{ProtoMsg, Relayed, WireMsg};
 use bsm_broadcast::KeyDirectory;
-use bsm_crypto::{Digest, DigestWriter, Digestible, SigningKey, Verifier};
+use bsm_crypto::{Digest, DigestWriter, Digestible, SigningKey};
 use bsm_net::{Outgoing, PartyId, PartySet, Time, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -41,6 +41,17 @@ pub enum RelayMode {
         /// Maximum accepted age (in slots) of a relayed message; the paper uses `2·Δ`.
         max_age: u64,
     },
+}
+
+impl RelayMode {
+    /// Slots one logical round spans: 1 when every channel is direct, and 2 when a
+    /// relay hop (the request, then the delivery) may sit between a send and its receipt.
+    pub fn slots_per_round(&self) -> u64 {
+        match self {
+            RelayMode::Direct => 1,
+            RelayMode::Majority | RelayMode::Signed { .. } => 2,
+        }
+    }
 }
 
 /// The digest `origin` signs over when relaying `relayed` — the `(P → P′, τ, id, m)`
@@ -73,16 +84,13 @@ pub struct RelayEngine {
     topology: Topology,
     mode: RelayMode,
     signing_key: Option<SigningKey>,
-    /// Verification handle for signed mode (`None` otherwise). Its memo never hits
-    /// here: a signature that verifies is accepted, and `delivered` drops every later
-    /// copy of its `(origin, id)` before verification. Verifying compares the claimed
-    /// tag with the one stored at signing, so it computes no digest.
-    verifier: Option<Verifier>,
     next_id: u64,
     /// Majority mode: (origin, id) → each distinct `(sent_at, payload)` seen, in the
     /// tuple that first carried it, with the distinct relayers that delivered it.
     tallies: BTreeMap<(PartyId, u64), Tally>,
-    /// Messages already delivered to the protocol, by (origin, id).
+    /// Messages already delivered to the protocol, by (origin, id). In signed mode a
+    /// copy is looked up here before its signature is verified, so each `(origin, id)`
+    /// costs at most one successful verification, however many relayers deliver it.
     delivered: BTreeSet<(PartyId, u64)>,
 }
 
@@ -115,21 +123,21 @@ impl RelayEngine {
         if matches!(mode, RelayMode::Signed { .. }) {
             assert!(signing_key.is_some(), "signed relay mode requires this party's signing key");
         }
-        let verifier = match &mode {
-            RelayMode::Signed { directory, .. } => Some(directory.pki().verifier()),
-            _ => None,
-        };
         Self {
             me,
             parties,
             topology,
             mode,
             signing_key,
-            verifier,
             next_id: 0,
             tallies: BTreeMap::new(),
             delivered: BTreeSet::new(),
         }
+    }
+
+    /// How this engine authenticates relayed payloads.
+    pub fn mode(&self) -> &RelayMode {
+        &self.mode
     }
 
     /// Wraps an outgoing protocol message into wire messages, appended to `out`: a
@@ -228,10 +236,10 @@ impl RelayEngine {
                         {
                             return;
                         }
+                        // Verifying compares the claimed tag with the one stored at
+                        // signing, so only the relay digest is hashed.
                         let digest = relay_digest(origin, &relayed, self.parties.k());
-                        let verifier =
-                            self.verifier.as_mut().expect("signed mode holds a verifier");
-                        if verifier.verify(signature, digest) {
+                        if directory.pki().verify(signature, digest) {
                             self.delivered.insert((origin, id));
                             accepted.push((origin, inner.clone()));
                         }
@@ -463,9 +471,12 @@ mod tests {
         let (accepted, _) =
             handle(&mut receiver_engine, PartyId::right(0), deliver.clone(), Time(2));
         assert_eq!(accepted, vec![(origin, msg(3))]);
-        // Duplicates are suppressed.
+        // Duplicates are suppressed before verification: they verify nothing.
+        let before = bsm_crypto::counters::thread_snapshot();
         let (again, _) = handle(&mut receiver_engine, PartyId::right(1), deliver, Time(2));
         assert!(again.is_empty());
+        let verified = (bsm_crypto::counters::thread_snapshot() - before).signatures_verified;
+        assert_eq!(verified, 0, "the duplicate delivery was verified");
 
         // Tampered content is rejected (signature no longer verifies).
         let tampered = Relayed { id: signed.id + 1, inner: msg(99), ..(*signed).clone() };

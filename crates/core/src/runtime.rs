@@ -1,25 +1,34 @@
 //! The per-party runtime: a bSM protocol stacked on top of the channel-simulation relay.
 
 use crate::problem::MatchDecision;
-use crate::relay::RelayEngine;
+use crate::relay::{RelayEngine, RelayMode};
 use crate::wire::{ProtoMsg, WireMsg};
 use bsm_net::{Envelope, Outgoing, PartyId, Process, RoundProtocol, Time};
 
 /// One honest party's full protocol stack: the bSM protocol `P` over a [`RelayEngine`].
 ///
-/// The runtime performs three jobs every slot:
+/// A logical round spans [`RelayMode::slots_per_round`] slots of the engine's mode, and
+/// the runtime runs it one of two ways:
 ///
-/// 1. feed incoming wire messages through the [`RelayEngine`] (accepting payloads,
-///    performing relay duty for the disconnected side),
-/// 2. at every logical round boundary (`slots_per_round` slots), lend the buffered
-///    payloads to the bSM protocol, whose every send goes straight through
-///    [`RelayEngine::send`] onto the network's send buffer,
-/// 3. expose the protocol's decision as the party's output.
+/// * **Direct channels** ([`RelayMode::Direct`], fully-connected cells): a round is one
+///   slot and nothing is relayed, so, like [`bsm_net::RoundDriver`], the runtime lends
+///   the slot's inbox straight to the protocol. The lent inbox yields each
+///   [`WireMsg::Direct`] payload, in inbox order, attributed to its envelope sender;
+///   relay requests and relayed deliveries, which a direct engine ignores, never
+///   reach it.
+/// * **Relayed channels** (Lemmas 6, 8 and 10): a round spans two slots. Every incoming
+///   wire message goes through [`RelayEngine::handle`], which accepts payloads into the
+///   round buffer and performs relay duty for the disconnected side, and at each round
+///   boundary the buffer is lent to the protocol.
+///
+/// Either way each of the protocol's sends goes straight through [`RelayEngine::send`]
+/// onto the network's send buffer, the inbox is empty after the step, and the party's
+/// output is the protocol's decision.
 pub struct PartyRuntime<P> {
     id: PartyId,
     relay: RelayEngine,
     protocol: P,
-    slots_per_round: u64,
+    /// Payloads accepted since the last round boundary (relayed channels only).
     buffer: Vec<(PartyId, ProtoMsg)>,
 }
 
@@ -27,24 +36,16 @@ impl<P> std::fmt::Debug for PartyRuntime<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PartyRuntime")
             .field("id", &self.id)
-            .field("slots_per_round", &self.slots_per_round)
+            .field("relay", &self.relay)
             .field("buffered", &self.buffer.len())
             .finish_non_exhaustive()
     }
 }
 
 impl<P> PartyRuntime<P> {
-    /// Builds the runtime for party `id`.
-    ///
-    /// `slots_per_round` is 1 when every required channel is direct and 2 when any
-    /// channel is simulated by a relay (each relay hop adds one slot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots_per_round == 0`.
-    pub fn new(id: PartyId, relay: RelayEngine, protocol: P, slots_per_round: u64) -> Self {
-        assert!(slots_per_round > 0, "a round must span at least one slot");
-        Self { id, relay, protocol, slots_per_round, buffer: Vec::new() }
+    /// Builds the runtime for party `id`, its round length taken from `relay`'s mode.
+    pub fn new(id: PartyId, relay: RelayEngine, protocol: P) -> Self {
+        Self { id, relay, protocol, buffer: Vec::new() }
     }
 }
 
@@ -68,13 +69,24 @@ where
         inbox: &mut Vec<Envelope<WireMsg>>,
         out: &mut Vec<Outgoing<WireMsg>>,
     ) {
-        for envelope in inbox.drain(..) {
-            self.relay.handle(envelope.from, envelope.payload, now, &mut self.buffer, out);
+        let (relay, protocol) = (&mut self.relay, &mut self.protocol);
+        if let RelayMode::Direct = relay.mode() {
+            let lent = inbox.iter().filter_map(|envelope| match &envelope.payload {
+                WireMsg::Direct(msg) => Some((envelope.from, msg)),
+                WireMsg::RelayRequest(_) | WireMsg::RelayDeliver { .. } => None,
+            });
+            protocol.round(now.slot(), lent, &mut |to, msg| relay.send(to, msg, now, out));
+            inbox.clear();
+            return;
         }
-        if now.slot().is_multiple_of(self.slots_per_round) {
-            let round = now.slot() / self.slots_per_round;
+        for envelope in inbox.drain(..) {
+            relay.handle(envelope.from, envelope.payload, now, &mut self.buffer, out);
+        }
+        let slots_per_round = relay.mode().slots_per_round();
+        if now.slot().is_multiple_of(slots_per_round) {
             let accepted = self.buffer.iter().map(|(from, msg)| (*from, msg));
-            self.protocol.round(round, accepted, &mut |to, msg| self.relay.send(to, msg, now, out));
+            let round = now.slot() / slots_per_round;
+            protocol.round(round, accepted, &mut |to, msg| relay.send(to, msg, now, out));
             // Cleared, not taken: the buffer keeps its capacity for the next round.
             self.buffer.clear();
         }
@@ -88,15 +100,16 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relay::RelayMode;
-    use crate::wire::ProtoBody;
+    use crate::wire::{ProtoBody, Relayed};
     use bsm_net::{PartySet, Topology};
+    use std::sync::Arc;
 
-    /// A toy protocol: announce our index to one peer in round 0, decide once we have
-    /// heard from anyone (or at round 3).
+    /// A toy protocol: announce our index to one peer in round 0, record every message
+    /// it is lent, and decide once it has heard from anyone (or at round 3).
     struct ToyProtocol {
         me: PartyId,
         peer: PartyId,
+        received: Vec<(PartyId, ProtoMsg)>,
         decision: Option<MatchDecision>,
     }
 
@@ -110,6 +123,7 @@ mod tests {
             mut inbox: impl Iterator<Item = (PartyId, &'m ProtoMsg)> + Clone,
             out: &mut impl FnMut(PartyId, ProtoMsg),
         ) {
+            self.received.extend(inbox.clone().map(|(from, msg)| (from, msg.clone())));
             if let Some((from, _)) = inbox.next() {
                 self.decision = Some(Some(from));
             } else if round >= 3 {
@@ -130,29 +144,53 @@ mod tests {
         me: PartyId,
         peer: PartyId,
         topology: Topology,
-        spr: u64,
+        mode: RelayMode,
     ) -> PartyRuntime<ToyProtocol> {
-        let relay = RelayEngine::new(me, PartySet::new(2), topology, RelayMode::Majority, None);
-        PartyRuntime::new(me, relay, ToyProtocol { me, peer, decision: None }, spr)
+        let relay = RelayEngine::new(me, PartySet::new(2), topology, mode, None);
+        PartyRuntime::new(me, relay, ToyProtocol { me, peer, received: Vec::new(), decision: None })
     }
 
+    /// The harness's fully-connected configuration: direct channels, one-slot rounds.
     #[test]
     fn direct_messages_reach_the_protocol() {
         let me = PartyId::left(0);
         let peer = PartyId::right(0);
-        let mut rt = runtime(me, peer, Topology::FullyConnected, 1);
+        let mut rt = runtime(me, peer, Topology::FullyConnected, RelayMode::Direct);
         let out = rt.step(Time(0), &mut vec![]);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].payload, WireMsg::Direct(_)));
-        // Deliver a direct message; the protocol decides at the next round boundary.
-        let env = Envelope {
-            from: peer,
+        // Slot 1 is round 1. Of a relay request, a relayed delivery and a direct
+        // message, only the direct payload reaches the protocol, attributed to its
+        // envelope sender, and nothing is relayed.
+        let envelope = |from, payload| Envelope {
+            from,
             to: me,
             sent_at: Time(0),
             deliver_at: Time(1),
-            payload: WireMsg::Direct(ProtoMsg { instance: 0, body: ProtoBody::Suggest(None) }),
+            payload,
         };
-        rt.step(Time(1), &mut vec![env]);
+        let suggest = |tag| ProtoMsg { instance: 0, body: ProtoBody::Suggest(tag) };
+        let relayed = |target| {
+            Arc::new(Relayed {
+                target,
+                id: 0,
+                sent_at: 0,
+                inner: suggest(Some(9)),
+                signature: None,
+            })
+        };
+        let mut inbox = vec![
+            envelope(PartyId::left(1), WireMsg::RelayRequest(relayed(PartyId::right(1)))),
+            envelope(
+                PartyId::right(1),
+                WireMsg::RelayDeliver { origin: PartyId::left(1), relayed: relayed(me) },
+            ),
+            envelope(peer, WireMsg::Direct(suggest(None))),
+        ];
+        let out = rt.step(Time(1), &mut inbox);
+        assert!(out.is_empty(), "a direct party relayed: {out:?}");
+        assert!(inbox.is_empty(), "the runtime leaves the inbox empty");
+        assert_eq!(rt.protocol.received, vec![(peer, suggest(None))]);
         assert_eq!(rt.output(), Some(Some(peer)));
         assert!(format!("{rt:?}").contains("PartyRuntime"));
     }
@@ -162,7 +200,7 @@ mod tests {
         // Two left parties in a bipartite topology must relay through the right side.
         let me = PartyId::left(0);
         let peer = PartyId::left(1);
-        let mut rt = runtime(me, peer, Topology::Bipartite, 2);
+        let mut rt = runtime(me, peer, Topology::Bipartite, RelayMode::Majority);
         let out = rt.step(Time(0), &mut vec![]);
         // k = 2 relayers on the right side.
         assert_eq!(out.len(), 2);
@@ -176,12 +214,5 @@ mod tests {
             rt.step(Time(slot), &mut vec![]);
         }
         assert_eq!(rt.output(), Some(None));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one slot")]
-    fn zero_slots_per_round_panics() {
-        let me = PartyId::left(0);
-        let _ = runtime(me, PartyId::left(1), Topology::Bipartite, 0);
     }
 }

@@ -5,7 +5,7 @@
 //! copy (`O(n · r)` signature copies per relay); a [`SigChain`] shares one immutable
 //! chain behind an `Arc`, so fanning a message out costs one reference-count bump per
 //! recipient and only [`SigChain::extended`] — called once per relay, not once per
-//! recipient — copies the chain.
+//! recipient — copies the chain, straight into the new chain's one allocation.
 
 use crate::digest::{DigestWriter, Digestible};
 use crate::pki::{KeyId, Signature};
@@ -33,15 +33,14 @@ impl SigChain {
 
     /// A chain holding exactly `signature`.
     pub fn single(signature: Signature) -> Self {
-        Self { sigs: Arc::from(vec![signature]) }
+        Self { sigs: Arc::from([signature]) }
     }
 
-    /// A new chain equal to `self` with `signature` appended (copy-on-extend).
+    /// A new chain equal to `self` with `signature` appended (copy-on-extend). The
+    /// links are collected straight into the new chain's `Arc`, whose length the
+    /// iterator knows, so extending allocates once.
     pub fn extended(&self, signature: Signature) -> Self {
-        let mut sigs = Vec::with_capacity(self.sigs.len() + 1);
-        sigs.extend_from_slice(&self.sigs);
-        sigs.push(signature);
-        Self { sigs: sigs.into() }
+        Self { sigs: self.sigs.iter().copied().chain([signature]).collect() }
     }
 
     /// The signatures, oldest first.

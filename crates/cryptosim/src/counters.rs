@@ -11,7 +11,7 @@
 //! event is one non-atomic add on the calling thread. The counters never participate
 //! in protocol logic or exported reports (which stay byte-identical whatever the
 //! counters say). They are read as deltas on one thread: [`thread_snapshot`] reads
-//! the digest, verification and memo-hit counts, and [`thread_signatures_issued`] the
+//! the digest and verification counts, and [`thread_signatures_issued`] the
 //! signature count. A campaign cell runs entirely on one worker thread, so the delta
 //! around a cell is *exactly* that cell's work, whatever other threads do meanwhile.
 //! A scenario run (`bsm_core::harness`) takes its signature count the same way, so
@@ -23,7 +23,6 @@ use std::ops::{AddAssign, Sub};
 thread_local! {
     static DIGESTS_COMPUTED: Cell<u64> = const { Cell::new(0) };
     static SIGNATURES_VERIFIED: Cell<u64> = const { Cell::new(0) };
-    static VERIFY_CACHE_HITS: Cell<u64> = const { Cell::new(0) };
     static SIGNATURES_ISSUED: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -36,9 +35,12 @@ thread_local! {
 pub struct CounterSnapshot {
     /// Digests computed (SHA-256 finalizations).
     pub digests_computed: u64,
-    /// Full (uncached) signature verifications.
+    /// Signature verifications ([`Pki::verify_detailed`](crate::Pki::verify_detailed)
+    /// calls).
     pub signatures_verified: u64,
-    /// Verifications answered from a [`Verifier`](crate::pki::Verifier) memo.
+    /// Verifications answered from a memo. Nothing memoizes verifications, so a
+    /// snapshot always reads 0 here; the field stays because `BENCH_engine.json`, the
+    /// `metrics.jsonl` sidecar and `perfbench` still carry the key.
     pub verify_cache_hits: u64,
 }
 
@@ -74,7 +76,7 @@ pub fn thread_snapshot() -> CounterSnapshot {
     CounterSnapshot {
         digests_computed: DIGESTS_COMPUTED.get(),
         signatures_verified: SIGNATURES_VERIFIED.get(),
-        verify_cache_hits: VERIFY_CACHE_HITS.get(),
+        verify_cache_hits: 0,
     }
 }
 
@@ -99,14 +101,9 @@ pub(crate) fn count_digest() {
     bump(&DIGESTS_COMPUTED);
 }
 
-/// Records one full (uncached) signature verification.
+/// Records one signature verification.
 pub(crate) fn count_verification() {
     bump(&SIGNATURES_VERIFIED);
-}
-
-/// Records one verification answered from a [`Verifier`](crate::pki::Verifier) memo.
-pub(crate) fn count_cache_hit() {
-    bump(&VERIFY_CACHE_HITS);
 }
 
 /// Records one signature produced by [`SigningKey::sign`](crate::pki::SigningKey::sign).
@@ -124,12 +121,11 @@ mod tests {
         let signatures = thread_signatures_issued();
         count_digest();
         count_verification();
-        count_cache_hit();
         count_signature();
         let after = thread_snapshot();
         assert!(after.digests_computed > before.digests_computed);
         assert!(after.signatures_verified > before.signatures_verified);
-        assert!(after.verify_cache_hits > before.verify_cache_hits);
+        assert_eq!(after.verify_cache_hits, 0, "nothing memoizes verifications");
         assert!(thread_signatures_issued() > signatures);
     }
 
@@ -141,7 +137,6 @@ mod tests {
             for _ in 0..10_000 {
                 count_digest();
                 count_verification();
-                count_cache_hit();
                 count_signature();
             }
         });
@@ -150,14 +145,12 @@ mod tests {
         count_digest();
         count_digest();
         count_verification();
-        count_cache_hit();
         count_signature();
         let delta = thread_snapshot() - before;
         let signed = thread_signatures_issued() - signatures;
         noise.join().unwrap();
         assert_eq!(delta.digests_computed, 2);
         assert_eq!(delta.signatures_verified, 1);
-        assert_eq!(delta.verify_cache_hits, 1);
         assert_eq!(signed, 1);
     }
 

@@ -18,8 +18,9 @@
 //!   computationally hard, with no key generation or modular arithmetic per message
 //!   and no randomness that would break the simulator's determinism.
 //! * [`counters`] — the crate's only work accounting: per-thread counts of digests,
-//!   verifications, memo hits and signatures, read as deltas around work done on one
-//!   thread (a campaign cell, a scenario run).
+//!   verifications and signatures, read as deltas around work done on one thread (a
+//!   campaign cell, a scenario run). Verification caches nothing: it is one registry
+//!   lookup and one tag compare.
 //!
 //! # Hashing cost and the one `unsafe` block
 //!
@@ -62,4 +63,4 @@ pub mod sha256;
 pub use chain::SigChain;
 pub use counters::CounterSnapshot;
 pub use digest::{Digest, DigestWriter, Digestible};
-pub use pki::{KeyId, Pki, Signature, SigningKey, Verifier, VerifyError, VERIFY_MEMO_CAP};
+pub use pki::{KeyId, Pki, Signature, SigningKey, VerifyError};

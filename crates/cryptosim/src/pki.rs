@@ -1,5 +1,5 @@
 use crate::digest::{Digest, DigestWriter};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
@@ -77,8 +77,8 @@ impl std::error::Error for VerifyError {}
 ///
 /// The registry is sharded **per key**, one lock each: signing with key `i` touches
 /// only shard `i`, so parties signing concurrently never contend on a shared lock.
-/// The digest maps are append-only, which is what makes [`Verifier`] memoization
-/// sound. Because each signed digest maps to the content tag computed at signing
+/// The digest maps are append-only, so a signature that verifies once verifies
+/// forever. Because each signed digest maps to the content tag computed at signing
 /// time, verification compares the claimed tag against the stored one instead of
 /// re-hashing — [`Pki::verify_detailed`] performs **zero** digest computations.
 type KeyShard = RwLock<HashMap<Digest, Digest>>;
@@ -95,8 +95,8 @@ type KeyShard = RwLock<HashMap<Digest, Digest>>;
 /// signatures of honest parties, matching the paper's §2 assumption.
 ///
 /// Internally the signing registry is sharded per key (one lock per key), so signing
-/// and verifying against *different* keys never contend; repeat verifications of the
-/// same signature can additionally be memoized with a [`Verifier`] handle.
+/// and verifying against *different* keys never contend. Verifying is one lookup and
+/// one tag compare, so callers verify through the `Pki` itself and cache nothing.
 #[derive(Debug, Clone)]
 pub struct Pki {
     shards: Arc<[KeyShard]>,
@@ -129,12 +129,6 @@ impl Pki {
         } else {
             None
         }
-    }
-
-    /// A verification handle that memoizes successfully verified signatures, so the
-    /// tag recomputation and registry lookup are paid once per distinct signature.
-    pub fn verifier(&self) -> Verifier {
-        Verifier { pki: self.clone(), seen: HashSet::new() }
     }
 
     /// Verifies that `signature` is a valid signature by `signature.signer()` over
@@ -175,70 +169,6 @@ impl Pki {
             Some(tag) if *tag == signature.tag => Ok(()),
             _ => Err(VerifyError::Forged),
         }
-    }
-}
-
-/// A [`Pki`] verification handle with a memo of already-verified signatures.
-///
-/// Memoizing successes is sound because the signing registry is append-only: once a
-/// signature value has fully verified, it verifies forever. Failures are **never**
-/// memoized — a digest the signer had not signed yet may legitimately be signed later.
-/// The memo key is the complete [`Signature`] value (signer, digest *and* tag), so a
-/// tampered tag can never ride on a previously verified (signer, digest) pair, and the
-/// fast path also requires the queried digest to equal the signature's own: every
-/// result, cached or not, is identical to what [`Pki::verify_detailed`] would return.
-///
-/// Each protocol instance holds its own `Verifier` (they are cheap: a `Pki` handle
-/// plus a hash set), keeping the memo contention-free. The memo is bounded by
-/// [`VERIFY_MEMO_CAP`]: an adversary flooding a verifier with distinct valid
-/// signatures (each appearing once, so caching them buys nothing) cannot grow it
-/// without limit — once full, further successes simply verify uncached.
-#[derive(Debug, Clone)]
-pub struct Verifier {
-    pki: Pki,
-    seen: HashSet<Signature>,
-}
-
-/// Upper bound on distinct signatures a [`Verifier`] memoizes; the honest working set
-/// (one signature per signer per broadcast value in flight) stays far below it.
-pub const VERIFY_MEMO_CAP: usize = 1024;
-
-impl Verifier {
-    /// The directory this verifier checks against.
-    pub fn pki(&self) -> &Pki {
-        &self.pki
-    }
-
-    /// Number of distinct signatures memoized so far.
-    pub fn memoized(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Memoizing counterpart of [`Pki::verify`].
-    pub fn verify(&mut self, signature: &Signature, digest: Digest) -> bool {
-        self.verify_detailed(signature, digest).is_ok()
-    }
-
-    /// Memoizing counterpart of [`Pki::verify_detailed`] — same result for every
-    /// input, cached or not.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`Pki::verify_detailed`].
-    pub fn verify_detailed(
-        &mut self,
-        signature: &Signature,
-        digest: Digest,
-    ) -> Result<(), VerifyError> {
-        if signature.digest == digest && self.seen.contains(signature) {
-            crate::counters::count_cache_hit();
-            return Ok(());
-        }
-        self.pki.verify_detailed(signature, digest)?;
-        if self.seen.len() < VERIFY_MEMO_CAP {
-            self.seen.insert(*signature);
-        }
-        Ok(())
     }
 }
 
@@ -380,34 +310,6 @@ mod tests {
         // Verifying signs nothing.
         assert!(pki.verify(&key.sign(digest), digest));
         assert_eq!(thread_signatures_issued() - before, 4);
-    }
-
-    #[test]
-    fn verifier_agrees_with_pki_and_memoizes_successes_only() {
-        let pki = Pki::new(2);
-        let key = pki.signing_key(0).unwrap();
-        let digest = Digest::of_bytes(b"memo");
-        let sig = key.sign(digest);
-        let mut verifier = pki.verifier();
-        assert_eq!(verifier.memoized(), 0);
-        assert_eq!(verifier.verify_detailed(&sig, digest), Ok(()));
-        assert_eq!(verifier.memoized(), 1);
-        // The repeat query is a memo hit with the same answer.
-        assert!(verifier.verify(&sig, digest));
-        assert_eq!(verifier.memoized(), 1);
-        // Failures pass through unmemoized and match the uncached reason.
-        let other = Digest::of_bytes(b"other");
-        assert_eq!(verifier.verify_detailed(&sig, other), pki.verify_detailed(&sig, other),);
-        assert_eq!(verifier.memoized(), 1);
-        // A digest signed only later verifies then — no stale negative caching.
-        let late = Digest::of_bytes(b"late");
-        let premature =
-            Signature { signer: KeyId(0), digest: late, tag: expected_tag(KeyId(0), late) };
-        assert_eq!(verifier.verify_detailed(&premature, late), Err(VerifyError::Forged));
-        let genuine = key.sign(late);
-        assert_eq!(genuine, premature, "same content, same signature value");
-        assert_eq!(verifier.verify_detailed(&premature, late), Ok(()));
-        assert!(!verifier.pki().is_empty());
     }
 
     #[test]

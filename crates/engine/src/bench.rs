@@ -10,10 +10,9 @@
 //!
 //! Two kinds of counters live side by side:
 //!
-//! * **work counters** (`digests_computed`, `signatures_verified`,
-//!   `verify_cache_hits`, summed from each cell's attributed
-//!   [`bsm_crypto::counters`] delta) — a hot-path optimization shows up as a hard
-//!   counter drop,
+//! * **work counters** (`digests_computed`, `signatures_verified`, summed from each
+//!   cell's attributed [`bsm_crypto::counters`] delta, and `verify_cache_hits`, which
+//!   is 0 by construction) — a hot-path optimization shows up as a hard counter drop,
 //! * **campaign outputs** (`signatures_issued`, `messages`, `slots`, `violations`) —
 //!   an optimization must move the work counters while leaving these, and every
 //!   exported report, untouched.
@@ -59,21 +58,14 @@ pub struct BenchSnapshot {
     pub completed: usize,
     /// Signatures produced during the campaign (deterministic report total).
     pub signatures_issued: u64,
-    /// Full signature verifications performed (summed per-cell counter delta).
+    /// Signature verifications performed (summed per-cell counter delta). This is the
+    /// tripwire for re-verification: Dolev–Strong skips every further chain for a
+    /// value it has already extracted before touching a signature, so a protocol that
+    /// starts re-validating chains it used to skip moves this count.
     pub signatures_verified: u64,
-    /// Verifications answered from a per-verifier memo (summed per-cell counter
-    /// delta).
-    ///
-    /// **Expected to be 0 on this campaign** — genuinely, not from a wiring gap (the
-    /// memo and its counter are exercised by `crates/broadcast` tests): a
-    /// [`Verifier`](bsm_crypto::Verifier) memo is per-party-per-instance and only
-    /// remembers *successful* verifications, while Dolev-Strong skips every further
-    /// chain for a value it has already extracted before touching a signature. A hit
-    /// therefore needs two chains for the same **not-yet-extracted** value sharing a
-    /// valid prefix — i.e. a chain with a valid prefix and a broken tail, followed by
-    /// a valid chain — and none of the benchmark's adversaries forge such chains. The
-    /// key is kept in the snapshot as a tripwire: a nonzero value means the protocol
-    /// started re-verifying chains it used to skip.
+    /// Verifications answered from a memo: always 0, since nothing memoizes
+    /// verifications ([`CounterSnapshot::verify_cache_hits`]). The key stays in the
+    /// snapshot so that `BENCH_engine.json` keeps its bytes.
     pub verify_cache_hits: u64,
     /// Digests computed (summed per-cell counter delta).
     pub digests_computed: u64,

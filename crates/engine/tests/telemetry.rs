@@ -7,6 +7,7 @@
 
 use bsm_core::harness::AdversarySpec;
 use bsm_core::problem::AuthMode;
+use bsm_crypto::CounterSnapshot;
 use bsm_engine::export::{to_csv, to_json};
 use bsm_engine::{
     Campaign, CampaignBuilder, CampaignReport, CampaignStats, CellTelemetry, ExecutionStats,
@@ -135,6 +136,30 @@ fn campaign_stats_aggregate_a_real_campaign() {
     // The rollups partition the campaign: each axis's cell counts sum to the total.
     let k_cells: u64 = stats.by_k.values().map(|r| r.cells).sum();
     assert_eq!(k_cells, stats.cells);
+}
+
+/// Pins the crypto work of the fixed campaign, relayed authenticated cells included.
+/// `BENCH_engine.json` runs fully-connected cells only, so this is what catches a
+/// signed relay that verifies more copies of a send than it accepts (one per
+/// `(origin, id)`), or a chain re-validated after its value was extracted.
+#[test]
+fn fixed_campaign_crypto_work_is_pinned() {
+    let campaign = fixed_campaign();
+    let (_, telemetry, _) = run_telemetry(2, &campaign);
+    let total = |keep: &dyn Fn(&CellTelemetry) -> bool| {
+        let mut sum = CounterSnapshot::default();
+        telemetry.iter().filter(|cell| keep(cell)).for_each(|cell| sum += cell.crypto);
+        (sum.digests_computed, sum.signatures_verified, sum.verify_cache_hits)
+    };
+    let relayed_authenticated = |topology: Topology| {
+        move |cell: &CellTelemetry| {
+            cell.spec.topology == topology && cell.spec.auth == AuthMode::Authenticated
+        }
+    };
+    assert_eq!(telemetry.len(), 216);
+    assert_eq!(total(&|_| true), (7_292, 2_836, 0));
+    assert_eq!(total(&relayed_authenticated(Topology::Bipartite)), (3_572, 1_276, 0));
+    assert_eq!(total(&relayed_authenticated(Topology::OneSided)), (2_500, 980, 0));
 }
 
 /// Only signatures need hashing: Dolev–Strong instance digests, signed relay and

@@ -13,8 +13,9 @@ use crate::{Envelope, Outgoing, PartyId, Process, Time};
 /// * the inbox is **borrowed**, and may be walked more than once (hence `Clone`);
 /// * every send is one call of `out`, made when the protocol sends, so `out` sees the
 ///   sends in the protocol's order and must keep that order;
-/// * a composite hands each sub-protocol a filtered view of its own inbox
-///   (`inbox.clone().filter_map(…)`) and a closure that wraps each of the
+/// * a composite hands each sub-protocol a borrowed view of its own messages (a
+///   filtered view of the inbox, `inbox.clone().filter_map(…)`, or a slice of
+///   references it routed them into in one pass) and a closure that wraps each of the
 ///   sub-protocol's sends in the composite's message type before passing it on to
 ///   its own `out`.
 pub trait RoundProtocol {
